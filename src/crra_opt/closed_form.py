@@ -29,7 +29,7 @@ from .errors import (
     NonPositiveGrossMean,
     SingularDenominator,
 )
-from .market import MarketParams, RiskAversion, gamma_lower_bound
+from .market import MarketParams, RiskAversion
 
 # Tolerances; callers may override via keyword arguments.
 BOUND_TOL = 1e-12   # slack when testing gamma against 1 + 4J
@@ -207,11 +207,6 @@ def frontier_point(p: MarketParams, ra: RiskAversion) -> tuple[float, float]:
     """
     sol = solve_analytical(p, ra)
     return sol.expected_excess_return, sol.variance
-
-
-def admissible_gamma(p: MarketParams, gamma: float, *, bound_tol: float = BOUND_TOL) -> bool:
-    """True when gamma clears the closed-form existence bound ``1 + 4J``."""
-    return gamma >= gamma_lower_bound(p) - bound_tol
 
 
 def _check_weights(p: MarketParams, weights) -> np.ndarray:

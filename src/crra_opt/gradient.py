@@ -15,8 +15,12 @@ stopped once the Euclidean gradient norm falls below ``tol``.  Steps that
 would push some scenario wealth to zero or below are halved (up to 60
 times) before failing, which preserves both feasibility and ascent.
 
-All scenario reductions run through the fixed chunking in ``_chunks``, so
-reports are bit-identical for a given input regardless of the worker count.
+Scenarios are read from the ``(k, N)`` array ``ScenarioSet.cols``.  Every
+length-N reduction is a single ``np.einsum`` or ``np.sum`` over contiguous
+rows, never a BLAS product, so its summation order is fixed by numpy alone
+and reports are bit-identical under any BLAS thread count.  The wealth
+``R_f + w'R_i`` is the BLAS product ``w @ cols``: a k-term dot per
+scenario, which BLAS computes the same way whatever its thread count.
 
 The same ascent applies to any concave utility: replace the power kernel in
 the gradient by ``U'(W0 (R_f + w'R_i)) R_i`` and the Hessian stays negative
@@ -30,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._chunks import chunked_sum
 from .errors import (
     NonPositiveWealthScenario,
     NotConverged,
@@ -80,8 +83,8 @@ class GdReport:
     converged: bool
 
 
-def _wealth(returns: np.ndarray, weights: np.ndarray, gross_rf: float) -> np.ndarray:
-    return gross_rf + returns @ weights
+def _wealth(cols: np.ndarray, weights: np.ndarray, gross_rf: float) -> np.ndarray:
+    return gross_rf + weights @ cols
 
 
 def _require_positive(wealth: np.ndarray) -> None:
@@ -91,17 +94,11 @@ def _require_positive(wealth: np.ndarray) -> None:
 
 
 def _v0_from_wealth(wealth: np.ndarray, gamma: float) -> float:
-    n = wealth.shape[0]
-    total = chunked_sum(lambda s: np.sum(wealth[s] ** (1.0 - gamma)), n)
-    return float(total) / n / (1.0 - gamma)
+    return float(np.sum(wealth ** (1.0 - gamma))) / wealth.shape[0] / (1.0 - gamma)
 
 
-def _gradient_from_wealth(returns: np.ndarray, wealth: np.ndarray, gamma: float) -> np.ndarray:
-    n = wealth.shape[0]
-    total = chunked_sum(
-        lambda s: np.einsum("ij,i->j", returns[s], wealth[s] ** (-gamma)), n
-    )
-    return total / n
+def _gradient_from_wealth(cols: np.ndarray, wealth: np.ndarray, gamma: float) -> np.ndarray:
+    return np.einsum("ij,j->i", cols, wealth ** (-gamma)) / wealth.shape[0]
 
 
 def v0(scenarios, weights, ra: RiskAversion, gross_rf: float) -> float:
@@ -110,16 +107,16 @@ def v0(scenarios, weights, ra: RiskAversion, gross_rf: float) -> float:
     Raises :class:`NonPositiveWealthScenario` naming the first scenario with
     ``R_f + w'R_i <= 0``.
     """
-    wealth = _wealth(scenarios.returns, np.asarray(weights, dtype=float), gross_rf)
+    wealth = _wealth(scenarios.cols, np.asarray(weights, dtype=float), gross_rf)
     _require_positive(wealth)
     return _v0_from_wealth(wealth, ra.gamma)
 
 
 def v0_gradient(scenarios, weights, ra: RiskAversion, gross_rf: float) -> np.ndarray:
     """Gradient ``(1/N) sum_i R_i (R_f + w'R_i)^(-gamma)``."""
-    wealth = _wealth(scenarios.returns, np.asarray(weights, dtype=float), gross_rf)
+    wealth = _wealth(scenarios.cols, np.asarray(weights, dtype=float), gross_rf)
     _require_positive(wealth)
-    return _gradient_from_wealth(scenarios.returns, wealth, ra.gamma)
+    return _gradient_from_wealth(scenarios.cols, wealth, ra.gamma)
 
 
 def v0_hessian(scenarios, weights, ra: RiskAversion, gross_rf: float) -> np.ndarray:
@@ -128,17 +125,11 @@ def v0_hessian(scenarios, weights, ra: RiskAversion, gross_rf: float) -> np.ndar
     Negative definite wherever wealth stays positive; exposed for concavity
     diagnostics.
     """
-    returns = scenarios.returns
-    wealth = _wealth(returns, np.asarray(weights, dtype=float), gross_rf)
+    cols = scenarios.cols
+    wealth = _wealth(cols, np.asarray(weights, dtype=float), gross_rf)
     _require_positive(wealth)
-    n = wealth.shape[0]
-    total = chunked_sum(
-        lambda s: np.einsum(
-            "ij,i,il->jl", returns[s], wealth[s] ** (-(1.0 + ra.gamma)), returns[s]
-        ),
-        n,
-    )
-    return -(ra.gamma / n) * total
+    total = np.einsum("ij,j,lj->il", cols, wealth ** (-(1.0 + ra.gamma)), cols)
+    return -(ra.gamma / wealth.shape[0]) * total
 
 
 def suggest_eta(scenarios, ra: RiskAversion, safety: float = 0.8) -> float:
@@ -147,11 +138,9 @@ def suggest_eta(scenarios, ra: RiskAversion, safety: float = 0.8) -> float:
     ``M2 = (1/N) sum_i R_i R_i'`` bounds the Hessian scale near the start of
     the ascent, so this step is stable while converging orders of magnitude
     faster than a unit-scale ``eta`` when returns have small variance.
+    ``M2`` is the scenario set's cached ``m2``.
     """
-    returns = scenarios.returns
-    n = returns.shape[0]
-    m2 = chunked_sum(lambda s: np.einsum("ij,il->jl", returns[s], returns[s]), n) / n
-    lam_max = float(np.linalg.eigvalsh(m2)[-1])
+    lam_max = float(np.linalg.eigvalsh(scenarios.m2)[-1])
     if lam_max <= 0.0:
         raise ValueError("second-moment matrix has no positive eigenvalue")
     return safety / (ra.gamma * lam_max)
@@ -167,18 +156,18 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
     """
     if cfg is None:
         cfg = GdConfig()
-    returns = scenarios.returns
-    k = returns.shape[1]
+    cols = scenarios.cols
+    k = cols.shape[0]
     if cfg.initial_weights is None:
         w = np.zeros(k)
     else:
         w = np.array(cfg.initial_weights, dtype=float)
-    wealth = _wealth(returns, w, gross_rf)
+    wealth = _wealth(cols, w, gross_rf)
     _require_positive(wealth)
 
     steps = 0
     while True:
-        grad = _gradient_from_wealth(returns, wealth, ra.gamma)
+        grad = _gradient_from_wealth(cols, wealth, ra.gamma)
         norm = float(np.linalg.norm(grad))
         if norm <= cfg.tol:
             return GdReport(
@@ -197,8 +186,8 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
         step = cfg.eta * grad
         for _ in range(MAX_BACKTRACKS + 1):
             cand = w + step
-            cand_wealth = _wealth(returns, cand, gross_rf)
-            if (cand_wealth > 0.0).all():
+            cand_wealth = _wealth(cols, cand, gross_rf)
+            if cand_wealth.min() > 0.0:
                 break
             step = 0.5 * step
         else:

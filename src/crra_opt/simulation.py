@@ -11,6 +11,7 @@ directly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,10 +30,18 @@ MAD_SCALE = 1.4826
 
 @dataclass(frozen=True)
 class ScenarioSet:
-    """N simulated excess-return vectors plus the seed that produced them."""
+    """N simulated excess-return vectors plus the seed that produced them.
+
+    The draws are held once, as the read-only C-contiguous ``(k, N)`` array
+    ``cols``: row ``j`` holds asset ``j``'s return in every scenario, so each
+    length-N reduction reads one contiguous row per asset.  ``returns`` is
+    the ``(N, k)`` view ``cols.T`` of the same buffer.  The sample moments
+    ``m1`` and ``m2`` are computed on first use and shared by every solver.
+    """
 
     returns: np.ndarray
     seed: int
+    cols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         returns = np.asarray(self.returns, dtype=float)
@@ -40,18 +49,33 @@ class ScenarioSet:
             raise ValueError(f"returns must be 2-D (N, k), got shape {returns.shape}")
         if not np.isfinite(returns).all():
             raise ValueError("scenario returns must be finite")
-        returns = np.array(returns)
-        returns.setflags(write=False)
-        object.__setattr__(self, "returns", returns)
+        cols = np.array(returns.T, order="C")
+        cols.setflags(write=False)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "returns", cols.T)
         object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def n(self) -> int:
-        return self.returns.shape[0]
+        return self.cols.shape[1]
 
     @property
     def k(self) -> int:
-        return self.returns.shape[1]
+        return self.cols.shape[0]
+
+    @cached_property
+    def m1(self) -> np.ndarray:
+        """First sample moment ``(1/N) sum_i R_i``."""
+        m1 = np.einsum("ij->i", self.cols) / self.n
+        m1.setflags(write=False)
+        return m1
+
+    @cached_property
+    def m2(self) -> np.ndarray:
+        """Second sample moment ``M2 = (1/N) sum_i R_i R_i'``."""
+        m2 = np.einsum("ij,lj->il", self.cols, self.cols) / self.n
+        m2.setflags(write=False)
+        return m2
 
 
 @dataclass(frozen=True)
@@ -137,7 +161,7 @@ def evaluate_strategy(
         raise ValueError(f"weights must have shape ({scenarios.k},), got {w.shape}")
     if not w0 > 0.0:
         raise ValueError(f"w0 must be positive, got {w0}")
-    wealths = w0 * (gross_rf + scenarios.returns @ w)
+    wealths = w0 * (gross_rf + w @ scenarios.cols)
     feasible = wealths > 0.0
     infeasible_count = int(wealths.shape[0] - np.count_nonzero(feasible))
     if infeasible_count == wealths.shape[0]:

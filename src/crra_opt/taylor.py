@@ -12,8 +12,12 @@ moments of the shared scenario set.  The zero-weight instance of the update
 is the standard starting point ``(R_f/gamma) M2^-1 m1``; iterating to a
 fixed point yields the benchmark weights.
 
-``M2`` is factored once per solve and reused.  Expectations are estimated
-on the same scenario set used by the other solvers, which removes
+``M2`` and ``m1`` are the scenario set's cached moments, shared with
+``suggest_eta``; ``M2`` is factored once per solve and reused.  The two
+length-N sums of each update are single ``np.einsum`` reductions over the
+contiguous per-asset rows of ``ScenarioSet.cols``, so an update is
+bit-identical under any BLAS thread count.  Expectations are estimated on
+the same scenario set used by the other solvers, which removes
 cross-method sampling noise from comparisons.
 """
 
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from ._chunks import chunked_sum
 from .errors import NonFiniteIterate, NotConverged, SingularSecondMoment
 from .market import MarketParams, RiskAversion
 
@@ -56,21 +59,29 @@ class TaylorReport:
 
 
 class _SampleMoments:
-    """First/second sample moments with a cached Cholesky factor of M2."""
+    """A scenario set's moments with a Cholesky factor of M2.
 
-    def __init__(self, returns: np.ndarray):
-        n = returns.shape[0]
-        m2 = chunked_sum(lambda s: np.einsum("ij,il->jl", returns[s], returns[s]), n) / n
-        m1 = chunked_sum(lambda s: returns[s].sum(axis=0), n) / n
+    M2 counts as singular when the factorization fails or its smallest
+    squared pivot is at most ``k * eps * max(diag(M2))``: the size of the
+    rounding error left in a pivot, relative to the scale of M2.  A
+    rank-deficient sample then fails whatever its scale or row order,
+    instead of depending on whether rounding leaves a tiny positive pivot.
+    """
+
+    def __init__(self, scenarios):
+        m2 = scenarios.m2
         try:
-            self.m2_factor = cho_factor(m2, lower=True)
+            factor = cho_factor(m2, lower=True)
         except LinAlgError:
-            raise SingularSecondMoment(
-                "sample second-moment matrix is not positive definite"
-            ) from None
-        self.m1 = m1
-        self.returns = returns
-        self.n = n
+            factor = None
+        k = m2.shape[0]
+        if factor is None or (
+            np.min(np.diag(factor[0])) ** 2 <= k * np.finfo(float).eps * np.max(np.diag(m2))
+        ):
+            raise SingularSecondMoment("sample second-moment matrix is not positive definite")
+        self.m2_factor = factor
+        self.m1 = scenarios.m1
+        self.cols = scenarios.cols
 
     def solve_m2(self, b: np.ndarray) -> np.ndarray:
         return cho_solve(self.m2_factor, b)
@@ -78,10 +89,13 @@ class _SampleMoments:
 
 def _step(moments: _SampleMoments, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
     g = ra.gamma
-    returns = moments.returns
-    x = returns @ w
-    quad = chunked_sum(lambda s: np.einsum("ij,i->j", returns[s], x[s] * x[s]), moments.n) / moments.n
-    cube = chunked_sum(lambda s: np.einsum("ij,i->j", returns[s], x[s] ** 3), moments.n) / moments.n
+    cols = moments.cols
+    n = cols.shape[1]
+    x = w @ cols
+    x2 = x * x
+    quad = np.einsum("ij,j->i", cols, x2) / n
+    x2 *= x
+    cube = np.einsum("ij,j->i", cols, x2) / n
     rhs = (
         gross_rf * moments.m1
         + (g * (g + 1.0) / (2.0 * gross_rf)) * quad
@@ -99,8 +113,7 @@ def taylor_initial(scenarios, ra: RiskAversion, gross_rf: float) -> np.ndarray:
     Implemented as the fixed-point update evaluated at the zero vector, so
     it is bit-identical to the first step of :func:`taylor_solve`.
     """
-    moments = _SampleMoments(scenarios.returns)
-    return _step(moments, ra, gross_rf, np.zeros(scenarios.returns.shape[1]))
+    return _step(_SampleMoments(scenarios), ra, gross_rf, np.zeros(scenarios.k))
 
 
 def taylor_initial_population(p: MarketParams, ra: RiskAversion) -> np.ndarray:
@@ -120,8 +133,7 @@ def taylor_initial_population(p: MarketParams, ra: RiskAversion) -> np.ndarray:
 
 def taylor_step(scenarios, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
     """One fixed-point update of the fourth-order expansion weights."""
-    moments = _SampleMoments(scenarios.returns)
-    return _step(moments, ra, gross_rf, np.asarray(w, dtype=float))
+    return _step(_SampleMoments(scenarios), ra, gross_rf, np.asarray(w, dtype=float))
 
 
 def taylor_solve(
@@ -139,8 +151,8 @@ def taylor_solve(
     """
     if cfg is None:
         cfg = TaylorConfig()
-    moments = _SampleMoments(scenarios.returns)
-    w = _step(moments, ra, gross_rf, np.zeros(scenarios.returns.shape[1]))
+    moments = _SampleMoments(scenarios)
+    w = _step(moments, ra, gross_rf, np.zeros(scenarios.k))
     damping = 1.0
     grow_streak = 0
     prev_delta = np.inf

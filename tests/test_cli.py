@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crra_opt
 from conftest import BENCHMARK_MU, BENCHMARK_RF, BENCHMARK_SIGMA
 from crra_opt import gamma_lower_bound, make_params, tangency, write_params_json
 from crra_opt.cli import main
@@ -162,6 +167,36 @@ class TestCompare:
         assert [p.name for p in files_a] == [p.name for p in files_b]
         for pa, pb in zip(files_a, files_b):
             assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_byte_identical_under_blas_thread_counts(self, tmp_path, k):
+        # OpenBLAS reads its thread count once, at load, so each count needs
+        # its own process.  N = 1e5 is above the size at which OpenBLAS
+        # starts splitting a product across threads.
+        params = tmp_path / "params.json"
+        write_params_json(make_params(BENCHMARK_MU[:k],
+                                      [row[:k] for row in BENCHMARK_SIGMA[:k]],
+                                      BENCHMARK_RF), params)
+        src = str(Path(crra_opt.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            # The summary names the output directory, so both runs use the
+            # same relative one.
+            cwd = tmp_path / f"threads{threads}"
+            cwd.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-m", "crra_opt.cli", "compare", "--params", str(params),
+                 "--gammas", "5,20", "--samples", "100000", "--seed", "11",
+                 "--outdir", "study"],
+                env=env, cwd=cwd, capture_output=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            files = {p.name: p.read_bytes() for p in sorted((cwd / "study").iterdir())}
+            outputs.append((proc.stdout, files))
+        assert len(outputs[0][1]) == 14  # comparison.csv/.json + 12 ECDF files
+        assert outputs[0] == outputs[1]
 
 
 class TestFrontier:

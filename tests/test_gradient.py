@@ -151,19 +151,6 @@ class TestGdSolve:
         assert not report.converged
         assert report.final_gradient_norm > 1e-12
 
-    def test_deterministic_and_thread_count_independent(self, benchmark_params, monkeypatch):
-        scenarios = simulate(benchmark_params, 150_000, 7)
-        ra = RiskAversion(9.0)
-        cfg = GdConfig(eta=suggest_eta(scenarios, ra))
-        monkeypatch.setenv("CRRA_OPT_THREADS", "1")
-        first = gd_solve(scenarios, ra, benchmark_params.gross_rf, cfg)
-        monkeypatch.setenv("CRRA_OPT_THREADS", "4")
-        second = gd_solve(scenarios, ra, benchmark_params.gross_rf, cfg)
-        np.testing.assert_array_equal(first.weights, second.weights)
-        assert (first.iterations, first.final_gradient_norm, first.objective,
-                first.converged) == (second.iterations, second.final_gradient_norm,
-                                     second.objective, second.converged)
-
     def test_infeasible_start_rejected(self, symmetric_pair):
         cfg = GdConfig(initial_weights=np.array([20.0]))
         with pytest.raises(NonPositiveWealthScenario):

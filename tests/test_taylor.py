@@ -70,6 +70,20 @@ class TestInitialPoint:
         with pytest.raises(SingularSecondMoment):
             taylor_initial(scenarios, RiskAversion(5.0), 1.0)
 
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+    @pytest.mark.parametrize("order_seed", [0, 1, 2])
+    def test_rank_one_sample_is_singular_at_any_scale_and_row_order(self, scale, order_seed):
+        # Every row is a multiple of one direction, so M2 has rank one; the
+        # rounding left in its second pivot depends on the scale and on the
+        # order in which the rows are summed.
+        rng = np.random.default_rng(order_seed)
+        multiples = np.linspace(-1.0, 3.0, 401)
+        direction = np.array([0.013, -0.0071, 0.0029])
+        returns = scale * np.outer(rng.permutation(multiples), direction)
+        scenarios = ScenarioSet(returns=returns, seed=0)
+        with pytest.raises(SingularSecondMoment):
+            taylor_initial(scenarios, RiskAversion(5.0), 1.0)
+
 
 class TestStep:
     def test_symmetric_sample_keeps_odd_moments_only(self, symmetric_pairs):
