@@ -35,6 +35,7 @@ from .market import (
     gamma_lower_bound,
     read_params_json,
     read_price_csv,
+    require_admissible_gamma,
     write_params_json,
 )
 from .reports import (
@@ -223,9 +224,7 @@ def cmd_compare(args) -> int:
 
 def cmd_frontier(args) -> int:
     params = read_params_json(args.params)
-    bound = gamma_lower_bound(params)
-    if args.gamma_from < bound - 1e-12:
-        raise GammaBelowBound(args.gamma_from, bound)
+    require_admissible_gamma(args.gamma_from, gamma_lower_bound(params))
     if args.gamma_to < args.gamma_from:
         raise ValidationError("--gamma-to must be >= --gamma-from")
     if args.steps < 1:

@@ -25,14 +25,12 @@ import numpy as np
 from .errors import (
     DegenerateMu,
     DimensionMismatch,
-    GammaBelowBound,
     NonPositiveGrossMean,
     SingularDenominator,
 )
-from .market import MarketParams, RiskAversion
+from .market import BOUND_TOL, MarketParams, RiskAversion, require_admissible_gamma
 
 # Tolerances; callers may override via keyword arguments.
-BOUND_TOL = 1e-12   # slack when testing gamma against 1 + 4J
 D_CLAMP = 1e-14     # discriminant values in (-D_CLAMP, 0) are treated as 0
 J_MIN = 1e-14       # below this, mu is considered degenerate
 
@@ -112,10 +110,8 @@ def solve_analytical(
     J = float(p.mu @ sol)
     if J <= j_min:
         raise DegenerateMu(f"mu' sigma^-1 mu = {J:.3e} is numerically zero")
-    bound = 1.0 + 4.0 * J
     gamma = ra.gamma
-    if gamma < bound - bound_tol:
-        raise GammaBelowBound(gamma, bound)
+    require_admissible_gamma(gamma, 1.0 + 4.0 * J, bound_tol)
     c, _, d = _scale_roots(J, gamma, p.gross_rf)
     weights = c * sol
     mean = float(weights @ p.mu)

@@ -16,11 +16,12 @@ would push some scenario wealth to zero or below are halved (up to 60
 times) before failing, which preserves both feasibility and ascent.
 
 Scenarios are read from the ``(k, N)`` array ``ScenarioSet.cols``.  Every
-length-N reduction is a single ``np.einsum`` or ``np.sum`` over contiguous
+length-N operation is a single ``np.einsum`` or ``np.sum`` over contiguous
 rows, never a BLAS product, so its summation order is fixed by numpy alone
-and reports are bit-identical under any BLAS thread count.  The wealth
-``R_f + w'R_i`` is the BLAS product ``w @ cols``: a k-term dot per
-scenario, which BLAS computes the same way whatever its thread count.
+and reports are bit-identical under any BLAS thread count.  This includes
+the wealth ``R_f + w'R_i``, a k-term sum per scenario computed as
+``einsum("i,ij->j", w, cols)``: no step wakes BLAS's thread pool, so
+solvers running in several threads at once do not compete with it.
 
 The same ascent applies to any concave utility: replace the power kernel in
 the gradient by ``U'(W0 (R_f + w'R_i)) R_i`` and the Hessian stays negative
@@ -84,7 +85,9 @@ class GdReport:
 
 
 def _wealth(cols: np.ndarray, weights: np.ndarray, gross_rf: float) -> np.ndarray:
-    return gross_rf + weights @ cols
+    wealth = np.einsum("i,ij->j", weights, cols)
+    wealth += gross_rf
+    return wealth
 
 
 def _require_positive(wealth: np.ndarray) -> None:

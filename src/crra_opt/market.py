@@ -24,6 +24,7 @@ from scipy.linalg import cho_solve
 from .errors import (
     AsymmetricSigma,
     DimensionMismatch,
+    GammaBelowBound,
     InvalidParamsFile,
     InvalidPriceSeries,
     InvalidRiskAversion,
@@ -37,6 +38,10 @@ from .errors import (
 # Relative asymmetry of a covariance input beyond this is rejected outright;
 # anything smaller is symmetrized to (A + A') / 2 before the Cholesky check.
 SYMMETRY_RTOL = 1e-8
+
+# Slack when testing gamma against the bound 1 + 4J, so that a gamma set to
+# the bound itself passes whatever rounding its computation picked up.
+BOUND_TOL = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -218,6 +223,16 @@ def gamma_lower_bound(p: MarketParams) -> float:
     Computed with a Cholesky solve; never forms ``sigma^-1`` explicitly.
     """
     return 1.0 + 4.0 * float(p.mu @ p.solve_sigma(p.mu))
+
+
+def require_admissible_gamma(gamma: float, bound: float, tol: float = BOUND_TOL) -> None:
+    """Raise :class:`GammaBelowBound` if ``gamma < bound - tol``.
+
+    The one admissibility test shared by the closed form, the comparison
+    study and the frontier sweep; ``gamma == bound`` is always accepted.
+    """
+    if gamma < bound - tol:
+        raise GammaBelowBound(gamma, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -133,23 +135,29 @@ def write_text(path, text: str) -> None:
 
 
 def write_comparison_csv(report: ComparisonReport, path) -> None:
-    """Long-form CSV with columns gamma,method,stat,value."""
+    """Long-form CSV with columns gamma,method,stat,value.
+
+    Fields are quoted only where they must be, so an error message holding a
+    comma, a quote or a newline stays one field.
+    """
     from .simulation import METHODS
 
-    lines = ["gamma,method,stat,value"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("gamma", "method", "stat", "value"))
     for g in report.gammas:
         for method in METHODS:
             cell = report.cells[(g, method)]
             if cell.failed:
-                lines.append(f"{fmt_gamma(g)},{method},error,{cell.error}")
+                writer.writerow((fmt_gamma(g), method, "error", cell.error))
                 continue
             stats = cell.stats
             for stat, value in (
                 ("mean", stats.mean), ("sd", stats.sd),
                 ("median", stats.median), ("mad", stats.mad),
             ):
-                lines.append(f"{fmt_gamma(g)},{method},{stat},{value!r}")
-    write_text(path, "\n".join(lines) + "\n")
+                writer.writerow((fmt_gamma(g), method, stat, repr(value)))
+    write_text(path, buf.getvalue())
 
 
 def ecdf_filename(kind: str, gamma: float, method: str) -> str:
@@ -161,11 +169,9 @@ def write_ecdf_files(report: ComparisonReport, outdir) -> list[Path]:
     outdir = Path(outdir)
     written: list[Path] = []
     for (g, method, kind), table in report.ecdfs.items():
-        lines = ["x,F"]
-        for x, f in table:
-            lines.append(f"{float(x)!r},{float(f)!r}")
+        rows = "".join(f"{x!r},{f!r}\n" for x, f in table.tolist())
         path = outdir / ecdf_filename(kind, g, method)
-        write_text(path, "\n".join(lines) + "\n")
+        write_text(path, "x,F\n" + rows)
         written.append(path)
     return written
 

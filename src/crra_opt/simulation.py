@@ -5,20 +5,26 @@ of sigma and ``z_i`` i.i.d. standard normal from a PCG64 generator, so a
 ``(params, n, seed)`` triple always reproduces the same scenario set on a
 given build.  One scenario set is shared by every method and risk-aversion
 level inside a comparison run, which makes the per-method statistics
-directly comparable.
+directly comparable.  No operation over the N scenarios is a BLAS product,
+so draws, weights and statistics are bit-identical under any BLAS thread
+count and no BLAS thread pool competes with the solver threads of
+:func:`compare`.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .closed_form import solve_analytical
-from .errors import AllScenariosInfeasible, GammaBelowBound, CrraOptError
-from .gradient import GdConfig, gd_solve, suggest_eta
-from .market import MarketParams, RiskAversion, gamma_lower_bound
+from .errors import AllScenariosInfeasible, CrraOptError
+from .gradient import GdConfig, _wealth, gd_solve, suggest_eta
+from .market import MarketParams, RiskAversion, gamma_lower_bound, require_admissible_gamma
 from .taylor import TaylorConfig, taylor_solve
 
 METHODS = ("analytical", "taylor", "gd")
@@ -143,7 +149,8 @@ def simulate(p: MarketParams, n: int, seed: int) -> ScenarioSet:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((int(n), p.k))
-    returns = p.mu + z @ np.asarray(p.chol_lower).T
+    returns = np.einsum("nj,ij->ni", z, p.chol_lower)
+    returns += p.mu
     return ScenarioSet(returns=returns, seed=seed)
 
 
@@ -161,14 +168,16 @@ def evaluate_strategy(
         raise ValueError(f"weights must have shape ({scenarios.k},), got {w.shape}")
     if not w0 > 0.0:
         raise ValueError(f"w0 must be positive, got {w0}")
-    wealths = w0 * (gross_rf + w @ scenarios.cols)
+    wealths = _wealth(scenarios.cols, w, gross_rf)
+    wealths *= w0
     feasible = wealths > 0.0
     infeasible_count = int(wealths.shape[0] - np.count_nonzero(feasible))
     if infeasible_count == wealths.shape[0]:
         raise AllScenariosInfeasible("every scenario yields non-positive wealth")
     lam = 1.0 - ra.gamma
     utilities = np.full(wealths.shape[0], np.nan)
-    utilities[feasible] = wealths[feasible] ** lam / lam
+    np.power(wealths, lam, out=utilities, where=feasible)
+    utilities /= lam
     return StrategyOutcome(
         method=method, gamma=ra.gamma, weights=w,
         wealths=wealths, utilities=utilities, infeasible_count=infeasible_count,
@@ -186,11 +195,13 @@ def summarize(values) -> SummaryStats:
     if x.ndim != 1 or x.shape[0] < 2:
         raise ValueError("summarize needs a 1-D sample of size >= 2")
     med = float(np.median(x))
+    dev = x - med
+    np.abs(dev, out=dev)
     return SummaryStats(
         mean=float(x.mean()),
         sd=float(x.std(ddof=1)),
         median=med,
-        mad=MAD_SCALE * float(np.median(np.abs(x - med))),
+        mad=MAD_SCALE * float(np.median(dev, overwrite_input=True)),
     )
 
 
@@ -208,6 +219,72 @@ def ecdf(values, grid_points: int) -> np.ndarray:
     grid = np.linspace(x[0], x[-1], int(grid_points))
     f = np.searchsorted(x, grid, side="right") / x.shape[0]
     return np.column_stack([grid, f])
+
+
+def _solve_workers(tasks: int) -> int:
+    """Threads for the solve phase of :func:`compare`: one per task, at most
+    one per CPU this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(tasks, cpus))
+
+
+def _solve_gamma(p, scenarios, ra, gd_cfg, taylor_cfg) -> dict:
+    """``method -> (weights, error)`` for the three solvers at one gamma.
+
+    A :class:`CrraOptError` becomes its cell's error message; any other
+    exception propagates.
+    """
+    tcfg = taylor_cfg if taylor_cfg is not None else TaylorConfig()
+    solvers = {
+        "analytical": lambda: solve_analytical(p, ra),
+        "taylor": lambda: taylor_solve(scenarios, ra, p.gross_rf, tcfg),
+        "gd": lambda: gd_solve(
+            scenarios, ra, p.gross_rf,
+            gd_cfg if gd_cfg is not None else GdConfig(eta=suggest_eta(scenarios, ra)),
+        ),
+    }
+    solved = {}
+    for method in METHODS:
+        try:
+            solved[method] = (solvers[method]().weights, None)
+        except CrraOptError as exc:
+            solved[method] = (None, str(exc))
+    return solved
+
+
+def _solve_gammas(p, scenarios, gammas, gd_cfg, taylor_cfg) -> list[dict]:
+    """:func:`_solve_gamma` for every gamma, on up to one thread per CPU.
+
+    The calling thread is one of the workers.  Each worker takes the next
+    unsolved gamma until none is left, and results are stored by gamma
+    index, so they do not depend on the number of workers or on which
+    worker solved what.
+    """
+    # Fill the cached moments before any thread reads them.
+    _ = scenarios.m1, scenarios.m2
+    solved: list = [None] * len(gammas)
+    todo = iter(range(len(gammas)))
+    todo_lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with todo_lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            solved[i] = _solve_gamma(p, scenarios, RiskAversion(gammas[i]), gd_cfg, taylor_cfg)
+
+    helpers = _solve_workers(len(gammas)) - 1
+    # A pool starts its threads on submit, so one worker starts none.
+    with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+    for future in futures:
+        future.result()
+    return solved
 
 
 def compare(
@@ -229,49 +306,37 @@ def compare(
     When ``gd_cfg`` is None a curvature-matched learning rate is chosen per
     gamma via :func:`suggest_eta`; pass an explicit config to pin ``eta``.
     Failures inside one (gamma, method) cell are recorded on that cell and
-    do not abort the rest of the run.
+    do not abort the rest of the run; any error that is not a
+    :class:`CrraOptError` propagates.
+
+    The solve phase runs the gammas concurrently, on up to one thread per
+    CPU this process may run on (the calling thread is one of them); the
+    solves only read the shared scenario set.  Evaluation, summaries and
+    ECDFs then run serially in gamma order.  The report is bit-identical
+    whatever the number of threads.
     """
     gammas = tuple(float(g) for g in gammas)
     bound = gamma_lower_bound(p)
     for g in gammas:
-        if g < bound - 1e-12:
-            raise GammaBelowBound(g, bound)
+        require_admissible_gamma(g, bound)
     scenarios = simulate(p, n, seed)
+    solved = _solve_gammas(p, scenarios, gammas, gd_cfg, taylor_cfg)
     report = ComparisonReport(gammas=gammas, n=int(n), seed=int(seed))
-    for g in gammas:
+    for g, cells in zip(gammas, solved):
         ra = RiskAversion(g)
-        weight_sets: dict[str, np.ndarray | None] = {}
-        errors: dict[str, str | None] = {}
-        try:
-            weight_sets["analytical"] = solve_analytical(p, ra).weights
-            errors["analytical"] = None
-        except CrraOptError as exc:
-            weight_sets["analytical"] = None
-            errors["analytical"] = str(exc)
-        try:
-            tcfg = taylor_cfg if taylor_cfg is not None else TaylorConfig()
-            weight_sets["taylor"] = taylor_solve(scenarios, ra, p.gross_rf, tcfg).weights
-            errors["taylor"] = None
-        except CrraOptError as exc:
-            weight_sets["taylor"] = None
-            errors["taylor"] = str(exc)
-        try:
-            cfg = gd_cfg if gd_cfg is not None else GdConfig(eta=suggest_eta(scenarios, ra))
-            weight_sets["gd"] = gd_solve(scenarios, ra, p.gross_rf, cfg).weights
-            errors["gd"] = None
-        except CrraOptError as exc:
-            weight_sets["gd"] = None
-            errors["gd"] = str(exc)
         for method in METHODS:
-            w = weight_sets[method]
+            w, error = cells[method]
             if w is None:
                 report.cells[(g, method)] = CellResult(
-                    weights=None, stats=None, infeasible_count=0, error=errors[method]
+                    weights=None, stats=None, infeasible_count=0, error=error
                 )
                 continue
             try:
                 outcome = evaluate_strategy(scenarios, w, ra, p.gross_rf, method=method)
-                finite = outcome.utilities[np.isfinite(outcome.utilities)]
+                finite = outcome.utilities
+                kept = np.isfinite(finite)
+                if not kept.all():
+                    finite = finite[kept]
                 stats = summarize(finite)
                 report.cells[(g, method)] = CellResult(
                     weights=w, stats=stats, infeasible_count=outcome.infeasible_count

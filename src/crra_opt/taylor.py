@@ -13,12 +13,13 @@ is the standard starting point ``(R_f/gamma) M2^-1 m1``; iterating to a
 fixed point yields the benchmark weights.
 
 ``M2`` and ``m1`` are the scenario set's cached moments, shared with
-``suggest_eta``; ``M2`` is factored once per solve and reused.  The two
-length-N sums of each update are single ``np.einsum`` reductions over the
-contiguous per-asset rows of ``ScenarioSet.cols``, so an update is
-bit-identical under any BLAS thread count.  Expectations are estimated on
-the same scenario set used by the other solvers, which removes
-cross-method sampling noise from comparisons.
+``suggest_eta``; ``M2`` is factored once per solve and reused.  The
+length-N products of each update (the excess wealth ``w'R_i`` and the two
+sums) are single ``np.einsum`` calls over the contiguous per-asset rows of
+``ScenarioSet.cols``, never BLAS, so an update is bit-identical under any
+BLAS thread count.  Expectations are estimated on the same scenario set
+used by the other solvers, which removes cross-method sampling noise from
+comparisons.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def _step(moments: _SampleMoments, ra: RiskAversion, gross_rf: float, w: np.ndar
     g = ra.gamma
     cols = moments.cols
     n = cols.shape[1]
-    x = w @ cols
+    x = np.einsum("i,ij->j", w, cols)
     x2 = x * x
     quad = np.einsum("ij,j->i", cols, x2) / n
     x2 *= x

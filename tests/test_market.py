@@ -11,6 +11,7 @@ from conftest import BENCHMARK_BOUND
 from crra_opt import (
     AsymmetricSigma,
     DimensionMismatch,
+    GammaBelowBound,
     InvalidParamsFile,
     InvalidPriceSeries,
     InvalidRiskAversion,
@@ -25,8 +26,12 @@ from crra_opt import (
     make_params,
     read_params_json,
     read_price_csv,
+    solve_analytical,
     write_params_json,
 )
+from crra_opt.cli import EXIT_GAMMA_BOUND, EXIT_OK, main
+from crra_opt.market import require_admissible_gamma
+from crra_opt.simulation import compare
 
 
 def _series(prices, start=dt.date(2024, 1, 1), names=None):
@@ -160,6 +165,44 @@ class TestGammaLowerBound:
             a = rng.normal(size=(p.k, p.k)) + np.eye(p.k) * 2.0
             q = make_params(a @ p.mu, a @ p.sigma @ a.T, p.r_f)
             assert gamma_lower_bound(q) == pytest.approx(bound, rel=1e-7)
+
+
+class TestAdmissibleGamma:
+    """One bound test serves the closed form, the study and the frontier."""
+
+    def _solve(self, p, gamma, tmp_path):
+        solve_analytical(p, RiskAversion(gamma))
+
+    def _compare(self, p, gamma, tmp_path):
+        compare(p, [gamma], n=200, seed=3)
+
+    def _frontier(self, p, gamma, tmp_path):
+        path = tmp_path / "params.json"
+        write_params_json(p, path)
+        code = main(["frontier", "--params", str(path), "--gamma-from", repr(gamma),
+                     "--gamma-to", "20", "--steps", "2", "--out", str(tmp_path / "f.csv")])
+        if code == EXIT_GAMMA_BOUND:
+            raise GammaBelowBound(gamma, gamma_lower_bound(p))
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("path", ["_solve", "_compare", "_frontier"])
+    def test_every_path_rejects_below_and_accepts_the_bound(
+        self, path, benchmark_params, tmp_path
+    ):
+        run = getattr(self, path)
+        bound = gamma_lower_bound(benchmark_params)
+        with pytest.raises(GammaBelowBound) as excinfo:
+            run(benchmark_params, bound - 2e-12, tmp_path)
+        assert excinfo.value.bound == bound
+        run(benchmark_params, bound, tmp_path)
+
+    def test_helper_tolerance(self):
+        require_admissible_gamma(3.0, 3.0)
+        require_admissible_gamma(3.0 - 5e-13, 3.0)
+        with pytest.raises(GammaBelowBound):
+            require_admissible_gamma(3.0 - 2e-12, 3.0)
+        with pytest.raises(GammaBelowBound):
+            require_admissible_gamma(2.9, 3.0, tol=0.05)
 
 
 class TestPriceCsv:

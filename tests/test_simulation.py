@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from crra_opt import (
     GdConfig,
     RiskAversion,
     ScenarioSet,
+    StepIntoInfeasible,
     compare,
     ecdf,
     evaluate_strategy,
@@ -19,6 +24,7 @@ from crra_opt import (
     simulate,
     summarize,
 )
+from crra_opt import simulation
 from crra_opt.simulation import METHODS
 
 
@@ -203,3 +209,79 @@ class TestCompare:
             mad_gd = report.cells[(g, "gd")].stats.mad
             assert sd_analytical >= sd_gd
             assert mad_analytical >= mad_gd
+
+
+class TestConcurrentSolve:
+    GAMMAS = (5.0, 10.0, 15.0, 20.0)
+
+    def test_worker_count_follows_tasks_and_cpus(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert simulation._solve_workers(1) == 1
+        assert simulation._solve_workers(10_000) == cpus
+
+    def test_bitwise_equal_for_any_worker_count(self, benchmark_params, monkeypatch):
+        # More workers than CPUs and frequent thread switches: every gamma
+        # must still be solved exactly once and land in its own slot.
+        solved_gammas = []
+        real_solve_gamma = simulation._solve_gamma
+
+        def solve_gamma(p, scenarios, ra, gd_cfg, taylor_cfg):
+            solved_gammas.append(ra.gamma)
+            return real_solve_gamma(p, scenarios, ra, gd_cfg, taylor_cfg)
+
+        monkeypatch.setattr(simulation, "_solve_gamma", solve_gamma)
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 5):
+                monkeypatch.setattr(simulation, "_solve_workers", lambda tasks, w=workers: w)
+                solved_gammas.clear()
+                reports.append(compare(benchmark_params, self.GAMMAS, n=20_000, seed=21))
+                assert sorted(solved_gammas) == sorted(self.GAMMAS)
+        finally:
+            sys.setswitchinterval(interval)
+        first = reports[0]
+        for other in reports[1:]:
+            assert list(other.cells) == list(first.cells)
+            for key, cell in first.cells.items():
+                np.testing.assert_array_equal(other.cells[key].weights, cell.weights)
+                assert other.cells[key].stats == cell.stats
+                assert other.cells[key].error == cell.error
+            assert list(other.ecdfs) == list(first.ecdfs)
+            for key, table in first.ecdfs.items():
+                np.testing.assert_array_equal(other.ecdfs[key], table)
+
+    def _gd_failing_in_helper(self, monkeypatch, error):
+        """Two workers, each held until the other has a gamma; gd raises
+        ``error(gamma)`` in whichever worker is not the calling thread."""
+        caller = threading.get_ident()
+        both_started = threading.Barrier(2)
+        real_gd = simulation.gd_solve
+
+        def gd(scenarios, ra, gross_rf, cfg):
+            both_started.wait(timeout=60)
+            if threading.get_ident() != caller:
+                raise error(f"helper failed at gamma={ra.gamma:g}")
+            return real_gd(scenarios, ra, gross_rf, cfg)
+
+        monkeypatch.setattr(simulation, "_solve_workers", lambda tasks: 2)
+        monkeypatch.setattr(simulation, "gd_solve", gd)
+
+    def test_package_error_in_helper_lands_on_its_own_cell(
+        self, benchmark_params, monkeypatch
+    ):
+        self._gd_failing_in_helper(monkeypatch, StepIntoInfeasible)
+        report = compare(benchmark_params, (5.0, 10.0), n=5_000, seed=22)
+        failed = [key for key, cell in report.cells.items() if cell.failed]
+        assert len(failed) == 1
+        (g, method), = failed
+        assert method == "gd"
+        assert report.cells[(g, method)].error == f"helper failed at gamma={g:g}"
+        assert (g, "gd", "wealth") not in report.ecdfs
+        assert len(report.ecdfs) == 2 * 5
+
+    def test_other_error_in_helper_propagates(self, benchmark_params, monkeypatch):
+        self._gd_failing_in_helper(monkeypatch, RuntimeError)
+        with pytest.raises(RuntimeError, match="helper failed at gamma="):
+            compare(benchmark_params, (5.0, 10.0), n=5_000, seed=22)
