@@ -28,7 +28,7 @@ from .errors import (
     StepIntoInfeasible,
     ValidationError,
 )
-from .gradient import GdConfig, gd_solve, suggest_eta
+from .gradient import GdConfig
 from .market import (
     RiskAversion,
     estimate_params,
@@ -50,14 +50,20 @@ from .reports import (
     write_ecdf_files,
     write_text,
 )
-from .simulation import compare, simulate
-from .taylor import TaylorConfig, taylor_solve
+from .simulation import METHODS, compare, simulate, solve_method
+from .taylor import TaylorConfig
 
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_VALIDATION = 3
 EXIT_GAMMA_BOUND = 4
 EXIT_NOT_CONVERGED = 5
+
+REPORT_DICTS = {
+    "analytical": analytical_report_dict,
+    "taylor": taylor_report_dict,
+    "gd": gd_report_dict,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv = sub.add_parser("solve", help="solve for optimal weights at one gamma")
     slv.add_argument("--params", required=True, type=Path, help="params JSON path")
     slv.add_argument("--gamma", required=True, type=float, help="relative risk aversion")
-    slv.add_argument("--method", choices=("analytical", "gd", "taylor", "all"),
+    slv.add_argument("--method", choices=METHODS + ("all",),
                      default="analytical", help="solver to run (default: analytical)")
     slv.add_argument("--samples", type=int, default=None,
                      help="scenario count for gd/taylor (required for those methods)")
@@ -140,36 +146,31 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _gd_config(args, scenarios, ra) -> GdConfig:
-    eta = args.eta if args.eta is not None else suggest_eta(scenarios, ra)
-    return GdConfig(eta=eta, tol=args.tol, max_iter=args.max_iter)
+def _solver_configs(args) -> tuple[GdConfig, TaylorConfig]:
+    """gd and Taylor settings from the flags of :func:`_add_solver_flags`."""
+    return (
+        GdConfig(eta=args.eta, tol=args.tol, max_iter=args.max_iter),
+        TaylorConfig(tol=args.taylor_tol, max_iter=args.taylor_max_iter),
+    )
 
 
 def cmd_solve(args) -> int:
     params = read_params_json(args.params)
     ra = RiskAversion(args.gamma)
-    needs_scenarios = args.method in ("gd", "taylor", "all")
-    if needs_scenarios and (args.samples is None or args.seed is None):
-        raise ValidationError(f"--method {args.method} requires --samples and --seed")
-
-    scenarios = simulate(params, args.samples, args.seed) if needs_scenarios else None
-    reports: dict[str, dict] = {}
-    if args.method in ("analytical", "all"):
-        reports["analytical"] = analytical_report_dict(solve_analytical(params, ra))
-    if args.method in ("taylor", "all"):
-        tcfg = TaylorConfig(tol=args.taylor_tol, max_iter=args.taylor_max_iter)
-        reports["taylor"] = taylor_report_dict(
-            taylor_solve(scenarios, ra, params.gross_rf, tcfg)
-        )
-    if args.method in ("gd", "all"):
-        cfg = _gd_config(args, scenarios, ra)
-        reports["gd"] = gd_report_dict(gd_solve(scenarios, ra, params.gross_rf, cfg))
+    gd_cfg, taylor_cfg = _solver_configs(args)
+    methods = METHODS if args.method == "all" else (args.method,)
+    scenarios = None
+    if methods != ("analytical",):
+        if args.samples is None or args.seed is None:
+            raise ValidationError(f"--method {args.method} requires --samples and --seed")
+        scenarios = simulate(params, args.samples, args.seed)
+    reports = {m: REPORT_DICTS[m](solve_method(m, params, scenarios, ra, gd_cfg, taylor_cfg))
+               for m in methods}
 
     if args.method == "all":
-        names = list(reports)
         distances = {}
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
+        for i, a in enumerate(methods):
+            for b in methods[i + 1:]:
                 wa = np.asarray(reports[a]["weights"])
                 wb = np.asarray(reports[b]["weights"])
                 distances[f"{a}_{b}"] = float(np.max(np.abs(wa - wb)))
@@ -195,10 +196,9 @@ def cmd_compare(args) -> int:
         raise ValidationError(f"--gammas must be comma-separated numbers, got {args.gammas!r}")
     if not gammas:
         raise ValidationError("--gammas must name at least one value")
-    gd_cfg = None
-    if args.eta is not None:
-        gd_cfg = GdConfig(eta=args.eta, tol=args.tol, max_iter=args.max_iter)
-    taylor_cfg = TaylorConfig(tol=args.taylor_tol, max_iter=args.taylor_max_iter)
+    if args.ecdf_points < 2:
+        raise ValidationError(f"--ecdf-points must be >= 2, got {args.ecdf_points}")
+    gd_cfg, taylor_cfg = _solver_configs(args)
     report = compare(
         params, gammas, n=args.samples, seed=args.seed,
         gd_cfg=gd_cfg, taylor_cfg=taylor_cfg, ecdf_points=args.ecdf_points,

@@ -28,10 +28,9 @@ from .errors import (
     NonPositiveGrossMean,
     SingularDenominator,
 )
-from .market import BOUND_TOL, MarketParams, RiskAversion, require_admissible_gamma
+from .market import MarketParams, RiskAversion, require_admissible_gamma
 
-# Tolerances; callers may override via keyword arguments.
-D_CLAMP = 1e-14     # discriminant values in (-D_CLAMP, 0) are treated as 0
+D_CLAMP = 1e-14     # discriminant values with |D| < D_CLAMP are treated as 0
 J_MIN = 1e-14       # below this, mu is considered degenerate
 
 
@@ -62,7 +61,7 @@ class TangencyResult:
     gamma_tgc: float
 
 
-def _scale_roots(J: float, gamma: float, gross_rf: float, d_clamp: float = D_CLAMP):
+def _scale_roots(J: float, gamma: float, gross_rf: float):
     """Both roots of the first-order condition, in cancellation-free form.
 
     The quadratic ``J^2 c^2 + (2 R_f J + (1-gamma) R_f) c + R_f^2 = 0`` has
@@ -72,13 +71,13 @@ def _scale_roots(J: float, gamma: float, gross_rf: float, d_clamp: float = D_CLA
     avoids the catastrophic cancellation of the textbook form when J is
     small.
 
-    ``|D| < d_clamp`` is treated as an exact double root: when gamma sits at
+    ``|D| < D_CLAMP`` is treated as an exact double root: when gamma sits at
     the bound up to float rounding, D carries only rounding noise (~1e-18)
     whose square root would otherwise contaminate c at ~1e-8 relative.
     """
     a = (gamma - 1.0) / 2.0
     d = a * a - (gamma - 1.0) * J
-    if -d_clamp < d < d_clamp:
+    if -D_CLAMP < d < D_CLAMP:
         d = 0.0
     root = math.sqrt(d)
     c_minus = gross_rf / (a - J + root)
@@ -86,13 +85,7 @@ def _scale_roots(J: float, gamma: float, gross_rf: float, d_clamp: float = D_CLA
     return c_minus, c_plus, d
 
 
-def solve_analytical(
-    p: MarketParams,
-    ra: RiskAversion,
-    *,
-    bound_tol: float = BOUND_TOL,
-    j_min: float = J_MIN,
-) -> ClosedFormSolution:
+def solve_analytical(p: MarketParams, ra: RiskAversion) -> ClosedFormSolution:
     """Closed-form optimal weights for ``gamma >= 1 + 4J``.
 
     Selects the smaller root of the first-order condition, which carries the
@@ -102,16 +95,16 @@ def solve_analytical(
     Raises
     ------
     GammaBelowBound
-        If ``gamma < 1 + 4J`` beyond ``bound_tol``; carries the bound.
+        If ``gamma < 1 + 4J`` beyond ``market.BOUND_TOL``; carries the bound.
     DegenerateMu
-        If ``J <= j_min`` (the weight scale divides by J).
+        If ``J <= J_MIN`` (the weight scale divides by J).
     """
     sol = p.solve_sigma(p.mu)
     J = float(p.mu @ sol)
-    if J <= j_min:
+    if J <= J_MIN:
         raise DegenerateMu(f"mu' sigma^-1 mu = {J:.3e} is numerically zero")
     gamma = ra.gamma
-    require_admissible_gamma(gamma, 1.0 + 4.0 * J, bound_tol)
+    require_admissible_gamma(gamma, 1.0 + 4.0 * J)
     c, _, d = _scale_roots(J, gamma, p.gross_rf)
     weights = c * sol
     mean = float(weights @ p.mu)

@@ -39,6 +39,7 @@ from .errors import (
     NonPositiveWealthScenario,
     NotConverged,
     StepIntoInfeasible,
+    ValidationError,
 )
 from .market import RiskAversion
 
@@ -49,24 +50,24 @@ MAX_BACKTRACKS = 60
 class GdConfig:
     """Fixed-step ascent settings.
 
-    ``eta=0.1`` is the customary default; for markets with per-period
-    covariance far from unit scale, :func:`suggest_eta` picks a step matched
-    to the sampled curvature instead.  ``initial_weights=None`` starts from
+    ``eta=0.1`` is the customary default; ``eta=None`` (auto) takes the step
+    :func:`suggest_eta` matches to the sampled curvature, for markets whose
+    covariance is far from unit scale.  ``initial_weights=None`` starts from
     the all risk-free portfolio (the zero vector), which is always feasible.
     """
 
-    eta: float = 0.1
+    eta: float | None = 0.1
     tol: float = 1e-8
     max_iter: int = 100_000
     initial_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.eta > 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if self.eta is not None and not self.eta > 0.0:
+            raise ValidationError(f"eta must be positive, got {self.eta}")
         if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+            raise ValidationError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.initial_weights is not None:
             w = np.array(self.initial_weights, dtype=float)
             w.setflags(write=False)
@@ -135,8 +136,8 @@ def v0_hessian(scenarios, weights, ra: RiskAversion, gross_rf: float) -> np.ndar
     return -(ra.gamma / wealth.shape[0]) * total
 
 
-def suggest_eta(scenarios, ra: RiskAversion, safety: float = 0.8) -> float:
-    """Curvature-matched learning rate ``safety / (gamma * lambda_max(M2))``.
+def suggest_eta(scenarios, ra: RiskAversion) -> float:
+    """Curvature-matched learning rate ``0.8 / (gamma * lambda_max(M2))``.
 
     ``M2 = (1/N) sum_i R_i R_i'`` bounds the Hessian scale near the start of
     the ascent, so this step is stable while converging orders of magnitude
@@ -146,11 +147,12 @@ def suggest_eta(scenarios, ra: RiskAversion, safety: float = 0.8) -> float:
     lam_max = float(np.linalg.eigvalsh(scenarios.m2)[-1])
     if lam_max <= 0.0:
         raise ValueError("second-moment matrix has no positive eigenvalue")
-    return safety / (ra.gamma * lam_max)
+    return 0.8 / (ra.gamma * lam_max)
 
 
 def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None = None) -> GdReport:
-    """Run fixed-step gradient ascent on the sampled utility.
+    """Run fixed-step gradient ascent on the sampled utility, with the
+    step of :func:`suggest_eta` when ``cfg.eta`` is None.
 
     Returns a converged :class:`GdReport`; raises :class:`NotConverged`
     (with the partial report attached) if ``max_iter`` steps do not bring
@@ -159,6 +161,7 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
     """
     if cfg is None:
         cfg = GdConfig()
+    eta = cfg.eta if cfg.eta is not None else suggest_eta(scenarios, ra)
     cols = scenarios.cols
     k = cols.shape[0]
     if cfg.initial_weights is None:
@@ -186,7 +189,7 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
                 f"gradient norm {norm:.3e} > tol {cfg.tol:.3e} after {steps} iterations",
                 report,
             )
-        step = cfg.eta * grad
+        step = eta * grad
         for _ in range(MAX_BACKTRACKS + 1):
             cand = w + step
             cand_wealth = _wealth(cols, cand, gross_rf)

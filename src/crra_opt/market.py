@@ -225,13 +225,13 @@ def gamma_lower_bound(p: MarketParams) -> float:
     return 1.0 + 4.0 * float(p.mu @ p.solve_sigma(p.mu))
 
 
-def require_admissible_gamma(gamma: float, bound: float, tol: float = BOUND_TOL) -> None:
-    """Raise :class:`GammaBelowBound` if ``gamma < bound - tol``.
+def require_admissible_gamma(gamma: float, bound: float) -> None:
+    """Raise :class:`GammaBelowBound` if ``gamma < bound - BOUND_TOL``.
 
     The one admissibility test shared by the closed form, the comparison
     study and the frontier sweep; ``gamma == bound`` is always accepted.
     """
-    if gamma < bound - tol:
+    if gamma < bound - BOUND_TOL:
         raise GammaBelowBound(gamma, bound)
 
 

@@ -9,14 +9,18 @@ from __future__ import annotations
 
 import csv
 import io
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .closed_form import ClosedFormSolution
 from .gradient import GdReport
-from .simulation import ComparisonReport
+from .simulation import METHODS, ComparisonReport, SummaryStats
 from .taylor import TaylorReport
+
+# Summary statistics in output order: mean, sd, median, mad.
+STATS = tuple(f.name for f in fields(SummaryStats))
 
 
 def fmt17(x: float) -> str:
@@ -28,7 +32,10 @@ def fmt_gamma(g: float) -> str:
 
 
 def dumps_json(obj, indent: int = 2) -> str:
-    """Serialize nested dict/list/scalar data with 17-digit floats."""
+    """Serialize nested dict/list/scalar data with 17-digit floats.
+
+    A NaN or infinite float, which JSON cannot hold, raises ``ValueError``.
+    """
     return _dumps(obj, indent, 0) + "\n"
 
 
@@ -56,6 +63,8 @@ def _dumps(obj, indent: int, level: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite float {obj!r} as JSON")
         return fmt17(obj)
     if isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
@@ -99,8 +108,6 @@ def taylor_report_dict(rep: TaylorReport) -> dict:
 
 def comparison_report_dict(report: ComparisonReport) -> dict:
     """Nested gamma -> method -> {weights, stats, infeasible_count}."""
-    from .simulation import METHODS
-
     results: dict = {}
     for g in report.gammas:
         row: dict = {}
@@ -111,12 +118,7 @@ def comparison_report_dict(report: ComparisonReport) -> dict:
                 continue
             row[method] = {
                 "weights": [float(x) for x in cell.weights],
-                "stats": {
-                    "mean": cell.stats.mean,
-                    "sd": cell.stats.sd,
-                    "median": cell.stats.median,
-                    "mad": cell.stats.mad,
-                },
+                "stats": {stat: getattr(cell.stats, stat) for stat in STATS},
                 "infeasible_count": cell.infeasible_count,
             }
         results[fmt_gamma(g)] = row
@@ -140,8 +142,6 @@ def write_comparison_csv(report: ComparisonReport, path) -> None:
     Fields are quoted only where they must be, so an error message holding a
     comma, a quote or a newline stays one field.
     """
-    from .simulation import METHODS
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("gamma", "method", "stat", "value"))
@@ -151,12 +151,8 @@ def write_comparison_csv(report: ComparisonReport, path) -> None:
             if cell.failed:
                 writer.writerow((fmt_gamma(g), method, "error", cell.error))
                 continue
-            stats = cell.stats
-            for stat, value in (
-                ("mean", stats.mean), ("sd", stats.sd),
-                ("median", stats.median), ("mad", stats.mad),
-            ):
-                writer.writerow((fmt_gamma(g), method, stat, repr(value)))
+            for stat in STATS:
+                writer.writerow((fmt_gamma(g), method, stat, repr(getattr(cell.stats, stat))))
     write_text(path, buf.getvalue())
 
 
@@ -178,15 +174,13 @@ def write_ecdf_files(report: ComparisonReport, outdir) -> list[Path]:
 
 def human_comparison_table(report: ComparisonReport) -> str:
     """Per-gamma blocks with one row per statistic, 6 significant digits."""
-    from .simulation import METHODS
-
     col = 16
     lines: list[str] = []
     header = "stat".ljust(10) + "".join(m.rjust(col) for m in METHODS)
     for g in report.gammas:
         lines.append(f"gamma = {fmt_gamma(g)}")
         lines.append(header)
-        for stat in ("mean", "sd", "median", "mad"):
+        for stat in STATS:
             row = stat.ljust(10)
             for method in METHODS:
                 cell = report.cells[(g, method)]

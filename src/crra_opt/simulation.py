@@ -22,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .closed_form import solve_analytical
-from .errors import AllScenariosInfeasible, CrraOptError
-from .gradient import GdConfig, _wealth, gd_solve, suggest_eta
+from .errors import AllScenariosInfeasible, CrraOptError, ValidationError
+from .gradient import GdConfig, _wealth, gd_solve
 from .market import MarketParams, RiskAversion, gamma_lower_bound, require_admissible_gamma
 from .taylor import TaylorConfig, taylor_solve
 
@@ -146,7 +146,7 @@ def simulate(p: MarketParams, n: int, seed: int) -> ScenarioSet:
     linearly through the cached lower Cholesky factor.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValidationError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((int(n), p.k))
     returns = np.einsum("nj,ij->ni", z, p.chol_lower)
@@ -231,25 +231,34 @@ def _solve_workers(tasks: int) -> int:
     return max(1, min(tasks, cpus))
 
 
+def solve_method(method: str, p: MarketParams, scenarios: ScenarioSet | None, ra: RiskAversion,
+                 gd_cfg: GdConfig | None = None, taylor_cfg: TaylorConfig | None = None):
+    """Run one of :data:`METHODS` at one gamma and return its report.
+
+    ``analytical`` solves on the exact (mu, sigma) and ignores ``scenarios``.
+    ``gd_cfg=None`` means ``GdConfig(eta=None)``: gd takes the step of
+    :func:`~crra_opt.gradient.suggest_eta`.
+    """
+    if method == "analytical":
+        return solve_analytical(p, ra)
+    if method == "taylor":
+        return taylor_solve(scenarios, ra, p.gross_rf, taylor_cfg)
+    if method == "gd":
+        return gd_solve(scenarios, ra, p.gross_rf, gd_cfg or GdConfig(eta=None))
+    raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
 def _solve_gamma(p, scenarios, ra, gd_cfg, taylor_cfg) -> dict:
     """``method -> (weights, error)`` for the three solvers at one gamma.
 
     A :class:`CrraOptError` becomes its cell's error message; any other
     exception propagates.
     """
-    tcfg = taylor_cfg if taylor_cfg is not None else TaylorConfig()
-    solvers = {
-        "analytical": lambda: solve_analytical(p, ra),
-        "taylor": lambda: taylor_solve(scenarios, ra, p.gross_rf, tcfg),
-        "gd": lambda: gd_solve(
-            scenarios, ra, p.gross_rf,
-            gd_cfg if gd_cfg is not None else GdConfig(eta=suggest_eta(scenarios, ra)),
-        ),
-    }
     solved = {}
     for method in METHODS:
         try:
-            solved[method] = (solvers[method]().weights, None)
+            report = solve_method(method, p, scenarios, ra, gd_cfg, taylor_cfg)
+            solved[method] = (report.weights, None)
         except CrraOptError as exc:
             solved[method] = (None, str(exc))
     return solved
@@ -303,8 +312,10 @@ def compare(
     strategies are then evaluated on the same scenarios; utility summary
     statistics exclude (but count) non-positive-wealth draws.
 
-    When ``gd_cfg`` is None a curvature-matched learning rate is chosen per
-    gamma via :func:`suggest_eta`; pass an explicit config to pin ``eta``.
+    The solvers are called through :func:`solve_method`.  When ``gd_cfg``
+    is None, or its ``eta`` is None, gd takes a curvature-matched learning
+    rate per gamma (see :func:`~crra_opt.gradient.suggest_eta`); its ``tol``
+    and ``max_iter`` apply either way.  Pass an explicit ``eta`` to pin it.
     Failures inside one (gamma, method) cell are recorded on that cell and
     do not abort the rest of the run; any error that is not a
     :class:`CrraOptError` propagates.

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .errors import NonFiniteIterate, NotConverged, SingularSecondMoment
+from .errors import NonFiniteIterate, NotConverged, SingularSecondMoment, ValidationError
 from .market import MarketParams, RiskAversion
 
 # Fixed-point damping: after this many consecutive step-size increases the
@@ -47,9 +47,9 @@ class TaylorConfig:
 
     def __post_init__(self):
         if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+            raise ValidationError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class TaylorReport:
     converged: bool
 
 
-class _SampleMoments:
-    """A scenario set's moments with a Cholesky factor of M2.
+def _m2_factor(scenarios):
+    """Cholesky factor of the scenario set's M2, for ``cho_solve``.
 
     M2 counts as singular when the factorization fails or its smallest
     squared pivot is at most ``k * eps * max(diag(M2))``: the size of the
@@ -68,29 +68,22 @@ class _SampleMoments:
     rank-deficient sample then fails whatever its scale or row order,
     instead of depending on whether rounding leaves a tiny positive pivot.
     """
-
-    def __init__(self, scenarios):
-        m2 = scenarios.m2
-        try:
-            factor = cho_factor(m2, lower=True)
-        except LinAlgError:
-            factor = None
-        k = m2.shape[0]
-        if factor is None or (
-            np.min(np.diag(factor[0])) ** 2 <= k * np.finfo(float).eps * np.max(np.diag(m2))
-        ):
-            raise SingularSecondMoment("sample second-moment matrix is not positive definite")
-        self.m2_factor = factor
-        self.m1 = scenarios.m1
-        self.cols = scenarios.cols
-
-    def solve_m2(self, b: np.ndarray) -> np.ndarray:
-        return cho_solve(self.m2_factor, b)
+    m2 = scenarios.m2
+    try:
+        factor = cho_factor(m2, lower=True)
+    except LinAlgError:
+        factor = None
+    k = m2.shape[0]
+    if factor is None or (
+        np.min(np.diag(factor[0])) ** 2 <= k * np.finfo(float).eps * np.max(np.diag(m2))
+    ):
+        raise SingularSecondMoment("sample second-moment matrix is not positive definite")
+    return factor
 
 
-def _step(moments: _SampleMoments, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
+def _step(scenarios, factor, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
     g = ra.gamma
-    cols = moments.cols
+    cols = scenarios.cols
     n = cols.shape[1]
     x = np.einsum("i,ij->j", w, cols)
     x2 = x * x
@@ -98,11 +91,11 @@ def _step(moments: _SampleMoments, ra: RiskAversion, gross_rf: float, w: np.ndar
     x2 *= x
     cube = np.einsum("ij,j->i", cols, x2) / n
     rhs = (
-        gross_rf * moments.m1
+        gross_rf * scenarios.m1
         + (g * (g + 1.0) / (2.0 * gross_rf)) * quad
         - (g * (g + 1.0) * (g + 2.0) / (6.0 * gross_rf**2)) * cube
     )
-    out = moments.solve_m2(rhs) / g
+    out = cho_solve(factor, rhs) / g
     if not np.isfinite(out).all():
         raise NonFiniteIterate(f"fixed-point update produced non-finite weights: {out}")
     return out
@@ -114,7 +107,7 @@ def taylor_initial(scenarios, ra: RiskAversion, gross_rf: float) -> np.ndarray:
     Implemented as the fixed-point update evaluated at the zero vector, so
     it is bit-identical to the first step of :func:`taylor_solve`.
     """
-    return _step(_SampleMoments(scenarios), ra, gross_rf, np.zeros(scenarios.k))
+    return _step(scenarios, _m2_factor(scenarios), ra, gross_rf, np.zeros(scenarios.k))
 
 
 def taylor_initial_population(p: MarketParams, ra: RiskAversion) -> np.ndarray:
@@ -134,7 +127,7 @@ def taylor_initial_population(p: MarketParams, ra: RiskAversion) -> np.ndarray:
 
 def taylor_step(scenarios, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
     """One fixed-point update of the fourth-order expansion weights."""
-    return _step(_SampleMoments(scenarios), ra, gross_rf, np.asarray(w, dtype=float))
+    return _step(scenarios, _m2_factor(scenarios), ra, gross_rf, np.asarray(w, dtype=float))
 
 
 def taylor_solve(
@@ -152,13 +145,13 @@ def taylor_solve(
     """
     if cfg is None:
         cfg = TaylorConfig()
-    moments = _SampleMoments(scenarios)
-    w = _step(moments, ra, gross_rf, np.zeros(scenarios.k))
+    factor = _m2_factor(scenarios)
+    w = _step(scenarios, factor, ra, gross_rf, np.zeros(scenarios.k))
     damping = 1.0
     grow_streak = 0
     prev_delta = np.inf
     for iteration in range(1, cfg.max_iter + 1):
-        proposed = _step(moments, ra, gross_rf, w)
+        proposed = _step(scenarios, factor, ra, gross_rf, w)
         update = proposed - w
         if damping != 1.0:
             update = damping * update

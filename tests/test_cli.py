@@ -15,6 +15,7 @@ import crra_opt
 from conftest import BENCHMARK_MU, BENCHMARK_RF, BENCHMARK_SIGMA
 from crra_opt import gamma_lower_bound, make_params, tangency, write_params_json
 from crra_opt.cli import main
+from crra_opt.reports import dumps_json
 
 PRICES_CSV = """date,one,two
 2024-01-01,100.0,50.0
@@ -197,6 +198,69 @@ class TestCompare:
             outputs.append((proc.stdout, files))
         assert len(outputs[0][1]) == 14  # comparison.csv/.json + 12 ECDF files
         assert outputs[0] == outputs[1]
+
+    def test_max_iter_applies_with_auto_eta(self, tmp_path, benchmark_json, capsys):
+        outdir = tmp_path / "study"
+        code = main(["compare", "--params", str(benchmark_json), "--gammas", "5,10",
+                     "--samples", "5000", "--seed", "9", "--max-iter", "1",
+                     "--outdir", str(outdir)])
+        assert code == 0
+        results = json.loads((outdir / "comparison.json").read_text(encoding="utf-8"))["results"]
+        for g in ("5", "10"):
+            assert "after 1 iterations" in results[g]["gd"]["error"]
+            assert "error" not in results[g]["taylor"]
+        assert "method=gd failed" in capsys.readouterr().err
+
+    def test_tol_applies_with_auto_eta(self, tmp_path, benchmark_json):
+        args = ["compare", "--params", str(benchmark_json), "--gammas", "10",
+                "--samples", "5000", "--seed", "9"]
+        assert main(args + ["--outdir", str(tmp_path / "default")]) == 0
+        assert main(args + ["--tol", "1e-3", "--outdir", str(tmp_path / "loose")]) == 0
+
+        def cells(name):
+            text = (tmp_path / name / "comparison.json").read_text(encoding="utf-8")
+            return json.loads(text)["results"]["10"]
+
+        default, loose = cells("default"), cells("loose")
+        assert loose["gd"]["weights"] != default["gd"]["weights"]
+        assert loose["taylor"] == default["taylor"]
+
+    def test_gd_cell_matches_solve(self, tmp_path, benchmark_json):
+        common = ["--params", str(benchmark_json), "--samples", "5000", "--seed", "9"]
+        assert main(["compare", *common, "--gammas", "10",
+                     "--outdir", str(tmp_path / "study")]) == 0
+        assert main(["solve", *common, "--gamma", "10", "--method", "gd",
+                     "--out", str(tmp_path / "gd.json")]) == 0
+        cell = json.loads((tmp_path / "study" / "comparison.json").read_text(encoding="utf-8"))
+        solved = json.loads((tmp_path / "gd.json").read_text(encoding="utf-8"))
+        assert dumps_json(cell["results"]["10"]["gd"]["weights"]) == dumps_json(solved["weights"])
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("compare", ["--eta", "0"]),
+        ("compare", ["--tol", "0"]),
+        ("compare", ["--max-iter", "0"]),
+        ("compare", ["--taylor-tol", "0"]),
+        ("compare", ["--taylor-max-iter", "0"]),
+        ("compare", ["--samples", "0"]),
+        ("compare", ["--ecdf-points", "1"]),
+        ("solve", ["--eta", "-1"]),
+        ("solve", ["--taylor-tol", "0"]),
+        ("solve", ["--samples", "0"]),
+    ],
+)
+def test_bad_numeric_flag_is_validation_error(tmp_path, benchmark_json, capsys, command, flags):
+    if command == "compare":
+        args = ["compare", "--params", str(benchmark_json), "--gammas", "10",
+                "--samples", "500", "--seed", "9", "--outdir", str(tmp_path / "o")]
+    else:
+        args = ["solve", "--params", str(benchmark_json), "--gamma", "10",
+                "--method", "all", "--samples", "500", "--seed", "9"]
+    code = main(args + flags)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestFrontier:

@@ -200,6 +200,15 @@ class TestSuggestEta:
         assert eta5 > 0.0
         assert eta5 == pytest.approx(4.0 * eta20, rel=1e-12)
 
+    def test_eta_none_takes_suggested_step(self, benchmark_params):
+        scenarios = simulate(benchmark_params, 20_000, 9)
+        ra = RiskAversion(10.0)
+        auto = gd_solve(scenarios, ra, benchmark_params.gross_rf, GdConfig(eta=None))
+        pinned = gd_solve(scenarios, ra, benchmark_params.gross_rf,
+                          GdConfig(eta=suggest_eta(scenarios, ra)))
+        np.testing.assert_array_equal(auto.weights, pinned.weights)
+        assert auto.iterations == pinned.iterations
+
     def test_enables_fast_convergence(self, benchmark_params):
         scenarios = simulate(benchmark_params, 50_000, 10)
         ra = RiskAversion(15.0)

@@ -201,8 +201,6 @@ class TestAdmissibleGamma:
         require_admissible_gamma(3.0 - 5e-13, 3.0)
         with pytest.raises(GammaBelowBound):
             require_admissible_gamma(3.0 - 2e-12, 3.0)
-        with pytest.raises(GammaBelowBound):
-            require_admissible_gamma(2.9, 3.0, tol=0.05)
 
 
 class TestPriceCsv:

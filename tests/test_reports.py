@@ -60,6 +60,11 @@ class TestDumpsJson:
         with pytest.raises(TypeError):
             dumps_json({"bad": object()})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, np.float64("nan")])
+    def test_rejects_non_finite_floats(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_json({"stats": {"mean": value}})
+
 
 def test_ecdf_filename_shape():
     assert ecdf_filename("wealth", 5.0, "gd") == "ecdf_wealth_gamma5_gd.csv"

@@ -211,6 +211,20 @@ class TestCompare:
             assert mad_analytical >= mad_gd
 
 
+class TestSolveMethod:
+    def test_default_configs_match_compare_cells(self, benchmark_params):
+        report = compare(benchmark_params, [10.0], n=5_000, seed=23)
+        scenarios = simulate(benchmark_params, 5_000, 23)
+        ra = RiskAversion(10.0)
+        for method in METHODS:
+            solved = simulation.solve_method(method, benchmark_params, scenarios, ra)
+            np.testing.assert_array_equal(solved.weights, report.cells[(10.0, method)].weights)
+
+    def test_unknown_method(self, benchmark_params):
+        with pytest.raises(ValueError, match="unknown method"):
+            simulation.solve_method("newton", benchmark_params, None, RiskAversion(10.0))
+
+
 class TestConcurrentSolve:
     GAMMAS = (5.0, 10.0, 15.0, 20.0)
 
