@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import (
     AsymmetricSigma,
@@ -42,6 +41,23 @@ SYMMETRY_RTOL = 1e-8
 # Slack when testing gamma against the bound 1 + 4J, so that a gamma set to
 # the bound itself passes whatever rounding its computation picked up.
 BOUND_TOL = 1e-12
+
+
+def cho_solve(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``(L L') x = b`` for the lower Cholesky factor ``L``.
+
+    One forward substitution for ``L y = b``, one back substitution for
+    ``L' x = y``; ``b`` is a vector or a ``(k, m)`` matrix of right-hand
+    sides and is not modified.  A non-finite ``b`` gives a non-finite ``x``.
+    """
+    lower = np.asarray(chol_lower, dtype=float)
+    x = np.array(b, dtype=float)
+    k = lower.shape[0]
+    for i in range(k):
+        x[i] = (x[i] - lower[i, :i] @ x[:i]) / lower[i, i]
+    for i in reversed(range(k)):
+        x[i] = (x[i] - lower[i + 1:, i] @ x[i + 1:]) / lower[i, i]
+    return x
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -116,7 +132,7 @@ class MarketParams:
 
     def solve_sigma(self, b: np.ndarray) -> np.ndarray:
         """Return ``sigma^-1 b`` via the cached Cholesky factor (no inverse)."""
-        return cho_solve((np.asarray(self.chol_lower), True), np.asarray(b, dtype=float))
+        return cho_solve(self.chol_lower, b)
 
 
 @dataclass(frozen=True)

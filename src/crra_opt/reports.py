@@ -107,7 +107,7 @@ def taylor_report_dict(rep: TaylorReport) -> dict:
 
 
 def comparison_report_dict(report: ComparisonReport) -> dict:
-    """Nested gamma -> method -> {weights, stats, infeasible_count}."""
+    """Nested gamma -> method -> {weights, stats, infeasible_count, nonfinite_count}."""
     results: dict = {}
     for g in report.gammas:
         row: dict = {}
@@ -120,6 +120,7 @@ def comparison_report_dict(report: ComparisonReport) -> dict:
                 "weights": [float(x) for x in cell.weights],
                 "stats": {stat: getattr(cell.stats, stat) for stat in STATS},
                 "infeasible_count": cell.infeasible_count,
+                "nonfinite_count": cell.nonfinite_count,
             }
         results[fmt_gamma(g)] = row
     return {

@@ -90,7 +90,8 @@ class StrategyOutcome:
 
     Wealth is ``w0 * (R_f + w'R_i)``.  Utilities at non-positive wealth are
     undefined and stored as NaN; they are counted in ``infeasible_count``
-    rather than silently dropped.
+    rather than silently dropped.  A positive wealth whose power
+    ``W^(1-gamma)`` overflows gives an infinite utility, which is kept here.
     """
 
     method: str
@@ -111,12 +112,18 @@ class SummaryStats:
 
 @dataclass(frozen=True)
 class CellResult:
-    """One (gamma, method) cell of a comparison run."""
+    """One (gamma, method) cell of a comparison run.
+
+    ``stats`` leave out two kinds of draws, each counted: ``infeasible_count``
+    draws with non-positive wealth and ``nonfinite_count`` draws with a
+    positive wealth whose utility is not finite (``W^(1-gamma)`` overflows).
+    """
 
     weights: np.ndarray | None
     stats: SummaryStats | None
     infeasible_count: int
     error: str | None = None
+    nonfinite_count: int = 0
 
     @property
     def failed(self) -> bool:
@@ -193,7 +200,7 @@ def summarize(values) -> SummaryStats:
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.shape[0] < 2:
-        raise ValueError("summarize needs a 1-D sample of size >= 2")
+        raise ValidationError("summarize needs a 1-D sample of size >= 2")
     med = float(np.median(x))
     dev = x - med
     np.abs(dev, out=dev)
@@ -310,7 +317,9 @@ def compare(
     For each gamma: the closed form solves on the exact (mu, sigma); the
     fixed-point and gradient solvers consume the simulated scenarios.  All
     strategies are then evaluated on the same scenarios; utility summary
-    statistics exclude (but count) non-positive-wealth draws.
+    statistics exclude (but count) non-positive-wealth draws and draws whose
+    utility overflows.  ``n`` must be at least 2, the smallest sample the
+    statistics take.
 
     The solvers are called through :func:`solve_method`.  When ``gd_cfg``
     is None, or its ``eta`` is None, gd takes a curvature-matched learning
@@ -326,6 +335,8 @@ def compare(
     ECDFs then run serially in gamma order.  The report is bit-identical
     whatever the number of threads.
     """
+    if n < 2:
+        raise ValidationError(f"compare needs n >= 2 scenarios, got {n}")
     gammas = tuple(float(g) for g in gammas)
     bound = gamma_lower_bound(p)
     for g in gammas:
@@ -346,11 +357,13 @@ def compare(
                 outcome = evaluate_strategy(scenarios, w, ra, p.gross_rf, method=method)
                 finite = outcome.utilities
                 kept = np.isfinite(finite)
-                if not kept.all():
+                dropped = finite.shape[0] - int(np.count_nonzero(kept))
+                if dropped:
                     finite = finite[kept]
                 stats = summarize(finite)
                 report.cells[(g, method)] = CellResult(
-                    weights=w, stats=stats, infeasible_count=outcome.infeasible_count
+                    weights=w, stats=stats, infeasible_count=outcome.infeasible_count,
+                    nonfinite_count=dropped - outcome.infeasible_count,
                 )
                 report.ecdfs[(g, method, "wealth")] = ecdf(outcome.wealths, ecdf_points)
                 report.ecdfs[(g, method, "utility")] = ecdf(finite, ecdf_points)

@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import NonFiniteIterate, NotConverged, SingularSecondMoment, ValidationError
-from .market import MarketParams, RiskAversion
+from .market import MarketParams, RiskAversion, cho_solve
 
 # Fixed-point damping: after this many consecutive step-size increases the
 # update is blended with factor 0.5 (repeatable if oscillation persists).
@@ -59,8 +58,8 @@ class TaylorReport:
     converged: bool
 
 
-def _m2_factor(scenarios):
-    """Cholesky factor of the scenario set's M2, for ``cho_solve``.
+def _m2_factor(scenarios) -> np.ndarray:
+    """Lower Cholesky factor of the scenario set's M2, for ``cho_solve``.
 
     M2 counts as singular when the factorization fails or its smallest
     squared pivot is at most ``k * eps * max(diag(M2))``: the size of the
@@ -70,12 +69,12 @@ def _m2_factor(scenarios):
     """
     m2 = scenarios.m2
     try:
-        factor = cho_factor(m2, lower=True)
-    except LinAlgError:
+        factor = np.linalg.cholesky(m2)
+    except np.linalg.LinAlgError:
         factor = None
     k = m2.shape[0]
     if factor is None or (
-        np.min(np.diag(factor[0])) ** 2 <= k * np.finfo(float).eps * np.max(np.diag(m2))
+        np.min(np.diag(factor)) ** 2 <= k * np.finfo(float).eps * np.max(np.diag(m2))
     ):
         raise SingularSecondMoment("sample second-moment matrix is not positive definite")
     return factor
@@ -117,8 +116,8 @@ def taylor_initial_population(p: MarketParams, ra: RiskAversion) -> np.ndarray:
     """
     m2 = p.sigma + np.outer(p.mu, p.mu)
     try:
-        factor = cho_factor(m2, lower=True)
-    except LinAlgError:
+        factor = np.linalg.cholesky(m2)
+    except np.linalg.LinAlgError:
         raise SingularSecondMoment(
             "population second-moment matrix is not positive definite"
         ) from None

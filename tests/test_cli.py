@@ -249,6 +249,7 @@ class TestCompare:
         ("solve", ["--eta", "-1"]),
         ("solve", ["--taylor-tol", "0"]),
         ("solve", ["--samples", "0"]),
+        ("compare", ["--samples", "1"]),
     ],
 )
 def test_bad_numeric_flag_is_validation_error(tmp_path, benchmark_json, capsys, command, flags):
@@ -307,3 +308,25 @@ class TestHelp:
             assert "--max-iter" in text
         if command == "compare":
             assert "--ecdf-points" in text
+
+
+def test_runtime_needs_no_scipy(tmp_path, benchmark_json):
+    # The package depends on numpy alone: neither importing it nor running
+    # compare and solve --method all may load scipy.
+    script = f"""
+import sys
+import crra_opt
+from crra_opt.cli import main
+common = ["--params", {str(benchmark_json)!r}, "--samples", "500", "--seed", "9"]
+assert main(["compare", *common, "--gammas", "5,10", "--outdir", {str(tmp_path / "o")!r}]) == 0
+assert main(["solve", *common, "--gamma", "10", "--method", "all",
+             "--out", {str(tmp_path / "all.json")!r}]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = str(Path(crra_opt.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

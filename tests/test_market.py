@@ -30,7 +30,7 @@ from crra_opt import (
     write_params_json,
 )
 from crra_opt.cli import EXIT_GAMMA_BOUND, EXIT_OK, main
-from crra_opt.market import require_admissible_gamma
+from crra_opt.market import cho_solve, require_admissible_gamma
 from crra_opt.simulation import compare
 
 
@@ -165,6 +165,24 @@ class TestGammaLowerBound:
             a = rng.normal(size=(p.k, p.k)) + np.eye(p.k) * 2.0
             q = make_params(a @ p.mu, a @ p.sigma @ a.T, p.r_f)
             assert gamma_lower_bound(q) == pytest.approx(bound, rel=1e-7)
+
+
+class TestChoSolve:
+    def test_matches_dense_solve(self):
+        rng = np.random.default_rng(17)
+        for k in (1, 2, 5, 16):
+            a = rng.normal(size=(k, k))
+            m = a @ a.T + k * np.eye(k)
+            chol = np.linalg.cholesky(m)
+            for b in (rng.normal(size=k), rng.normal(size=(k, 3))):
+                x = cho_solve(chol, b)
+                assert x.shape == b.shape
+                np.testing.assert_allclose(x, np.linalg.solve(m, b), rtol=1e-12, atol=1e-14)
+
+    def test_does_not_modify_its_arguments(self, benchmark_params):
+        b = np.array(benchmark_params.mu)
+        cho_solve(benchmark_params.chol_lower, b)
+        np.testing.assert_array_equal(b, benchmark_params.mu)
 
 
 class TestAdmissibleGamma:

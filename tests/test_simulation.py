@@ -25,6 +25,7 @@ from crra_opt import (
     summarize,
 )
 from crra_opt import simulation
+from crra_opt.reports import comparison_report_dict
 from crra_opt.simulation import METHODS
 
 
@@ -199,6 +200,44 @@ class TestCompare:
             unit = cell.weights / np.linalg.norm(cell.weights)
             assert float(unit @ direction) >= 0.999
             assert np.isfinite(cell.stats.mean)
+
+    @staticmethod
+    def _compare_on(monkeypatch, returns) -> simulation.ComparisonReport:
+        """compare at gamma = 200 and R_f = 1.0006 on fixed one-asset
+        ``returns``, with w = 1 from every solver."""
+        scenarios = ScenarioSet(returns=returns, seed=0)
+        monkeypatch.setattr(simulation, "simulate", lambda p, n, seed: scenarios)
+        monkeypatch.setattr(simulation, "_solve_gamma", lambda p, scen, ra, gd_cfg, taylor_cfg:
+                            {m: (np.ones(1), None) for m in METHODS})
+        with np.errstate(over="ignore"):
+            return compare(make_params([0.001], [[0.0005]], 0.0006), [200.0],
+                           n=len(returns), seed=0)
+
+    def test_overflowing_utility_is_counted_not_dropped(self, monkeypatch):
+        # Wealth 1e-6 at gamma = 200: W^(1-gamma) overflows, so a feasible
+        # draw has utility -inf and the statistics must leave it out.  The
+        # second draw has negative wealth and counts as infeasible only.
+        returns = [[-1.000599], [-1.5], [0.01], [0.02], [-0.01]]
+        with np.errstate(over="ignore"):
+            outcome = evaluate_strategy(ScenarioSet(returns=returns, seed=0), [1.0],
+                                        RiskAversion(200.0), 1.0006)
+        assert outcome.infeasible_count == 1
+        assert outcome.utilities[0] == -np.inf
+        report = self._compare_on(monkeypatch, returns)
+        payload = comparison_report_dict(report)["results"]["200"]
+        for method in METHODS:
+            cell = report.cells[(200.0, method)]
+            assert (cell.infeasible_count, cell.nonfinite_count) == (1, 1)
+            assert cell.stats == summarize(outcome.utilities[2:])
+            assert payload[method]["nonfinite_count"] == 1
+
+    def test_too_few_finite_utilities_fail_the_cell(self, monkeypatch):
+        # One of two draws overflows: one finite utility is too few for the
+        # statistics, which fail their cell instead of the whole run.
+        report = self._compare_on(monkeypatch, [[-1.000599], [0.01]])
+        for method in METHODS:
+            assert "size >= 2" in report.cells[(200.0, method)].error
+        assert not report.ecdfs
 
     def test_risk_ordering_on_benchmark_market(self, benchmark_params):
         report = compare(benchmark_params, [5.0, 15.0], n=150_000, seed=13)

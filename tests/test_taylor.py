@@ -7,12 +7,14 @@ import pytest
 
 from crra_opt import (
     GdConfig,
+    NonFiniteIterate,
     NotConverged,
     RiskAversion,
     ScenarioSet,
     SingularSecondMoment,
     TaylorConfig,
     gd_solve,
+    make_params,
     simulate,
     suggest_eta,
     taylor_initial,
@@ -103,6 +105,14 @@ class TestStep:
     def test_symmetric_sample_zero_is_fixed_point(self, symmetric_pairs):
         stepped = taylor_step(symmetric_pairs, RiskAversion(4.0), 1.0, np.zeros(2))
         np.testing.assert_array_equal(stepped, np.zeros(2))
+
+    def test_overflowing_update_is_a_non_finite_iterate(self):
+        # (w'R)^3 overflows to inf in the cubic term; the update reports a
+        # NonFiniteIterate, which compare records on its cell.
+        scenarios = simulate(make_params([0.001], [[0.0005]], 0.0006), 1000, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteIterate):
+                taylor_step(scenarios, RiskAversion(5.0), 1.0006, np.array([1e110]))
 
 
 class TestSolve:
