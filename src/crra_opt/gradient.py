@@ -15,6 +15,14 @@ stopped once the Euclidean gradient norm falls below ``tol``.  Steps that
 would push some scenario wealth to zero or below are halved (up to 60
 times) before failing, which preserves both feasibility and ascent.
 
+By default the ascent starts at the fourth-order expansion weights of
+:func:`~crra_opt.taylor.taylor_solve`, which lie next to the sampled
+optimum (see :class:`GdConfig` for the fallback to zero); on the benchmark
+market it then needs about a third of the steps a zero start needs.  gd's
+answer depends on the Taylor weights only through this start: it still
+stops by its own gradient-norm rule, so the Taylor error does not carry
+over.
+
 Scenarios are read from the ``(k, N)`` array ``ScenarioSet.cols``.  Every
 length-N operation is a single ``np.einsum`` or ``np.sum`` over contiguous
 rows, never a BLAS product, so its summation order is fixed by numpy alone
@@ -36,12 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CrraOptError,
     NonPositiveWealthScenario,
     NotConverged,
     StepIntoInfeasible,
     ValidationError,
 )
 from .market import RiskAversion
+from .taylor import taylor_solve
 
 MAX_BACKTRACKS = 60
 
@@ -53,7 +63,12 @@ class GdConfig:
     ``eta=0.1`` is the customary default; ``eta=None`` (auto) takes the step
     :func:`suggest_eta` matches to the sampled curvature, for markets whose
     covariance is far from unit scale.  ``initial_weights=None`` starts from
-    the all risk-free portfolio (the zero vector), which is always feasible.
+    the fourth-order expansion weights, ``taylor_solve`` with its default
+    :class:`~crra_opt.taylor.TaylorConfig`, which lie next to the sampled
+    optimum; when that solve fails, or its weights leave some scenario
+    wealth at or below zero, the start is the all risk-free portfolio (the
+    zero vector), which is always feasible.  Either way only the start
+    moves: the steps and the stopping rule are gd's own.
     """
 
     eta: float | None = 0.1
@@ -150,11 +165,24 @@ def suggest_eta(scenarios, ra: RiskAversion) -> float:
     return 0.8 / (ra.gamma * lam_max)
 
 
+def _default_start(scenarios, ra: RiskAversion, gross_rf: float) -> np.ndarray:
+    """The Taylor fixed point if it exists and is feasible, else zero."""
+    try:
+        w = taylor_solve(scenarios, ra, gross_rf).weights
+    except CrraOptError:
+        return np.zeros(scenarios.k)
+    if _wealth(scenarios.cols, w, gross_rf).min() > 0.0:
+        return w
+    return np.zeros(scenarios.k)
+
+
 def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None = None) -> GdReport:
     """Run fixed-step gradient ascent on the sampled utility, with the
     step of :func:`suggest_eta` when ``cfg.eta`` is None.
 
-    Returns a converged :class:`GdReport`; raises :class:`NotConverged`
+    The ascent starts at ``cfg.initial_weights``, or, when that is None, at
+    the Taylor fixed point or zero as :class:`GdConfig` describes.  Returns
+    a converged :class:`GdReport`; raises :class:`NotConverged`
     (with the partial report attached) if ``max_iter`` steps do not bring
     the gradient norm below ``tol``, and :class:`StepIntoInfeasible` if step
     halving cannot keep every scenario wealth positive.
@@ -163,9 +191,8 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
         cfg = GdConfig()
     eta = cfg.eta if cfg.eta is not None else suggest_eta(scenarios, ra)
     cols = scenarios.cols
-    k = cols.shape[0]
     if cfg.initial_weights is None:
-        w = np.zeros(k)
+        w = _default_start(scenarios, ra, gross_rf)
     else:
         w = np.array(cfg.initial_weights, dtype=float)
     wealth = _wealth(cols, w, gross_rf)

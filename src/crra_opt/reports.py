@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from dataclasses import fields
 from pathlib import Path
 
@@ -34,7 +35,10 @@ def fmt_gamma(g: float) -> str:
 def dumps_json(obj, indent: int = 2) -> str:
     """Serialize nested dict/list/scalar data with 17-digit floats.
 
-    A NaN or infinite float, which JSON cannot hold, raises ``ValueError``.
+    Strings and keys are escaped per RFC 8259 section 7: ``"``, ``\\`` and the
+    control characters U+0000-U+001F; every other character is written
+    as is.  A NaN or infinite float, which JSON cannot hold, raises
+    ``ValueError``.
     """
     return _dumps(obj, indent, 0) + "\n"
 
@@ -46,7 +50,7 @@ def _dumps(obj, indent: int, level: int) -> str:
         if not obj:
             return "{}"
         items = [
-            f'{inner}"{key}": {_dumps(value, indent, level + 1)}'
+            f"{inner}{_dumps_str(str(key))}: {_dumps(value, indent, level + 1)}"
             for key, value in obj.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
@@ -67,9 +71,12 @@ def _dumps(obj, indent: int, level: int) -> str:
             raise ValueError(f"cannot serialize non-finite float {obj!r} as JSON")
         return fmt17(obj)
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return _dumps_str(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _dumps_str(text: str) -> str:
+    return json.dumps(text, ensure_ascii=False)
 
 
 def analytical_report_dict(sol: ClosedFormSolution) -> dict:
@@ -174,7 +181,9 @@ def write_ecdf_files(report: ComparisonReport, outdir) -> list[Path]:
 
 
 def human_comparison_table(report: ComparisonReport) -> str:
-    """Per-gamma blocks with one row per statistic, 6 significant digits."""
+    """Per-gamma blocks with one row per statistic, 6 significant digits,
+    then the counts of infeasible and of non-finite draws the statistics
+    leave out."""
     col = 16
     lines: list[str] = []
     header = "stat".ljust(10) + "".join(m.rjust(col) for m in METHODS)
@@ -190,9 +199,8 @@ def human_comparison_table(report: ComparisonReport) -> str:
                 else:
                     row += f"{getattr(cell.stats, stat):.6g}".rjust(col)
             lines.append(row)
-        infeasible = [
-            str(report.cells[(g, m)].infeasible_count) for m in METHODS
-        ]
-        lines.append("infeasible".ljust(10) + "".join(v.rjust(col) for v in infeasible))
+        for count in ("infeasible", "nonfinite"):
+            values = [str(getattr(report.cells[(g, m)], f"{count}_count")) for m in METHODS]
+            lines.append(count.ljust(10) + "".join(v.rjust(col) for v in values))
         lines.append("")
     return "\n".join(lines)

@@ -91,7 +91,8 @@ class StrategyOutcome:
     Wealth is ``w0 * (R_f + w'R_i)``.  Utilities at non-positive wealth are
     undefined and stored as NaN; they are counted in ``infeasible_count``
     rather than silently dropped.  A positive wealth whose power
-    ``W^(1-gamma)`` overflows gives an infinite utility, which is kept here.
+    ``W^(1-gamma)`` overflows gives an infinite utility, which is kept here
+    without a numpy warning.
     """
 
     method: str
@@ -183,7 +184,9 @@ def evaluate_strategy(
         raise AllScenariosInfeasible("every scenario yields non-positive wealth")
     lam = 1.0 - ra.gamma
     utilities = np.full(wealths.shape[0], np.nan)
-    np.power(wealths, lam, out=utilities, where=feasible)
+    # An overflow is an infinite utility, which compare counts.
+    with np.errstate(over="ignore"):
+        np.power(wealths, lam, out=utilities, where=feasible)
     utilities /= lam
     return StrategyOutcome(
         method=method, gamma=ra.gamma, weights=w,

@@ -31,11 +31,6 @@ import numpy as np
 from .errors import NonFiniteIterate, NotConverged, SingularSecondMoment, ValidationError
 from .market import MarketParams, RiskAversion, cho_solve
 
-# Fixed-point damping: after this many consecutive step-size increases the
-# update is blended with factor 0.5 (repeatable if oscillation persists).
-DAMPING_PATIENCE = 5
-DAMPING_FACTOR = 0.5
-
 
 @dataclass(frozen=True)
 class TaylorConfig:
@@ -137,37 +132,23 @@ def taylor_solve(
 ) -> TaylorReport:
     """Iterate the fixed-point update from the sample starting point.
 
-    If the step size ``||w(i+1) - w(i)||`` grows for ``DAMPING_PATIENCE``
-    consecutive iterations, updates are damped by ``DAMPING_FACTOR`` (and
-    damped again on renewed oscillation).  Raises :class:`NotConverged` with
-    the partial report when ``max_iter`` is exhausted.
+    Stops, converged, once an undamped update ``||w(i+1) - w(i)||`` is at
+    most ``cfg.tol``.  Raises :class:`NotConverged` with the partial report
+    when ``max_iter`` updates do not get there, as in a market where the
+    update does not contract.
     """
     if cfg is None:
         cfg = TaylorConfig()
     factor = _m2_factor(scenarios)
     w = _step(scenarios, factor, ra, gross_rf, np.zeros(scenarios.k))
-    damping = 1.0
-    grow_streak = 0
-    prev_delta = np.inf
     for iteration in range(1, cfg.max_iter + 1):
-        proposed = _step(scenarios, factor, ra, gross_rf, w)
-        update = proposed - w
-        if damping != 1.0:
-            update = damping * update
+        update = _step(scenarios, factor, ra, gross_rf, w) - w
         delta = float(np.linalg.norm(update))
         w = w + update
         if delta <= cfg.tol:
             return TaylorReport(weights=w, iterations=iteration, converged=True)
-        if delta > prev_delta:
-            grow_streak += 1
-            if grow_streak >= DAMPING_PATIENCE:
-                damping *= DAMPING_FACTOR
-                grow_streak = 0
-        else:
-            grow_streak = 0
-        prev_delta = delta
     report = TaylorReport(weights=w, iterations=cfg.max_iter, converged=False)
     raise NotConverged(
-        f"fixed-point step {prev_delta:.3e} > tol {cfg.tol:.3e} after {cfg.max_iter} iterations",
+        f"fixed-point step {delta:.3e} > tol {cfg.tol:.3e} after {cfg.max_iter} iterations",
         report,
     )

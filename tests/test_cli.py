@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -13,7 +14,14 @@ import pytest
 
 import crra_opt
 from conftest import BENCHMARK_MU, BENCHMARK_RF, BENCHMARK_SIGMA
-from crra_opt import gamma_lower_bound, make_params, tangency, write_params_json
+from crra_opt import (
+    NonFiniteIterate,
+    gamma_lower_bound,
+    make_params,
+    simulation,
+    tangency,
+    write_params_json,
+)
 from crra_opt.cli import main
 from crra_opt.reports import dumps_json
 
@@ -224,6 +232,28 @@ class TestCompare:
         default, loose = cells("default"), cells("loose")
         assert loose["gd"]["weights"] != default["gd"]["weights"]
         assert loose["taylor"] == default["taylor"]
+
+    def test_multi_line_error_cell_stays_valid_json_and_csv(self, tmp_path, benchmark_json,
+                                                            monkeypatch):
+        # numpy wraps a long array across lines, as in a NonFiniteIterate
+        # message at k >= 8.
+        message = f"fixed-point update produced non-finite weights: {np.full(8, -1.2345e110)}"
+        message += "\tand a NUL \x00"
+        assert "\n" in message
+
+        def taylor_solve(*args, **kwargs):
+            raise NonFiniteIterate(message)
+
+        monkeypatch.setattr(simulation, "taylor_solve", taylor_solve)
+        outdir = tmp_path / "study"
+        assert main(["compare", "--params", str(benchmark_json), "--gammas", "10",
+                     "--samples", "500", "--seed", "9", "--outdir", str(outdir)]) == 0
+        payload = json.loads((outdir / "comparison.json").read_text(encoding="utf-8"))
+        assert payload["results"]["10"]["taylor"] == {"error": message}
+        assert "weights" in payload["results"]["10"]["gd"]
+        with (outdir / "comparison.csv").open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert ["10", "taylor", "error", message] in rows
 
     def test_gd_cell_matches_solve(self, tmp_path, benchmark_json):
         common = ["--params", str(benchmark_json), "--samples", "5000", "--seed", "9"]

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crra_opt import (
     GdConfig,
@@ -11,7 +15,10 @@ from crra_opt import (
     NotConverged,
     RiskAversion,
     ScenarioSet,
+    SingularSecondMoment,
+    gamma_lower_bound,
     gd_solve,
+    make_params,
     simulate,
     solve_analytical,
     suggest_eta,
@@ -180,6 +187,106 @@ class TestGdSolve:
         w_taylor = taylor_solve(scenarios, ra, gross_rf).weights
         assert report.objective >= v0(scenarios, w_closed, ra, gross_rf) - 1e-6
         assert report.objective >= v0(scenarios, w_taylor, ra, gross_rf) - 1e-6
+
+
+def _zero_start(k: int, cfg: GdConfig = GdConfig(eta=None)) -> GdConfig:
+    return replace(cfg, initial_weights=np.zeros(k))
+
+
+def _assert_same_report(a, b):
+    np.testing.assert_array_equal(a.weights, b.weights)
+    assert (a.iterations, a.final_gradient_norm, a.objective, a.converged) == (
+        b.iterations, b.final_gradient_norm, b.objective, b.converged)
+
+
+class TestDefaultStart:
+    def test_is_the_taylor_fixed_point(self, benchmark_params):
+        scenarios = simulate(benchmark_params, 20_000, 31)
+        ra = RiskAversion(10.0)
+        gross_rf = benchmark_params.gross_rf
+        w_taylor = taylor_solve(scenarios, ra, gross_rf).weights
+        default = gd_solve(scenarios, ra, gross_rf, GdConfig(eta=None))
+        explicit = gd_solve(scenarios, ra, gross_rf,
+                            GdConfig(eta=None, initial_weights=w_taylor))
+        assert default.converged
+        _assert_same_report(default, explicit)
+
+    def test_singular_second_moment_falls_back_to_zero(self):
+        # The second asset is twice the first, so M2 has rank one and the
+        # Taylor solve fails; gd still converges along the one direction.
+        r = np.random.default_rng(32).normal(0.01, 0.05, size=400)
+        scenarios = ScenarioSet(returns=np.column_stack([r, 2.0 * r]), seed=0)
+        ra = RiskAversion(5.0)
+        with pytest.raises(SingularSecondMoment):
+            taylor_solve(scenarios, ra, 1.0)
+        default = gd_solve(scenarios, ra, 1.0, GdConfig(eta=None))
+        assert default.converged
+        _assert_same_report(default, gd_solve(scenarios, ra, 1.0, _zero_start(2)))
+
+    def test_infeasible_taylor_weights_fall_back_to_zero(self):
+        # A hundred +10% draws and one -30% draw: the fourth-order fixed
+        # point holds 3.96 of the asset, so the crash leaves wealth below 0.
+        scenarios = ScenarioSet(returns=[[0.1]] * 100 + [[-0.3]], seed=0)
+        ra = RiskAversion(2.0)
+        w_taylor = taylor_solve(scenarios, ra, 1.0).weights
+        assert 1.0 - 0.3 * w_taylor[0] <= 0.0
+        cfg = GdConfig(eta=None, max_iter=25)
+        with pytest.raises(NotConverged) as default:
+            gd_solve(scenarios, ra, 1.0, cfg)
+        with pytest.raises(NotConverged) as zero:
+            gd_solve(scenarios, ra, 1.0, _zero_start(1, cfg))
+        _assert_same_report(default.value.report, zero.value.report)
+
+    def test_non_contracting_taylor_falls_back_to_zero(self):
+        # The fixed-point update cycles on this sample instead of contracting.
+        scenarios = ScenarioSet(returns=[[0.79], [0.17], [-0.01]], seed=0)
+        ra = RiskAversion(1.2)
+        with pytest.raises(NotConverged):
+            taylor_solve(scenarios, ra, 1.0)
+        default = gd_solve(scenarios, ra, 1.0, GdConfig(eta=None))
+        assert default.converged
+        _assert_same_report(default, gd_solve(scenarios, ra, 1.0, _zero_start(1)))
+
+    def test_takes_at_most_half_the_steps_of_a_zero_start(self, benchmark_params):
+        # The benchmark study's draw.
+        scenarios = simulate(benchmark_params, 200_000, 20120116)
+        ra = RiskAversion(10.0)
+        gross_rf = benchmark_params.gross_rf
+        default = gd_solve(scenarios, ra, gross_rf, GdConfig(eta=None))
+        zero = gd_solve(scenarios, ra, gross_rf, _zero_start(3))
+        assert default.converged and zero.converged
+        assert 2 * default.iterations <= zero.iterations
+
+
+@st.composite
+def random_markets(draw):
+    """A PD market in the ranges of the ``make_random_params`` fixture."""
+    k = draw(st.integers(1, 6))
+
+    def floats(lo, hi, size):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    a = floats(-0.03, 0.03, k * k).reshape(k, k)
+    sigma = a @ a.T + np.diag(floats(0.5e-4, 1.5e-4, k))
+    mu = floats(-0.015, 0.015, k)
+    if float(mu @ np.linalg.solve(sigma, mu)) < 1e-10:
+        mu = mu + 0.003
+    return make_params(mu, sigma, draw(st.floats(0.0, 0.005)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=random_markets(), gamma_scale=st.floats(1.2, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_default_start_lands_next_to_the_zero_start_answer(p, gamma_scale, seed):
+    # Both answers have a gradient norm <= tol, so each lies within about
+    # tol / lambda_min(-H) of the sampled optimum.
+    scenarios = simulate(p, 2_000, seed)
+    ra = RiskAversion(gamma_scale * max(gamma_lower_bound(p), 2.0))
+    cfg = GdConfig(eta=None)
+    default = gd_solve(scenarios, ra, p.gross_rf, cfg)
+    zero = gd_solve(scenarios, ra, p.gross_rf, _zero_start(p.k, cfg))
+    assert default.converged and zero.converged
+    lam_min = float(np.linalg.eigvalsh(-v0_hessian(scenarios, zero.weights, ra, p.gross_rf))[0])
+    assert np.max(np.abs(default.weights - zero.weights)) <= 4.0 * cfg.tol / lam_min
 
 
 class TestGdConfig:

@@ -52,6 +52,16 @@ class TestDumpsJson:
         assert parsed["values"] == [0.1, 2.0, -3.5e-9]
         assert parsed["nested"] == {"empty_list": [], "empty_map": {}}
 
+    def test_control_characters_round_trip(self):
+        text = "a\nb\tc\x00d\x1f\re"
+        assert json.loads(dumps_json({"error": text, text: 1})) == {"error": text, text: 1}
+
+    def test_strings_without_control_characters_keep_their_bytes(self):
+        text = 'quote " backslash \\ slash / unicode \u00e9\u2603 del \x7f'
+        quoted = json.dumps(text, ensure_ascii=False)
+        assert dumps_json({"e": text}) == '{\n  "e": ' + quoted + "\n}\n"
+        assert dumps_json({"e": "plain"}) == '{\n  "e": "plain"\n}\n'
+
     def test_ndarray_serializes_as_list(self):
         parsed = json.loads(dumps_json({"w": np.array([1.5, 2.5])}))
         assert parsed["w"] == [1.5, 2.5]

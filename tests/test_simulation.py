@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from crra_opt import (
     summarize,
 )
 from crra_opt import simulation
-from crra_opt.reports import comparison_report_dict
+from crra_opt.reports import comparison_report_dict, human_comparison_table
 from crra_opt.simulation import METHODS
 
 
@@ -209,18 +210,16 @@ class TestCompare:
         monkeypatch.setattr(simulation, "simulate", lambda p, n, seed: scenarios)
         monkeypatch.setattr(simulation, "_solve_gamma", lambda p, scen, ra, gd_cfg, taylor_cfg:
                             {m: (np.ones(1), None) for m in METHODS})
-        with np.errstate(over="ignore"):
-            return compare(make_params([0.001], [[0.0005]], 0.0006), [200.0],
-                           n=len(returns), seed=0)
+        return compare(make_params([0.001], [[0.0005]], 0.0006), [200.0],
+                       n=len(returns), seed=0)
 
     def test_overflowing_utility_is_counted_not_dropped(self, monkeypatch):
         # Wealth 1e-6 at gamma = 200: W^(1-gamma) overflows, so a feasible
         # draw has utility -inf and the statistics must leave it out.  The
         # second draw has negative wealth and counts as infeasible only.
         returns = [[-1.000599], [-1.5], [0.01], [0.02], [-0.01]]
-        with np.errstate(over="ignore"):
-            outcome = evaluate_strategy(ScenarioSet(returns=returns, seed=0), [1.0],
-                                        RiskAversion(200.0), 1.0006)
+        outcome = evaluate_strategy(ScenarioSet(returns=returns, seed=0), [1.0],
+                                    RiskAversion(200.0), 1.0006)
         assert outcome.infeasible_count == 1
         assert outcome.utilities[0] == -np.inf
         report = self._compare_on(monkeypatch, returns)
@@ -230,6 +229,15 @@ class TestCompare:
             assert (cell.infeasible_count, cell.nonfinite_count) == (1, 1)
             assert cell.stats == summarize(outcome.utilities[2:])
             assert payload[method]["nonfinite_count"] == 1
+
+    def test_overflow_is_a_table_row_not_a_warning(self, monkeypatch):
+        returns = [[-1.000599], [-1.5], [0.01], [0.02], [-0.01]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = self._compare_on(monkeypatch, returns)
+        lines = human_comparison_table(report).splitlines()
+        row = lines.index("infeasible".ljust(10) + "1".rjust(16) * 3)
+        assert lines[row + 1] == "nonfinite".ljust(10) + "1".rjust(16) * 3
 
     def test_too_few_finite_utilities_fail_the_cell(self, monkeypatch):
         # One of two draws overflows: one finite utility is too few for the

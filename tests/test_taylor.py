@@ -154,6 +154,19 @@ class TestSolve:
         assert excinfo.value.report.iterations == 1
         assert not excinfo.value.report.converged
 
+    def test_non_contracting_update_is_not_converged(self):
+        # On this sample the update cycles instead of contracting; the solve
+        # says so rather than stopping on a shortened step.
+        scenarios = ScenarioSet(returns=[[0.79], [0.17], [-0.01]], seed=0)
+        ra = RiskAversion(1.2)
+        cfg = TaylorConfig()
+        with pytest.raises(NotConverged) as excinfo:
+            taylor_solve(scenarios, ra, 1.0, cfg)
+        report = excinfo.value.report
+        assert (report.iterations, report.converged) == (cfg.max_iter, False)
+        again = taylor_step(scenarios, ra, 1.0, report.weights)
+        assert np.linalg.norm(again - report.weights) > cfg.tol
+
     def test_close_to_gradient_solution_on_small_variance_market(self, benchmark_params):
         scenarios = simulate(benchmark_params, 200_000, 48)
         gross_rf = benchmark_params.gross_rf
