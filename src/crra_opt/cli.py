@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .closed_form import solve_analytical, tangency
+from .closed_form import frontier_point, tangency
 from .errors import (
     GammaBelowBound,
     NotConverged,
@@ -120,16 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_solver_flags(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--eta", type=float, default=None,
+    cmd.add_argument("--eta", type=float, default=GdConfig.eta,
                      help="gd learning rate (default: auto, matched to sampled curvature)")
-    cmd.add_argument("--tol", type=float, default=1e-8,
-                     help="gd gradient-norm stopping threshold (default: 1e-8)")
-    cmd.add_argument("--max-iter", type=int, default=100_000,
-                     help="gd iteration cap (default: 100000)")
-    cmd.add_argument("--taylor-tol", type=float, default=1e-10,
-                     help="fixed-point step threshold (default: 1e-10)")
-    cmd.add_argument("--taylor-max-iter", type=int, default=1000,
-                     help="fixed-point iteration cap (default: 1000)")
+    cmd.add_argument("--tol", type=float, default=GdConfig.tol,
+                     help="gd gradient-norm stopping threshold (default: %(default)s)")
+    cmd.add_argument("--max-iter", type=int, default=GdConfig.max_iter,
+                     help="gd iteration cap (default: %(default)s)")
+    cmd.add_argument("--taylor-tol", type=float, default=TaylorConfig.tol,
+                     help="fixed-point step threshold (default: %(default)s)")
+    cmd.add_argument("--taylor-max-iter", type=int, default=TaylorConfig.max_iter,
+                     help="fixed-point iteration cap (default: %(default)s)")
 
 
 def cmd_estimate(args) -> int:
@@ -196,6 +196,10 @@ def cmd_compare(args) -> int:
         raise ValidationError(f"--gammas must be comma-separated numbers, got {args.gammas!r}")
     if not gammas:
         raise ValidationError("--gammas must name at least one value")
+    labels = [fmt_gamma(g) for g in gammas]
+    if len(set(labels)) < len(labels):
+        # The label keys comparison.json and names the ECDF files.
+        raise ValidationError(f"--gammas repeats a value at 6 digits: {', '.join(labels)}")
     if args.ecdf_points < 2:
         raise ValidationError(f"--ecdf-points must be >= 2, got {args.ecdf_points}")
     gd_cfg, taylor_cfg = _solver_configs(args)
@@ -233,8 +237,8 @@ def cmd_frontier(args) -> int:
     lines = ["gamma,mean_excess,variance,tangency"]
     for g in grid:
         g = float(g)
-        sol = solve_analytical(params, RiskAversion(g))
-        lines.append(f"{g!r},{sol.expected_excess_return!r},{sol.variance!r},false")
+        mean, variance = frontier_point(params, RiskAversion(g))
+        lines.append(f"{g!r},{mean!r},{variance!r},false")
     tgc = tangency(params)
     mean = float(tgc.weights @ params.mu)
     variance = float(tgc.weights @ params.sigma @ tgc.weights)

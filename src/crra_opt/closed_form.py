@@ -123,10 +123,7 @@ def objective_g(p: MarketParams, weights: np.ndarray, ra: RiskAversion) -> float
     Maximizing G is equivalent to maximizing the approximate expected
     utility: the two differ by a monotone transform.
     """
-    w = _check_weights(p, weights)
-    m = p.gross_rf + float(w @ p.mu)
-    if m <= 0.0:
-        raise NonPositiveGrossMean(f"R_f + w'mu = {m:.6g} must be positive")
+    w, m = _weights_and_gross_mean(p, weights)
     quad = float(w @ p.sigma @ w)
     return math.log(m) + 0.5 * (1.0 - ra.gamma) * quad / (m * m)
 
@@ -135,10 +132,7 @@ def objective_g_gradient(p: MarketParams, weights: np.ndarray, ra: RiskAversion)
     """Analytic gradient of :func:`objective_g`:
     ``mu/m + (1-gamma) [sigma w * m - (w'sigma w) mu] / m^3`` with
     ``m = R_f + w'mu``."""
-    w = _check_weights(p, weights)
-    m = p.gross_rf + float(w @ p.mu)
-    if m <= 0.0:
-        raise NonPositiveGrossMean(f"R_f + w'mu = {m:.6g} must be positive")
+    w, m = _weights_and_gross_mean(p, weights)
     sw = p.sigma @ w
     quad = float(w @ sw)
     return p.mu / m + (1.0 - ra.gamma) * (sw * m - quad * p.mu) / m**3
@@ -161,10 +155,7 @@ def approx_expected_utility(
     """
     if not w0 > 0.0:
         raise ValueError(f"w0 must be positive, got {w0}")
-    w = _check_weights(p, weights)
-    m = p.gross_rf + float(w @ p.mu)
-    if m <= 0.0:
-        raise NonPositiveGrossMean(f"R_f + w'mu = {m:.6g} must be positive")
+    w, m = _weights_and_gross_mean(p, weights)
     lam = 1.0 - ra.gamma
     quad = float(w @ p.sigma @ w)
     exponent = lam * math.log(m) + 0.5 * lam * lam * quad / (m * m)
@@ -198,8 +189,12 @@ def frontier_point(p: MarketParams, ra: RiskAversion) -> tuple[float, float]:
     return sol.expected_excess_return, sol.variance
 
 
-def _check_weights(p: MarketParams, weights) -> np.ndarray:
+def _weights_and_gross_mean(p: MarketParams, weights) -> tuple[np.ndarray, float]:
+    """The weights as a float array and ``m = R_f + w'mu``, which must be positive."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (p.k,):
         raise DimensionMismatch(f"weights must have shape ({p.k},), got {w.shape}")
-    return w
+    m = p.gross_rf + float(w @ p.mu)
+    if m <= 0.0:
+        raise NonPositiveGrossMean(f"R_f + w'mu = {m:.6g} must be positive")
+    return w, m

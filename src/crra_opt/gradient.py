@@ -23,13 +23,9 @@ answer depends on the Taylor weights only through this start: it still
 stops by its own gradient-norm rule, so the Taylor error does not carry
 over.
 
-Scenarios are read from the ``(k, N)`` array ``ScenarioSet.cols``.  Every
-length-N operation is a single ``np.einsum`` or ``np.sum`` over contiguous
-rows, never a BLAS product, so its summation order is fixed by numpy alone
-and reports are bit-identical under any BLAS thread count.  This includes
-the wealth ``R_f + w'R_i``, a k-term sum per scenario computed as
-``einsum("i,ij->j", w, cols)``: no step wakes BLAS's thread pool, so
-solvers running in several threads at once do not compete with it.
+The wealth ``R_f + w'R_i`` and the gradient's mean over scenarios are the
+scenario set's own reductions (:class:`~crra_opt.simulation.ScenarioSet`),
+which fix their summation order without BLAS.
 
 The same ascent applies to any concave utility: replace the power kernel in
 the gradient by ``U'(W0 (R_f + w'R_i)) R_i`` and the Hessian stays negative
@@ -60,18 +56,18 @@ MAX_BACKTRACKS = 60
 class GdConfig:
     """Fixed-step ascent settings.
 
-    ``eta=0.1`` is the customary default; ``eta=None`` (auto) takes the step
-    :func:`suggest_eta` matches to the sampled curvature, for markets whose
-    covariance is far from unit scale.  ``initial_weights=None`` starts from
-    the fourth-order expansion weights, ``taylor_solve`` with its default
-    :class:`~crra_opt.taylor.TaylorConfig`, which lie next to the sampled
-    optimum; when that solve fails, or its weights leave some scenario
-    wealth at or below zero, the start is the all risk-free portfolio (the
-    zero vector), which is always feasible.  Either way only the start
-    moves: the steps and the stopping rule are gd's own.
+    ``eta=None``, the default, takes the step :func:`suggest_eta` matches
+    to the sampled curvature; a number pins the step.
+    ``initial_weights=None`` starts from the fourth-order expansion weights,
+    ``taylor_solve`` with its default :class:`~crra_opt.taylor.TaylorConfig`,
+    which lie next to the sampled optimum; when that solve fails, or its
+    weights leave some scenario wealth at or below zero, the start is the
+    all risk-free portfolio (the zero vector), which is always feasible.
+    Either way only the start moves: the steps and the stopping rule are
+    gd's own.
     """
 
-    eta: float | None = 0.1
+    eta: float | None = None
     tol: float = 1e-8
     max_iter: int = 100_000
     initial_weights: np.ndarray | None = None
@@ -100,12 +96,6 @@ class GdReport:
     converged: bool
 
 
-def _wealth(cols: np.ndarray, weights: np.ndarray, gross_rf: float) -> np.ndarray:
-    wealth = np.einsum("i,ij->j", weights, cols)
-    wealth += gross_rf
-    return wealth
-
-
 def _require_positive(wealth: np.ndarray) -> None:
     bad = wealth <= 0.0
     if bad.any():
@@ -116,26 +106,22 @@ def _v0_from_wealth(wealth: np.ndarray, gamma: float) -> float:
     return float(np.sum(wealth ** (1.0 - gamma))) / wealth.shape[0] / (1.0 - gamma)
 
 
-def _gradient_from_wealth(cols: np.ndarray, wealth: np.ndarray, gamma: float) -> np.ndarray:
-    return np.einsum("ij,j->i", cols, wealth ** (-gamma)) / wealth.shape[0]
-
-
 def v0(scenarios, weights, ra: RiskAversion, gross_rf: float) -> float:
     """Sampled expected power utility at the given weights.
 
     Raises :class:`NonPositiveWealthScenario` naming the first scenario with
     ``R_f + w'R_i <= 0``.
     """
-    wealth = _wealth(scenarios.cols, np.asarray(weights, dtype=float), gross_rf)
+    wealth = scenarios.wealth(np.asarray(weights, dtype=float), gross_rf)
     _require_positive(wealth)
     return _v0_from_wealth(wealth, ra.gamma)
 
 
 def v0_gradient(scenarios, weights, ra: RiskAversion, gross_rf: float) -> np.ndarray:
     """Gradient ``(1/N) sum_i R_i (R_f + w'R_i)^(-gamma)``."""
-    wealth = _wealth(scenarios.cols, np.asarray(weights, dtype=float), gross_rf)
+    wealth = scenarios.wealth(np.asarray(weights, dtype=float), gross_rf)
     _require_positive(wealth)
-    return _gradient_from_wealth(scenarios.cols, wealth, ra.gamma)
+    return scenarios.weighted_mean(wealth ** (-ra.gamma))
 
 
 def v0_hessian(scenarios, weights, ra: RiskAversion, gross_rf: float) -> np.ndarray:
@@ -145,7 +131,7 @@ def v0_hessian(scenarios, weights, ra: RiskAversion, gross_rf: float) -> np.ndar
     diagnostics.
     """
     cols = scenarios.cols
-    wealth = _wealth(cols, np.asarray(weights, dtype=float), gross_rf)
+    wealth = scenarios.wealth(np.asarray(weights, dtype=float), gross_rf)
     _require_positive(wealth)
     total = np.einsum("ij,j,lj->il", cols, wealth ** (-(1.0 + ra.gamma)), cols)
     return -(ra.gamma / wealth.shape[0]) * total
@@ -171,14 +157,13 @@ def _default_start(scenarios, ra: RiskAversion, gross_rf: float) -> np.ndarray:
         w = taylor_solve(scenarios, ra, gross_rf).weights
     except CrraOptError:
         return np.zeros(scenarios.k)
-    if _wealth(scenarios.cols, w, gross_rf).min() > 0.0:
+    if scenarios.wealth(w, gross_rf).min() > 0.0:
         return w
     return np.zeros(scenarios.k)
 
 
 def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None = None) -> GdReport:
-    """Run fixed-step gradient ascent on the sampled utility, with the
-    step of :func:`suggest_eta` when ``cfg.eta`` is None.
+    """Run fixed-step gradient ascent on the sampled utility.
 
     The ascent starts at ``cfg.initial_weights``, or, when that is None, at
     the Taylor fixed point or zero as :class:`GdConfig` describes.  Returns
@@ -190,17 +175,16 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
     if cfg is None:
         cfg = GdConfig()
     eta = cfg.eta if cfg.eta is not None else suggest_eta(scenarios, ra)
-    cols = scenarios.cols
     if cfg.initial_weights is None:
         w = _default_start(scenarios, ra, gross_rf)
     else:
         w = np.array(cfg.initial_weights, dtype=float)
-    wealth = _wealth(cols, w, gross_rf)
+    wealth = scenarios.wealth(w, gross_rf)
     _require_positive(wealth)
 
     steps = 0
     while True:
-        grad = _gradient_from_wealth(cols, wealth, ra.gamma)
+        grad = scenarios.weighted_mean(wealth ** (-ra.gamma))
         norm = float(np.linalg.norm(grad))
         if norm <= cfg.tol:
             return GdReport(
@@ -219,7 +203,7 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
         step = eta * grad
         for _ in range(MAX_BACKTRACKS + 1):
             cand = w + step
-            cand_wealth = _wealth(cols, cand, gross_rf)
+            cand_wealth = scenarios.wealth(cand, gross_rf)
             if cand_wealth.min() > 0.0:
                 break
             step = 0.5 * step

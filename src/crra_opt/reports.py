@@ -23,6 +23,8 @@ from .taylor import TaylorReport
 # Summary statistics in output order: mean, sd, median, mad.
 STATS = tuple(f.name for f in fields(SummaryStats))
 
+JSON_INDENT = "  "
+
 
 def fmt17(x: float) -> str:
     return f"{float(x):.17g}"
@@ -32,7 +34,7 @@ def fmt_gamma(g: float) -> str:
     return f"{float(g):g}"
 
 
-def dumps_json(obj, indent: int = 2) -> str:
+def dumps_json(obj) -> str:
     """Serialize nested dict/list/scalar data with 17-digit floats.
 
     Strings and keys are escaped per RFC 8259 section 7: ``"``, ``\\`` and the
@@ -40,17 +42,17 @@ def dumps_json(obj, indent: int = 2) -> str:
     as is.  A NaN or infinite float, which JSON cannot hold, raises
     ``ValueError``.
     """
-    return _dumps(obj, indent, 0) + "\n"
+    return _dumps(obj, 0) + "\n"
 
 
-def _dumps(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _dumps(obj, level: int) -> str:
+    pad = JSON_INDENT * level
+    inner = JSON_INDENT * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f"{inner}{_dumps_str(str(key))}: {_dumps(value, indent, level + 1)}"
+            f"{inner}{_dumps_str(str(key))}: {_dumps(value, level + 1)}"
             for key, value in obj.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
@@ -58,7 +60,7 @@ def _dumps(obj, indent: int, level: int) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
-        items = [f"{inner}{_dumps(value, indent, level + 1)}" for value in seq]
+        items = [f"{inner}{_dumps(value, level + 1)}" for value in seq]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"

@@ -5,10 +5,15 @@ of sigma and ``z_i`` i.i.d. standard normal from a PCG64 generator, so a
 ``(params, n, seed)`` triple always reproduces the same scenario set on a
 given build.  One scenario set is shared by every method and risk-aversion
 level inside a comparison run, which makes the per-method statistics
-directly comparable.  No operation over the N scenarios is a BLAS product,
-so draws, weights and statistics are bit-identical under any BLAS thread
-count and no BLAS thread pool competes with the solver threads of
-:func:`compare`.
+directly comparable.
+
+:class:`ScenarioSet` owns the reductions over the N scenarios that the
+solvers and the evaluation share.  Every sum over scenarios in the package,
+these and the single-site ones (the draw, ``v0_hessian``), is one
+``np.einsum`` or ``np.sum`` over contiguous per-asset rows, never a BLAS
+product, so numpy alone fixes its summation order: draws, weights and
+statistics are bit-identical under any BLAS thread count, and no BLAS
+thread pool competes with the solver threads of :func:`compare`.
 """
 
 from __future__ import annotations
@@ -17,13 +22,12 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .closed_form import solve_analytical
 from .errors import AllScenariosInfeasible, CrraOptError, ValidationError
-from .gradient import GdConfig, _wealth, gd_solve
+from .gradient import GdConfig, gd_solve
 from .market import MarketParams, RiskAversion, gamma_lower_bound, require_admissible_gamma
 from .taylor import TaylorConfig, taylor_solve
 
@@ -41,23 +45,30 @@ class ScenarioSet:
     The draws are held once, as the read-only C-contiguous ``(k, N)`` array
     ``cols``: row ``j`` holds asset ``j``'s return in every scenario, so each
     length-N reduction reads one contiguous row per asset.  ``returns`` is
-    the ``(N, k)`` view ``cols.T`` of the same buffer.  The sample moments
-    ``m1`` and ``m2`` are computed on first use and shared by every solver.
+    the ``(N, k)`` view ``cols.T`` of the same buffer.  The read-only sample
+    moments ``m1 = (1/N) sum_i R_i`` and ``M2 = m2 = (1/N) sum_i R_i R_i'``
+    are computed once, on construction, and shared by every solver.
     """
 
     returns: np.ndarray
     seed: int
     cols: np.ndarray = field(init=False, repr=False, compare=False)
+    m1: np.ndarray = field(init=False, repr=False, compare=False)
+    m2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         returns = np.asarray(self.returns, dtype=float)
-        if returns.ndim != 2:
-            raise ValueError(f"returns must be 2-D (N, k), got shape {returns.shape}")
+        if returns.ndim != 2 or returns.shape[0] < 1:
+            raise ValueError(f"returns must be 2-D (N, k) with N >= 1, got shape {returns.shape}")
         if not np.isfinite(returns).all():
             raise ValueError("scenario returns must be finite")
         cols = np.array(returns.T, order="C")
-        cols.setflags(write=False)
-        object.__setattr__(self, "cols", cols)
+        n = cols.shape[1]
+        m1 = np.einsum("ij->i", cols) / n
+        m2 = np.einsum("ij,lj->il", cols, cols) / n
+        for name, value in (("cols", cols), ("m1", m1), ("m2", m2)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "returns", cols.T)
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -69,19 +80,19 @@ class ScenarioSet:
     def k(self) -> int:
         return self.cols.shape[0]
 
-    @cached_property
-    def m1(self) -> np.ndarray:
-        """First sample moment ``(1/N) sum_i R_i``."""
-        m1 = np.einsum("ij->i", self.cols) / self.n
-        m1.setflags(write=False)
-        return m1
+    def excess(self, weights: np.ndarray) -> np.ndarray:
+        """Portfolio excess return ``w'R_i`` of every scenario, a new array."""
+        return np.einsum("i,ij->j", weights, self.cols)
 
-    @cached_property
-    def m2(self) -> np.ndarray:
-        """Second sample moment ``M2 = (1/N) sum_i R_i R_i'``."""
-        m2 = np.einsum("ij,lj->il", self.cols, self.cols) / self.n
-        m2.setflags(write=False)
-        return m2
+    def wealth(self, weights: np.ndarray, gross_rf: float) -> np.ndarray:
+        """Gross portfolio return ``R_f + w'R_i`` of every scenario, a new array."""
+        wealth = self.excess(weights)
+        wealth += gross_rf
+        return wealth
+
+    def weighted_mean(self, v: np.ndarray) -> np.ndarray:
+        """``(1/N) sum_i v_i R_i`` for one scalar ``v_i`` per scenario."""
+        return np.einsum("ij,j->i", self.cols, v) / self.n
 
 
 @dataclass(frozen=True)
@@ -155,6 +166,8 @@ def simulate(p: MarketParams, n: int, seed: int) -> ScenarioSet:
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((int(n), p.k))
     returns = np.einsum("nj,ij->ni", z, p.chol_lower)
@@ -176,7 +189,7 @@ def evaluate_strategy(
         raise ValueError(f"weights must have shape ({scenarios.k},), got {w.shape}")
     if not w0 > 0.0:
         raise ValueError(f"w0 must be positive, got {w0}")
-    wealths = _wealth(scenarios.cols, w, gross_rf)
+    wealths = scenarios.wealth(w, gross_rf)
     wealths *= w0
     feasible = wealths > 0.0
     infeasible_count = int(wealths.shape[0] - np.count_nonzero(feasible))
@@ -246,15 +259,13 @@ def solve_method(method: str, p: MarketParams, scenarios: ScenarioSet | None, ra
     """Run one of :data:`METHODS` at one gamma and return its report.
 
     ``analytical`` solves on the exact (mu, sigma) and ignores ``scenarios``.
-    ``gd_cfg=None`` means ``GdConfig(eta=None)``: gd takes the step of
-    :func:`~crra_opt.gradient.suggest_eta`.
     """
     if method == "analytical":
         return solve_analytical(p, ra)
     if method == "taylor":
         return taylor_solve(scenarios, ra, p.gross_rf, taylor_cfg)
     if method == "gd":
-        return gd_solve(scenarios, ra, p.gross_rf, gd_cfg or GdConfig(eta=None))
+        return gd_solve(scenarios, ra, p.gross_rf, gd_cfg)
     raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -282,8 +293,6 @@ def _solve_gammas(p, scenarios, gammas, gd_cfg, taylor_cfg) -> list[dict]:
     index, so they do not depend on the number of workers or on which
     worker solved what.
     """
-    # Fill the cached moments before any thread reads them.
-    _ = scenarios.m1, scenarios.m2
     solved: list = [None] * len(gammas)
     todo = iter(range(len(gammas)))
     todo_lock = threading.Lock()
@@ -324,13 +333,10 @@ def compare(
     utility overflows.  ``n`` must be at least 2, the smallest sample the
     statistics take.
 
-    The solvers are called through :func:`solve_method`.  When ``gd_cfg``
-    is None, or its ``eta`` is None, gd takes a curvature-matched learning
-    rate per gamma (see :func:`~crra_opt.gradient.suggest_eta`); its ``tol``
-    and ``max_iter`` apply either way.  Pass an explicit ``eta`` to pin it.
-    Failures inside one (gamma, method) cell are recorded on that cell and
-    do not abort the rest of the run; any error that is not a
-    :class:`CrraOptError` propagates.
+    The solvers are called through :func:`solve_method`.  Failures inside
+    one (gamma, method) cell are recorded on that cell and do not abort the
+    rest of the run; any error that is not a :class:`CrraOptError`
+    propagates.
 
     The solve phase runs the gammas concurrently, on up to one thread per
     CPU this process may run on (the calling thread is one of them); the

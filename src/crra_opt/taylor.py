@@ -12,12 +12,10 @@ moments of the shared scenario set.  The zero-weight instance of the update
 is the standard starting point ``(R_f/gamma) M2^-1 m1``; iterating to a
 fixed point yields the benchmark weights.
 
-``M2`` and ``m1`` are the scenario set's cached moments, shared with
+``M2`` and ``m1`` are the scenario set's moments, shared with
 ``suggest_eta``; ``M2`` is factored once per solve and reused.  The
-length-N products of each update (the excess wealth ``w'R_i`` and the two
-sums) are single ``np.einsum`` calls over the contiguous per-asset rows of
-``ScenarioSet.cols``, never BLAS, so an update is bit-identical under any
-BLAS thread count.  Expectations are estimated on the same scenario set
+excess wealth ``w'R_i`` and the two sums of each update are the scenario
+set's own reductions.  Expectations are estimated on the same scenario set
 used by the other solvers, which removes cross-method sampling noise from
 comparisons.
 """
@@ -77,13 +75,11 @@ def _m2_factor(scenarios) -> np.ndarray:
 
 def _step(scenarios, factor, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
     g = ra.gamma
-    cols = scenarios.cols
-    n = cols.shape[1]
-    x = np.einsum("i,ij->j", w, cols)
+    x = scenarios.excess(w)
     x2 = x * x
-    quad = np.einsum("ij,j->i", cols, x2) / n
+    quad = scenarios.weighted_mean(x2)
     x2 *= x
-    cube = np.einsum("ij,j->i", cols, x2) / n
+    cube = scenarios.weighted_mean(x2)
     rhs = (
         gross_rf * scenarios.m1
         + (g * (g + 1.0) / (2.0 * gross_rf)) * quad

@@ -280,6 +280,10 @@ class TestCompare:
         ("solve", ["--taylor-tol", "0"]),
         ("solve", ["--samples", "0"]),
         ("compare", ["--samples", "1"]),
+        ("compare", ["--gammas", "10.0000001,10.0000002"]),
+        ("compare", ["--gammas", "5,5"]),
+        ("compare", ["--seed", "-1"]),
+        ("solve", ["--method", "gd", "--seed", "-1"]),
     ],
 )
 def test_bad_numeric_flag_is_validation_error(tmp_path, benchmark_json, capsys, command, flags):

@@ -21,6 +21,7 @@ from crra_opt import (
     ecdf,
     evaluate_strategy,
     gamma_lower_bound,
+    gd_solve,
     make_params,
     simulate,
     summarize,
@@ -69,6 +70,27 @@ class TestSimulate:
     def test_n_must_be_positive(self, benchmark_params):
         with pytest.raises(ValueError):
             simulate(benchmark_params, 0, 1)
+
+
+class TestScenarioSet:
+    @pytest.mark.parametrize(
+        "returns", [np.zeros((0, 2)), np.zeros(3), np.array([[0.1], [np.inf]])]
+    )
+    def test_invalid_returns(self, returns):
+        with pytest.raises(ValueError):
+            ScenarioSet(returns=returns, seed=0)
+
+    def test_reductions_match_plain_numpy(self):
+        returns = np.random.default_rng(3).normal(0.01, 0.05, size=(40, 3))
+        scenarios = ScenarioSet(returns=returns, seed=0)
+        w = np.array([0.5, -0.2, 1.1])
+        v = np.random.default_rng(4).uniform(size=40)
+        np.testing.assert_allclose(scenarios.excess(w), returns @ w, rtol=1e-13)
+        np.testing.assert_allclose(scenarios.wealth(w, 1.001), 1.001 + returns @ w, rtol=1e-13)
+        np.testing.assert_allclose(scenarios.weighted_mean(v), v @ returns / 40, rtol=1e-13)
+        np.testing.assert_allclose(scenarios.m1, returns.mean(axis=0), rtol=1e-13)
+        np.testing.assert_allclose(scenarios.m2, returns.T @ returns / 40, rtol=1e-13)
+        assert not scenarios.m1.flags.writeable and not scenarios.m2.flags.writeable
 
 
 class TestEvaluateStrategy:
@@ -266,6 +288,14 @@ class TestSolveMethod:
         for method in METHODS:
             solved = simulation.solve_method(method, benchmark_params, scenarios, ra)
             np.testing.assert_array_equal(solved.weights, report.cells[(10.0, method)].weights)
+
+    def test_gd_without_config_matches_dispatch(self, benchmark_params):
+        scenarios = simulate(benchmark_params, 5_000, 23)
+        ra = RiskAversion(10.0)
+        direct = gd_solve(scenarios, ra, benchmark_params.gross_rf)
+        dispatched = simulation.solve_method("gd", benchmark_params, scenarios, ra)
+        np.testing.assert_array_equal(direct.weights, dispatched.weights)
+        assert direct.iterations == dispatched.iterations
 
     def test_unknown_method(self, benchmark_params):
         with pytest.raises(ValueError, match="unknown method"):
