@@ -39,13 +39,11 @@ from .market import (
     write_params_json,
 )
 from .reports import (
-    analytical_report_dict,
     comparison_report_dict,
     dumps_json,
     fmt_gamma,
-    gd_report_dict,
     human_comparison_table,
-    taylor_report_dict,
+    solver_report_dict,
     write_comparison_csv,
     write_ecdf_files,
     write_text,
@@ -58,13 +56,6 @@ EXIT_IO = 2
 EXIT_VALIDATION = 3
 EXIT_GAMMA_BOUND = 4
 EXIT_NOT_CONVERGED = 5
-
-REPORT_DICTS = {
-    "analytical": analytical_report_dict,
-    "taylor": taylor_report_dict,
-    "gd": gd_report_dict,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -164,8 +155,10 @@ def cmd_solve(args) -> int:
         if args.samples is None or args.seed is None:
             raise ValidationError(f"--method {args.method} requires --samples and --seed")
         scenarios = simulate(params, args.samples, args.seed)
-    reports = {m: REPORT_DICTS[m](solve_method(m, params, scenarios, ra, gd_cfg, taylor_cfg))
-               for m in methods}
+    reports = {
+        m: solver_report_dict(m, solve_method(m, params, scenarios, ra, gd_cfg, taylor_cfg))
+        for m in methods
+    }
 
     if args.method == "all":
         distances = {}
@@ -200,8 +193,6 @@ def cmd_compare(args) -> int:
     if len(set(labels)) < len(labels):
         # The label keys comparison.json and names the ECDF files.
         raise ValidationError(f"--gammas repeats a value at 6 digits: {', '.join(labels)}")
-    if args.ecdf_points < 2:
-        raise ValidationError(f"--ecdf-points must be >= 2, got {args.ecdf_points}")
     gd_cfg, taylor_cfg = _solver_configs(args)
     report = compare(
         params, gammas, n=args.samples, seed=args.seed,

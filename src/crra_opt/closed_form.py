@@ -61,8 +61,9 @@ class TangencyResult:
     gamma_tgc: float
 
 
-def _scale_roots(J: float, gamma: float, gross_rf: float):
-    """Both roots of the first-order condition, in cancellation-free form.
+def _scale_root(J: float, gamma: float, gross_rf: float):
+    """The smaller root ``c`` of the first-order condition, in
+    cancellation-free form, and the discriminant ``D``.
 
     The quadratic ``J^2 c^2 + (2 R_f J + (1-gamma) R_f) c + R_f^2 = 0`` has
     roots ``c_± = R_f (a - J ± sqrt(D)) / J^2`` with ``a = (gamma-1)/2`` and
@@ -79,10 +80,7 @@ def _scale_roots(J: float, gamma: float, gross_rf: float):
     d = a * a - (gamma - 1.0) * J
     if -D_CLAMP < d < D_CLAMP:
         d = 0.0
-    root = math.sqrt(d)
-    c_minus = gross_rf / (a - J + root)
-    c_plus = gross_rf * (a - J + root) / (J * J)
-    return c_minus, c_plus, d
+    return gross_rf / (a - J + math.sqrt(d)), d
 
 
 def solve_analytical(p: MarketParams, ra: RiskAversion) -> ClosedFormSolution:
@@ -105,7 +103,7 @@ def solve_analytical(p: MarketParams, ra: RiskAversion) -> ClosedFormSolution:
         raise DegenerateMu(f"mu' sigma^-1 mu = {J:.3e} is numerically zero")
     gamma = ra.gamma
     require_admissible_gamma(gamma, 1.0 + 4.0 * J)
-    c, _, d = _scale_roots(J, gamma, p.gross_rf)
+    c, d = _scale_root(J, gamma, p.gross_rf)
     weights = c * sol
     mean = float(weights @ p.mu)
     variance = float(weights @ p.sigma @ weights)

@@ -15,13 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .closed_form import ClosedFormSolution
-from .gradient import GdReport
 from .simulation import METHODS, ComparisonReport, SummaryStats
-from .taylor import TaylorReport
 
 # Summary statistics in output order: mean, sd, median, mad.
 STATS = tuple(f.name for f in fields(SummaryStats))
+
+# Solver report fields that ``solve`` writes under another key.
+REPORT_KEYS = {"expected_excess_return": "mean_excess", "final_gradient_norm": "grad_norm"}
 
 JSON_INDENT = "  "
 
@@ -81,38 +81,17 @@ def _dumps_str(text: str) -> str:
     return json.dumps(text, ensure_ascii=False)
 
 
-def analytical_report_dict(sol: ClosedFormSolution) -> dict:
-    return {
-        "weights": [float(x) for x in sol.weights],
-        "c": sol.c,
-        "J": sol.J,
-        "D": sol.D,
-        "gamma": sol.gamma,
-        "mean_excess": sol.expected_excess_return,
-        "variance": sol.variance,
-        "foc_residual": sol.foc_residual,
-        "method": "analytical",
-    }
-
-
-def gd_report_dict(rep: GdReport) -> dict:
-    return {
-        "weights": [float(x) for x in rep.weights],
-        "iterations": rep.iterations,
-        "grad_norm": rep.final_gradient_norm,
-        "objective": rep.objective,
-        "converged": rep.converged,
-        "method": "gd",
-    }
-
-
-def taylor_report_dict(rep: TaylorReport) -> dict:
-    return {
-        "weights": [float(x) for x in rep.weights],
-        "iterations": rep.iterations,
-        "converged": rep.converged,
-        "method": "taylor",
-    }
+def solver_report_dict(method: str, report) -> dict:
+    """A solver report as ``solve`` writes it: the dataclass fields in
+    declaration order, renamed by :data:`REPORT_KEYS`, then ``method``."""
+    out = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        out[REPORT_KEYS.get(f.name, f.name)] = (
+            value.tolist() if isinstance(value, np.ndarray) else value
+        )
+    out["method"] = method
+    return out
 
 
 def comparison_report_dict(report: ComparisonReport) -> dict:

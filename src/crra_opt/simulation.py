@@ -38,7 +38,7 @@ METHODS = ("analytical", "taylor", "gd")
 MAD_SCALE = 1.4826
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioSet:
     """N simulated excess-return vectors plus the seed that produced them.
 
@@ -47,14 +47,15 @@ class ScenarioSet:
     length-N reduction reads one contiguous row per asset.  ``returns`` is
     the ``(N, k)`` view ``cols.T`` of the same buffer.  The read-only sample
     moments ``m1 = (1/N) sum_i R_i`` and ``M2 = m2 = (1/N) sum_i R_i R_i'``
-    are computed once, on construction, and shared by every solver.
+    are computed once, on construction, and shared by every solver.  Sets
+    compare by identity.
     """
 
     returns: np.ndarray
     seed: int
-    cols: np.ndarray = field(init=False, repr=False, compare=False)
-    m1: np.ndarray = field(init=False, repr=False, compare=False)
-    m2: np.ndarray = field(init=False, repr=False, compare=False)
+    cols: np.ndarray = field(init=False, repr=False)
+    m1: np.ndarray = field(init=False, repr=False)
+    m2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         returns = np.asarray(self.returns, dtype=float)
@@ -169,8 +170,7 @@ def simulate(p: MarketParams, n: int, seed: int) -> ScenarioSet:
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((int(n), p.k))
-    returns = np.einsum("nj,ij->ni", z, p.chol_lower)
+    returns = np.einsum("nj,ij->ni", rng.standard_normal((int(n), p.k)), p.chol_lower)
     returns += p.mu
     return ScenarioSet(returns=returns, seed=seed)
 
@@ -217,13 +217,15 @@ def summarize(values) -> SummaryStats:
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.shape[0] < 2:
         raise ValidationError("summarize needs a 1-D sample of size >= 2")
+    # The mean and sd come first, so their temporary and the deviations
+    # are never held at once.
+    mean = float(x.mean())
+    sd = float(x.std(ddof=1))
     med = float(np.median(x))
     dev = x - med
     np.abs(dev, out=dev)
     return SummaryStats(
-        mean=float(x.mean()),
-        sd=float(x.std(ddof=1)),
-        median=med,
+        mean=mean, sd=sd, median=med,
         mad=MAD_SCALE * float(np.median(dev, overwrite_input=True)),
     )
 
@@ -245,7 +247,7 @@ def ecdf(values, grid_points: int) -> np.ndarray:
 
 
 def _solve_workers(tasks: int) -> int:
-    """Threads for the solve phase of :func:`compare`: one per task, at most
+    """Threads for the gamma tasks of :func:`compare`: one per task, at most
     one per CPU this process may run on."""
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -269,31 +271,62 @@ def solve_method(method: str, p: MarketParams, scenarios: ScenarioSet | None, ra
     raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def _solve_gamma(p, scenarios, ra, gd_cfg, taylor_cfg) -> dict:
-    """``method -> (weights, error)`` for the three solvers at one gamma.
+def _evaluate_cell(scenarios, weights, ra, gross_rf, method, ecdf_points) -> tuple:
+    """The :class:`CellResult` of fixed weights and its wealth and utility
+    ECDF tables.
 
-    A :class:`CrraOptError` becomes its cell's error message; any other
-    exception propagates.
+    A function of its own, so the cell's length-N arrays are freed before
+    the next cell is solved.
     """
-    solved = {}
+    outcome = evaluate_strategy(scenarios, weights, ra, gross_rf, method=method)
+    finite = outcome.utilities
+    kept = np.isfinite(finite)
+    dropped = finite.shape[0] - int(np.count_nonzero(kept))
+    if dropped:
+        finite = finite[kept]
+    cell = CellResult(
+        weights=weights, stats=summarize(finite), infeasible_count=outcome.infeasible_count,
+        nonfinite_count=dropped - outcome.infeasible_count,
+    )
+    return cell, ecdf(outcome.wealths, ecdf_points), ecdf(finite, ecdf_points)
+
+
+def _compare_gamma(p, scenarios, g, gd_cfg, taylor_cfg, ecdf_points) -> tuple[dict, dict]:
+    """The cells and ECDF tables of one gamma, keyed as in :class:`ComparisonReport`.
+
+    Each method is solved and its weights evaluated; a :class:`CrraOptError`
+    at either step becomes its cell's error, with the weights kept if the
+    solve got that far.  Any other exception propagates.
+    """
+    ra = RiskAversion(g)
+    cells, ecdfs = {}, {}
     for method in METHODS:
+        weights = None
         try:
-            report = solve_method(method, p, scenarios, ra, gd_cfg, taylor_cfg)
-            solved[method] = (report.weights, None)
+            weights = solve_method(method, p, scenarios, ra, gd_cfg, taylor_cfg).weights
+            cell, wealth_table, utility_table = _evaluate_cell(
+                scenarios, weights, ra, p.gross_rf, method, ecdf_points
+            )
         except CrraOptError as exc:
-            solved[method] = (None, str(exc))
-    return solved
+            cells[(g, method)] = CellResult(
+                weights=weights, stats=None, infeasible_count=0, error=str(exc)
+            )
+        else:
+            cells[(g, method)] = cell
+            ecdfs[(g, method, "wealth")] = wealth_table
+            ecdfs[(g, method, "utility")] = utility_table
+    return cells, ecdfs
 
 
-def _solve_gammas(p, scenarios, gammas, gd_cfg, taylor_cfg) -> list[dict]:
-    """:func:`_solve_gamma` for every gamma, on up to one thread per CPU.
+def _compare_gammas(p, scenarios, gammas, gd_cfg, taylor_cfg, ecdf_points) -> list[tuple]:
+    """:func:`_compare_gamma` for every gamma, on up to one thread per CPU.
 
     The calling thread is one of the workers.  Each worker takes the next
-    unsolved gamma until none is left, and results are stored by gamma
-    index, so they do not depend on the number of workers or on which
-    worker solved what.
+    gamma until none is left, and results are stored by gamma index, so
+    they do not depend on the number of workers or on which worker took
+    what.
     """
-    solved: list = [None] * len(gammas)
+    results: list = [None] * len(gammas)
     todo = iter(range(len(gammas)))
     todo_lock = threading.Lock()
 
@@ -303,7 +336,8 @@ def _solve_gammas(p, scenarios, gammas, gd_cfg, taylor_cfg) -> list[dict]:
                 i = next(todo, None)
             if i is None:
                 return
-            solved[i] = _solve_gamma(p, scenarios, RiskAversion(gammas[i]), gd_cfg, taylor_cfg)
+            results[i] = _compare_gamma(p, scenarios, gammas[i], gd_cfg, taylor_cfg,
+                                        ecdf_points)
 
     helpers = _solve_workers(len(gammas)) - 1
     # A pool starts its threads on submit, so one worker starts none.
@@ -312,7 +346,7 @@ def _solve_gammas(p, scenarios, gammas, gd_cfg, taylor_cfg) -> list[dict]:
         work()
     for future in futures:
         future.result()
-    return solved
+    return results
 
 
 def compare(
@@ -331,53 +365,30 @@ def compare(
     strategies are then evaluated on the same scenarios; utility summary
     statistics exclude (but count) non-positive-wealth draws and draws whose
     utility overflows.  ``n`` must be at least 2, the smallest sample the
-    statistics take.
+    statistics take, and ``ecdf_points`` at least 2.
 
-    The solvers are called through :func:`solve_method`.  Failures inside
-    one (gamma, method) cell are recorded on that cell and do not abort the
-    rest of the run; any error that is not a :class:`CrraOptError`
-    propagates.
+    The solvers are called through :func:`solve_method`.  A
+    :class:`CrraOptError` while solving or evaluating one (gamma, method)
+    cell is recorded on that cell and does not abort the rest of the run;
+    any other error propagates.
 
-    The solve phase runs the gammas concurrently, on up to one thread per
-    CPU this process may run on (the calling thread is one of them); the
-    solves only read the shared scenario set.  Evaluation, summaries and
-    ECDFs then run serially in gamma order.  The report is bit-identical
-    whatever the number of threads.
+    Each gamma is solved, evaluated, summarized and given its ECDFs as one
+    task; the tasks run concurrently, on up to one thread per CPU this
+    process may run on (the calling thread is one of them), and only read
+    the shared scenario set.  Their results are merged in gamma order, so
+    the report is bit-identical whatever the number of threads.
     """
     if n < 2:
         raise ValidationError(f"compare needs n >= 2 scenarios, got {n}")
+    if ecdf_points < 2:
+        raise ValidationError(f"--ecdf-points must be >= 2, got {ecdf_points}")
     gammas = tuple(float(g) for g in gammas)
     bound = gamma_lower_bound(p)
     for g in gammas:
         require_admissible_gamma(g, bound)
     scenarios = simulate(p, n, seed)
-    solved = _solve_gammas(p, scenarios, gammas, gd_cfg, taylor_cfg)
     report = ComparisonReport(gammas=gammas, n=int(n), seed=int(seed))
-    for g, cells in zip(gammas, solved):
-        ra = RiskAversion(g)
-        for method in METHODS:
-            w, error = cells[method]
-            if w is None:
-                report.cells[(g, method)] = CellResult(
-                    weights=None, stats=None, infeasible_count=0, error=error
-                )
-                continue
-            try:
-                outcome = evaluate_strategy(scenarios, w, ra, p.gross_rf, method=method)
-                finite = outcome.utilities
-                kept = np.isfinite(finite)
-                dropped = finite.shape[0] - int(np.count_nonzero(kept))
-                if dropped:
-                    finite = finite[kept]
-                stats = summarize(finite)
-                report.cells[(g, method)] = CellResult(
-                    weights=w, stats=stats, infeasible_count=outcome.infeasible_count,
-                    nonfinite_count=dropped - outcome.infeasible_count,
-                )
-                report.ecdfs[(g, method, "wealth")] = ecdf(outcome.wealths, ecdf_points)
-                report.ecdfs[(g, method, "utility")] = ecdf(finite, ecdf_points)
-            except CrraOptError as exc:
-                report.cells[(g, method)] = CellResult(
-                    weights=w, stats=None, infeasible_count=0, error=str(exc)
-                )
+    for cells, ecdfs in _compare_gammas(p, scenarios, gammas, gd_cfg, taylor_cfg, ecdf_points):
+        report.cells.update(cells)
+        report.ecdfs.update(ecdfs)
     return report

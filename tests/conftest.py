@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from crra_opt import MarketParams, make_params
+from crra_opt.closed_form import _scale_root
 
 # Three-asset weekly benchmark market used throughout: excess-return moments
 # estimated from DAX / Nasdaq futures / Russell 2000 futures weekly prices,
@@ -20,6 +23,14 @@ BENCHMARK_RF = 0.0006
 
 # 1 + 4 mu' sigma^-1 mu for the benchmark market, pinned from this build.
 BENCHMARK_BOUND = 1.0772240691920854
+
+
+def scale_roots(j: float, gamma: float, gross_rf: float) -> tuple[float, float]:
+    """Both roots of the closed form's first-order condition: the one it
+    uses, and the other, ``R_f (a - J + sqrt(D)) / J^2`` with
+    ``a = (gamma-1)/2``."""
+    c_minus, d = _scale_root(j, gamma, gross_rf)
+    return c_minus, gross_rf * ((gamma - 1.0) / 2.0 - j + math.sqrt(d)) / (j * j)
 
 
 @pytest.fixture(scope="session")

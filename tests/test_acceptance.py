@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import BENCHMARK_BOUND, BENCHMARK_MU, BENCHMARK_RF, BENCHMARK_SIGMA
+from conftest import BENCHMARK_BOUND, BENCHMARK_MU, BENCHMARK_RF, BENCHMARK_SIGMA, scale_roots
 from crra_opt import (
     RiskAversion,
     ScenarioSet,
@@ -35,7 +35,6 @@ from crra_opt import (
     write_params_json,
 )
 from crra_opt.cli import main as cli_main
-from crra_opt.closed_form import _scale_roots
 from crra_opt.simulation import compare
 
 SEED = 20120116
@@ -194,7 +193,7 @@ def test_criterion_4_algebraic_identities():
         assert sol2.expected_excess_return < sol1.expected_excess_return
         assert sol2.variance < sol1.variance
         gamma = bound + u1
-        c_minus, c_plus, _ = _scale_roots(j, gamma, p.gross_rf)
+        c_minus, c_plus = scale_roots(j, gamma, p.gross_rf)
         ra = RiskAversion(gamma)
         assert objective_g(p, c_minus * direction, ra) >= \
             objective_g(p, c_plus * direction, ra) - 1e-12

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import BENCHMARK_BOUND
+from conftest import BENCHMARK_BOUND, scale_roots
 from crra_opt import (
     DegenerateMu,
     GammaBelowBound,
@@ -21,7 +21,6 @@ from crra_opt import (
     solve_analytical,
     tangency,
 )
-from crra_opt.closed_form import _scale_roots
 
 # Frozen from the independent oracle for the k=1 market (mu=0.05, var=0.01,
 # R_f=1, gamma=10): np.roots on the first-order quadratic, and a grid
@@ -57,7 +56,7 @@ class TestSingleAssetOracle:
 
     def test_minus_root_beats_plus_root(self, single_asset_params):
         ra = RiskAversion(10.0)
-        c_minus, c_plus, _ = _scale_roots(0.25, 10.0, 1.0)
+        c_minus, c_plus = scale_roots(0.25, 10.0, 1.0)
         g_minus = objective_g(single_asset_params, np.array([5 * c_minus]), ra)
         g_plus = objective_g(single_asset_params, np.array([5 * c_plus]), ra)
         assert g_minus > g_plus
@@ -237,7 +236,7 @@ class TestClosedFormProperties:
             bound = 1.0 + 4.0 * j
             gamma = bound + float(rng.uniform(1e-6, 30.0))
             ra = RiskAversion(gamma)
-            c_minus, c_plus, _ = _scale_roots(j, gamma, p.gross_rf)
+            c_minus, c_plus = scale_roots(j, gamma, p.gross_rf)
             g_minus = objective_g(p, c_minus * sol, ra)
             g_plus = objective_g(p, c_plus * sol, ra)
             assert g_minus >= g_plus - 1e-12

@@ -8,16 +8,17 @@ import json
 import numpy as np
 import pytest
 
-from crra_opt import CellResult, ComparisonReport, SummaryStats
+from crra_opt import CellResult, ComparisonReport, RiskAversion, SummaryStats, simulate
 from crra_opt.reports import (
     dumps_json,
     ecdf_filename,
     fmt17,
     fmt_gamma,
+    solver_report_dict,
     write_comparison_csv,
     write_ecdf_files,
 )
-from crra_opt.simulation import METHODS
+from crra_opt.simulation import METHODS, solve_method
 
 
 class TestFloatFormatting:
@@ -86,6 +87,22 @@ def _report_with(cells=None, ecdfs=None, gammas=(5.0,)):
     report.cells.update(cells or {})
     report.ecdfs.update(ecdfs or {})
     return report
+
+
+def test_solver_report_keys_keep_solve_order(benchmark_params):
+    scenarios = simulate(benchmark_params, 2_000, 3)
+    expected = {
+        "analytical": ["weights", "c", "J", "D", "gamma", "mean_excess", "variance",
+                       "foc_residual", "method"],
+        "taylor": ["weights", "iterations", "converged", "method"],
+        "gd": ["weights", "iterations", "grad_norm", "objective", "converged", "method"],
+    }
+    for method in METHODS:
+        report = solve_method(method, benchmark_params, scenarios, RiskAversion(10.0))
+        payload = solver_report_dict(method, report)
+        assert list(payload) == expected[method]
+        assert payload["method"] == method
+        assert payload["weights"] == [float(x) for x in report.weights]
 
 
 class TestComparisonCsv:

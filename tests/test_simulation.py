@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from crra_opt import (
     RiskAversion,
     ScenarioSet,
     StepIntoInfeasible,
+    ValidationError,
     compare,
     ecdf,
     evaluate_strategy,
@@ -91,6 +93,12 @@ class TestScenarioSet:
         np.testing.assert_allclose(scenarios.m1, returns.mean(axis=0), rtol=1e-13)
         np.testing.assert_allclose(scenarios.m2, returns.T @ returns / 40, rtol=1e-13)
         assert not scenarios.m1.flags.writeable and not scenarios.m2.flags.writeable
+
+    def test_sets_compare_by_identity(self):
+        a = ScenarioSet(returns=np.ones((3, 2)), seed=0)
+        b = ScenarioSet(returns=np.ones((3, 2)), seed=0)
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
 
 class TestEvaluateStrategy:
@@ -187,6 +195,14 @@ class TestCompare:
         with pytest.raises(GammaBelowBound):
             compare(benchmark_params, [1.05, 5.0], n=100, seed=3)
 
+    def test_ecdf_points_checked_before_the_draw(self, benchmark_params, monkeypatch):
+        def simulate_unexpected(p, n, seed):
+            raise AssertionError("compare drew scenarios")
+
+        monkeypatch.setattr(simulation, "simulate", simulate_unexpected)
+        with pytest.raises(ValidationError, match="must be >= 2, got 1"):
+            compare(benchmark_params, [10.0], n=500, seed=9, ecdf_points=1)
+
     def test_deterministic(self, benchmark_params):
         a = compare(benchmark_params, [6.0], n=20_000, seed=12)
         b = compare(benchmark_params, [6.0], n=20_000, seed=12)
@@ -230,8 +246,8 @@ class TestCompare:
         ``returns``, with w = 1 from every solver."""
         scenarios = ScenarioSet(returns=returns, seed=0)
         monkeypatch.setattr(simulation, "simulate", lambda p, n, seed: scenarios)
-        monkeypatch.setattr(simulation, "_solve_gamma", lambda p, scen, ra, gd_cfg, taylor_cfg:
-                            {m: (np.ones(1), None) for m in METHODS})
+        solved = SimpleNamespace(weights=np.ones(1))
+        monkeypatch.setattr(simulation, "solve_method", lambda *args: solved)
         return compare(make_params([0.001], [[0.0005]], 0.0006), [200.0],
                        n=len(returns), seed=0)
 
@@ -311,25 +327,25 @@ class TestConcurrentSolve:
         assert simulation._solve_workers(10_000) == cpus
 
     def test_bitwise_equal_for_any_worker_count(self, benchmark_params, monkeypatch):
-        # More workers than CPUs and frequent thread switches: every gamma
+        # More workers than CPUs and frequent thread switches: every cell
         # must still be solved exactly once and land in its own slot.
-        solved_gammas = []
-        real_solve_gamma = simulation._solve_gamma
+        solved_cells = []
+        real_solve_method = simulation.solve_method
 
-        def solve_gamma(p, scenarios, ra, gd_cfg, taylor_cfg):
-            solved_gammas.append(ra.gamma)
-            return real_solve_gamma(p, scenarios, ra, gd_cfg, taylor_cfg)
+        def solve_method(method, p, scenarios, ra, gd_cfg, taylor_cfg):
+            solved_cells.append((ra.gamma, method))
+            return real_solve_method(method, p, scenarios, ra, gd_cfg, taylor_cfg)
 
-        monkeypatch.setattr(simulation, "_solve_gamma", solve_gamma)
+        monkeypatch.setattr(simulation, "solve_method", solve_method)
         reports = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 5):
                 monkeypatch.setattr(simulation, "_solve_workers", lambda tasks, w=workers: w)
-                solved_gammas.clear()
+                solved_cells.clear()
                 reports.append(compare(benchmark_params, self.GAMMAS, n=20_000, seed=21))
-                assert sorted(solved_gammas) == sorted(self.GAMMAS)
+                assert sorted(solved_cells) == sorted((g, m) for g in self.GAMMAS for m in METHODS)
         finally:
             sys.setswitchinterval(interval)
         first = reports[0]
@@ -343,20 +359,32 @@ class TestConcurrentSolve:
             for key, table in first.ecdfs.items():
                 np.testing.assert_array_equal(other.ecdfs[key], table)
 
+    @staticmethod
+    def _two_workers(monkeypatch):
+        """Run compare on two workers.  The returned ``in_helper()`` holds
+        each worker until the other has called it too, then tells whether
+        it runs in the worker that is not the calling thread."""
+        caller = threading.get_ident()
+        both_started = threading.Barrier(2)
+        monkeypatch.setattr(simulation, "_solve_workers", lambda tasks: 2)
+
+        def in_helper() -> bool:
+            both_started.wait(timeout=60)
+            return threading.get_ident() != caller
+
+        return in_helper
+
     def _gd_failing_in_helper(self, monkeypatch, error):
         """Two workers, each held until the other has a gamma; gd raises
         ``error(gamma)`` in whichever worker is not the calling thread."""
-        caller = threading.get_ident()
-        both_started = threading.Barrier(2)
+        in_helper = self._two_workers(monkeypatch)
         real_gd = simulation.gd_solve
 
         def gd(scenarios, ra, gross_rf, cfg):
-            both_started.wait(timeout=60)
-            if threading.get_ident() != caller:
+            if in_helper():
                 raise error(f"helper failed at gamma={ra.gamma:g}")
             return real_gd(scenarios, ra, gross_rf, cfg)
 
-        monkeypatch.setattr(simulation, "_solve_workers", lambda tasks: 2)
         monkeypatch.setattr(simulation, "gd_solve", gd)
 
     def test_package_error_in_helper_lands_on_its_own_cell(
@@ -376,3 +404,29 @@ class TestConcurrentSolve:
         self._gd_failing_in_helper(monkeypatch, RuntimeError)
         with pytest.raises(RuntimeError, match="helper failed at gamma="):
             compare(benchmark_params, (5.0, 10.0), n=5_000, seed=22)
+
+    def test_evaluation_error_in_helper_keeps_its_cell_weights(
+        self, benchmark_params, monkeypatch
+    ):
+        in_helper = self._two_workers(monkeypatch)
+        real_evaluate = simulation.evaluate_strategy
+
+        def evaluate(scenarios, weights, ra, gross_rf, method):
+            if method == "gd" and in_helper():
+                raise AllScenariosInfeasible(f"helper failed at gamma={ra.gamma:g}")
+            return real_evaluate(scenarios, weights, ra, gross_rf, method=method)
+
+        monkeypatch.setattr(simulation, "evaluate_strategy", evaluate)
+        report = compare(benchmark_params, (5.0, 10.0), n=5_000, seed=22)
+        failed = [key for key, cell in report.cells.items() if cell.failed]
+        assert len(failed) == 1
+        (g, method), = failed
+        assert method == "gd"
+        cell = report.cells[(g, method)]
+        assert cell.error == f"helper failed at gamma={g:g}"
+        assert cell.stats is None
+        solved = gd_solve(simulate(benchmark_params, 5_000, 22), RiskAversion(g),
+                          benchmark_params.gross_rf)
+        np.testing.assert_array_equal(cell.weights, solved.weights)
+        assert (g, "gd", "wealth") not in report.ecdfs
+        assert len(report.ecdfs) == 2 * 5
