@@ -3,9 +3,13 @@
 Scenario draws are ``R_i = mu + L z_i`` with ``L`` the lower Cholesky factor
 of sigma and ``z_i`` i.i.d. standard normal from a PCG64 generator, so a
 ``(params, n, seed)`` triple always reproduces the same scenario set on a
-given build.  One scenario set is shared by every method and risk-aversion
-level inside a comparison run, which makes the per-method statistics
-directly comparable.
+given build.  :func:`simulate` draws ``_DRAW_BLOCK`` scenarios at a time
+straight into the set's ``(k, N)`` array, so no ``(N, k)`` copy of the set
+is ever held; the generator's stream does not depend on how the draw is
+split into blocks, so the draws are bitwise those of one ``(N, k)`` draw.
+One scenario set is shared by every method and risk-aversion level inside
+a comparison run, which makes the per-method statistics directly
+comparable.
 
 :class:`ScenarioSet` owns the reductions over the N scenarios that the
 solvers and the evaluation share.  Every sum over scenarios in the package,
@@ -33,6 +37,10 @@ from .taylor import TaylorConfig, taylor_solve
 
 METHODS = ("analytical", "taylor", "gd")
 
+# Scenarios drawn per block by :func:`simulate`: its temporaries stay a few
+# MB, whatever N.
+_DRAW_BLOCK = 8192
+
 # Median-absolute-deviation scale for consistency with the standard
 # deviation under normality.
 MAD_SCALE = 1.4826
@@ -58,12 +66,26 @@ class ScenarioSet:
     m2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        returns = np.asarray(self.returns, dtype=float)
-        if returns.ndim != 2 or returns.shape[0] < 1:
-            raise ValueError(f"returns must be 2-D (N, k) with N >= 1, got shape {returns.shape}")
-        if not np.isfinite(returns).all():
+        # A private copy, so the set never aliases the caller's array.
+        self._own(np.array(np.asarray(self.returns, dtype=float).T, order="C"))
+        object.__setattr__(self, "seed", int(self.seed))
+
+    @classmethod
+    def _from_cols(cls, cols: np.ndarray, seed: int) -> ScenarioSet:
+        """A set that takes ownership of the C-contiguous float ``(k, N)``
+        array ``cols`` without copying it; the caller must not keep it."""
+        scenarios = cls.__new__(cls)
+        scenarios._own(cols)
+        object.__setattr__(scenarios, "seed", int(seed))
+        return scenarios
+
+    def _own(self, cols: np.ndarray) -> None:
+        """Check ``cols``, compute the moments and freeze all three."""
+        if cols.ndim != 2 or 0 in cols.shape:
+            raise ValueError("returns must be 2-D (N, k) with N >= 1 and k >= 1, "
+                             f"got shape {cols.shape[::-1]}")
+        if not np.isfinite(cols).all():
             raise ValueError("scenario returns must be finite")
-        cols = np.array(returns.T, order="C")
         n = cols.shape[1]
         m1 = np.einsum("ij->i", cols) / n
         m2 = np.einsum("ij,lj->il", cols, cols) / n
@@ -71,7 +93,6 @@ class ScenarioSet:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "returns", cols.T)
-        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def n(self) -> int:
@@ -163,16 +184,22 @@ def simulate(p: MarketParams, n: int, seed: int) -> ScenarioSet:
     """Draw ``n`` excess-return vectors from ``N(mu, sigma)``.
 
     The draw stream is determined solely by ``seed``; the covariance enters
-    linearly through the cached lower Cholesky factor.
+    linearly through the cached lower Cholesky factor.  The draw is made
+    in blocks straight into the set's ``(k, N)`` array (see the module
+    docstring).
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    returns = np.einsum("nj,ij->ni", rng.standard_normal((int(n), p.k)), p.chol_lower)
-    returns += p.mu
-    return ScenarioSet(returns=returns, seed=seed)
+    n = int(n)
+    cols = np.empty((p.k, n))
+    for start in range(0, n, _DRAW_BLOCK):
+        z = rng.standard_normal((min(_DRAW_BLOCK, n - start), p.k))
+        np.add(np.einsum("nj,ij->ni", z, p.chol_lower).T, p.mu[:, None],
+               out=cols[:, start:start + z.shape[0]])
+    return ScenarioSet._from_cols(cols, seed)
 
 
 def evaluate_strategy(
@@ -207,27 +234,62 @@ def evaluate_strategy(
     )
 
 
+def _sample(values, min_size: int, what: str) -> np.ndarray:
+    """``values`` as a 1-D float array of at least ``min_size`` values."""
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 1 or x.shape[0] < min_size:
+        raise ValidationError(f"{what} needs a 1-D sample of size >= {min_size}")
+    return x
+
+
+def _middle(s: np.ndarray) -> float:
+    """The median of ``s``, whose middle positions hold its middle order
+    statistics (``s`` sorted, or partitioned at those positions): the
+    middle value for odd sizes, the mean of the middle pair for even ones."""
+    h = s.shape[0] // 2
+    if s.shape[0] % 2:
+        return float(s[h])
+    return float((s[h - 1] + s[h]) / 2)
+
+
+def _summary_of_sorted(s: np.ndarray, mean: float, sd: float) -> SummaryStats:
+    """Summary of the ascending sample ``s``, given its mean and sd.
+
+    The median is read from ``s``; ``s`` is then overwritten with the
+    absolute deviations from it, and their median, the MAD, comes from one
+    partition.
+    """
+    med = _middle(s)
+    s -= med
+    np.abs(s, out=s)
+    h = s.shape[0] // 2
+    s.partition(h if s.shape[0] % 2 else [h - 1, h])
+    return SummaryStats(mean=mean, sd=sd, median=med, mad=MAD_SCALE * _middle(s))
+
+
+def _ecdf_of_sorted(s: np.ndarray, grid_points: int) -> np.ndarray:
+    """:func:`ecdf` of the ascending, non-empty sample ``s``."""
+    if not (np.isfinite(s[0]) and np.isfinite(s[-1])):  # NaN sorts last
+        raise ValidationError("ecdf needs finite values")
+    grid = np.linspace(s[0], s[-1], int(grid_points))
+    f = np.searchsorted(s, grid, side="right") / s.shape[0]
+    return np.column_stack([grid, f])
+
+
 def summarize(values) -> SummaryStats:
     """Mean, sd (n-1 denominator), median, and scaled MAD of a sample.
 
-    The median averages the two middle order statistics for even sizes; the
-    MAD is ``MAD_SCALE * median(|x - median(x)|)`` so it estimates the
-    standard deviation under normality.
+    The sample must be 1-D, of size >= 2 and finite; anything else raises
+    :class:`ValidationError`.  The median averages the two middle order
+    statistics for even sizes and is read from one sorted copy; the MAD is
+    ``MAD_SCALE * median(|x - median(x)|)``, from one partition of the
+    deviations, so it estimates the standard deviation under normality.
     """
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.shape[0] < 2:
-        raise ValidationError("summarize needs a 1-D sample of size >= 2")
-    # The mean and sd come first, so their temporary and the deviations
-    # are never held at once.
-    mean = float(x.mean())
-    sd = float(x.std(ddof=1))
-    med = float(np.median(x))
-    dev = x - med
-    np.abs(dev, out=dev)
-    return SummaryStats(
-        mean=mean, sd=sd, median=med,
-        mad=MAD_SCALE * float(np.median(dev, overwrite_input=True)),
-    )
+    x = _sample(values, 2, "summarize")
+    if not np.isfinite(x).all():
+        raise ValidationError("summarize needs finite values")
+    mean, sd = float(x.mean()), float(x.std(ddof=1))
+    return _summary_of_sorted(np.sort(x), mean, sd)
 
 
 def ecdf(values, grid_points: int) -> np.ndarray:
@@ -235,15 +297,12 @@ def ecdf(values, grid_points: int) -> np.ndarray:
 
     Returns a ``(grid_points, 2)`` array of ``(x, F(x))`` rows with
     ``F(x) = #(values <= x) / N``; the last row always has ``F = 1``.
+    ``values`` must be 1-D, non-empty and finite and ``grid_points`` at
+    least 2; anything else raises :class:`ValidationError`.
     """
-    x = np.sort(np.asarray(values, dtype=float))
-    if x.shape[0] < 1:
-        raise ValueError("ecdf needs at least one value")
     if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    grid = np.linspace(x[0], x[-1], int(grid_points))
-    f = np.searchsorted(x, grid, side="right") / x.shape[0]
-    return np.column_stack([grid, f])
+        raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
+    return _ecdf_of_sorted(np.sort(_sample(values, 1, "ecdf")), grid_points)
 
 
 def _solve_workers(tasks: int) -> int:
@@ -273,22 +332,36 @@ def solve_method(method: str, p: MarketParams, scenarios: ScenarioSet | None, ra
 
 def _evaluate_cell(scenarios, weights, ra, gross_rf, method, ecdf_points) -> tuple:
     """The :class:`CellResult` of fixed weights and its wealth and utility
-    ECDF tables.
+    ECDF tables, equal to what :func:`summarize` and :func:`ecdf` give.
 
+    The outcome's arrays are private to the call, so each is sorted in
+    place and read for its ECDF; the wealths are then released, and the
+    sorted utilities become the deviations of :func:`_summary_of_sorted`.
     A function of its own, so the cell's length-N arrays are freed before
     the next cell is solved.
     """
     outcome = evaluate_strategy(scenarios, weights, ra, gross_rf, method=method)
-    finite = outcome.utilities
-    kept = np.isfinite(finite)
-    dropped = finite.shape[0] - int(np.count_nonzero(kept))
+    infeasible = outcome.infeasible_count
+    wealths, utilities = outcome.wealths, outcome.utilities
+    del outcome
+    wealths.sort()
+    wealth_table = _ecdf_of_sorted(wealths, ecdf_points)
+    del wealths
+    kept = np.isfinite(utilities)
+    dropped = utilities.shape[0] - int(np.count_nonzero(kept))
     if dropped:
-        finite = finite[kept]
+        utilities = utilities[kept]
+    del kept
+    utilities = _sample(utilities, 2, "summarize")
+    # The mean and sd come before the sort: their sums depend on the order.
+    mean, sd = float(utilities.mean()), float(utilities.std(ddof=1))
+    utilities.sort()
+    utility_table = _ecdf_of_sorted(utilities, ecdf_points)
     cell = CellResult(
-        weights=weights, stats=summarize(finite), infeasible_count=outcome.infeasible_count,
-        nonfinite_count=dropped - outcome.infeasible_count,
+        weights=weights, stats=_summary_of_sorted(utilities, mean, sd),
+        infeasible_count=infeasible, nonfinite_count=dropped - infeasible,
     )
-    return cell, ecdf(outcome.wealths, ecdf_points), ecdf(finite, ecdf_points)
+    return cell, wealth_table, utility_table
 
 
 def _compare_gamma(p, scenarios, g, gd_cfg, taylor_cfg, ecdf_points) -> tuple[dict, dict]:

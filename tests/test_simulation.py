@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crra_opt import (
     AllScenariosInfeasible,
@@ -18,6 +22,7 @@ from crra_opt import (
     RiskAversion,
     ScenarioSet,
     StepIntoInfeasible,
+    SummaryStats,
     ValidationError,
     compare,
     ecdf,
@@ -30,7 +35,23 @@ from crra_opt import (
 )
 from crra_opt import simulation
 from crra_opt.reports import comparison_report_dict, human_comparison_table
-from crra_opt.simulation import METHODS
+from crra_opt.simulation import MAD_SCALE, METHODS
+
+BLOCK = simulation._DRAW_BLOCK
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _peak_bytes(fn) -> int:
+    """Peak bytes that numpy and Python allocate while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSimulate:
@@ -73,14 +94,42 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(benchmark_params, 0, 1)
 
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_block_draw_equals_one_shot_draw(self, make_random_params, n, k):
+        p = make_random_params(np.random.default_rng(k), k)
+        z = np.random.default_rng(41).standard_normal((n, k))
+        expected = np.einsum("nj,ij->ni", z, p.chol_lower) + p.mu
+        scenarios = simulate(p, n, 41)
+        assert np.array_equal(_bits(scenarios.returns), _bits(expected))
+        assert scenarios.cols.flags.c_contiguous and not scenarios.cols.flags.writeable
+
+    def test_draw_peak_memory(self, make_random_params):
+        # One (k, N) array plus two blocks (the normals and their
+        # transform); an (N, k) draw copied into the set peaks at twice
+        # the array.
+        p = make_random_params(np.random.default_rng(16), 16)
+        n = 100_000
+        simulate(p, BLOCK, 0)
+        assert _peak_bytes(lambda: simulate(p, n, 5)) <= 1.2 * p.k * n * 8
+
 
 class TestScenarioSet:
     @pytest.mark.parametrize(
-        "returns", [np.zeros((0, 2)), np.zeros(3), np.array([[0.1], [np.inf]])]
+        "returns",
+        [np.zeros((0, 2)), np.zeros(3), np.array([[0.1], [np.inf]]), np.ones((5, 0))],
     )
     def test_invalid_returns(self, returns):
         with pytest.raises(ValueError):
             ScenarioSet(returns=returns, seed=0)
+
+    def test_caller_array_is_copied(self):
+        returns = np.random.default_rng(8).normal(0.01, 0.05, size=(30, 2))
+        scenarios = ScenarioSet(returns=returns, seed=0)
+        before = [a.copy() for a in (scenarios.cols, scenarios.m1, scenarios.m2)]
+        returns[:] = 7.0
+        for kept, now in zip(before, (scenarios.cols, scenarios.m1, scenarios.m2)):
+            assert np.array_equal(_bits(kept), _bits(now))
 
     def test_reductions_match_plain_numpy(self):
         returns = np.random.default_rng(3).normal(0.01, 0.05, size=(40, 3))
@@ -156,6 +205,59 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            summarize([1.0, bad, 3.0])
+
+
+@st.composite
+def _tied_samples(draw):
+    """Samples of 2-500 values from a pool of 1 to n values, either chosen
+    by hypothesis or normal draws: a small pool gives heavy ties, a pool of
+    one a constant sample."""
+    n = draw(st.integers(2, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pool = np.asarray(draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=n)))
+    else:
+        pool = rng.normal(draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-6, 1e3)),
+                          size=draw(st.integers(1, n)))
+    # +0.0 turns -0.0 into 0.0: neither a sort nor a partition fixes the
+    # order of zeros of both signs, so a median of them may take either.
+    return pool[rng.integers(pool.shape[0], size=n)] + 0.0
+
+
+def _np_median_summary(x) -> SummaryStats:
+    """The statistics by numpy's ``np.median`` formulas."""
+    med = float(np.median(x))
+    return SummaryStats(
+        mean=float(x.mean()), sd=float(x.std(ddof=1)), median=med,
+        mad=MAD_SCALE * float(np.median(np.abs(x - med))),
+    )
+
+
+def _same_stats(a: SummaryStats, b: SummaryStats) -> bool:
+    return np.array_equal(_bits(dataclasses.astuple(a)), _bits(dataclasses.astuple(b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_tied_samples())
+@example(x=np.full(7, -2.5))
+@example(x=np.array([-3.0, 1.0, 1.0, 4.0]))
+@example(x=np.array([1.0, -1.0]))
+def test_summarize_equals_the_np_median_formulas(x):
+    assert _same_stats(summarize(x), _np_median_summary(x))
+
+
+def test_summarize_equals_the_np_median_formulas_on_normal_samples():
+    # Distinct values: a MAD partition that misses the lower middle
+    # deviation of an even sample shows on a few percent of them.
+    rng = np.random.default_rng(2024)
+    for n in rng.integers(2, 400, size=300):
+        x = rng.normal(size=n)
+        assert _same_stats(summarize(x), _np_median_summary(x)), n
+
 
 class TestEcdf:
     def test_grid_at_sample_points(self):
@@ -179,6 +281,51 @@ class TestEcdf:
             ecdf([], 4)
         with pytest.raises(ValueError):
             ecdf([1.0, 2.0], 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            ecdf([1.0, 2.0, bad], 3)
+
+    def test_grid_points_checked_before_the_values(self):
+        with pytest.raises(ValidationError, match="grid_points"):
+            ecdf([np.nan], 1)
+
+
+class TestEvaluateCell:
+    """``compare``'s per-cell evaluation against the public functions."""
+
+    @staticmethod
+    def _set_with_infeasible_draws(make_random_params, n):
+        # Every 50th draw is a loss of 150 %, so the unit-weight strategy
+        # has infeasible draws and its utilities are filtered.
+        p = make_random_params(np.random.default_rng(5), 3)
+        returns = simulate(p, n, 12).returns.copy()
+        returns[::50] = -1.5
+        return p, ScenarioSet(returns=returns, seed=12)
+
+    @pytest.mark.parametrize("n", [4_001, 4_000])
+    @pytest.mark.parametrize("gamma", [3.0, 30.0])
+    def test_equals_summarize_and_ecdf(self, make_random_params, n, gamma):
+        p, scenarios = self._set_with_infeasible_draws(make_random_params, n)
+        w, ra = np.full(3, 1.0 / 3.0), RiskAversion(gamma)
+        outcome = evaluate_strategy(scenarios, w, ra, p.gross_rf, method="gd")
+        finite = outcome.utilities[np.isfinite(outcome.utilities)]
+        cell, wealth_table, utility_table = simulation._evaluate_cell(
+            scenarios, w, ra, p.gross_rf, "gd", 64)
+        assert cell.infeasible_count == outcome.infeasible_count > 0
+        assert _same_stats(cell.stats, summarize(finite))
+        assert np.array_equal(_bits(wealth_table), _bits(ecdf(outcome.wealths, 64)))
+        assert np.array_equal(_bits(utility_table), _bits(ecdf(finite, 64)))
+
+    def test_peak_memory(self, make_random_params):
+        # The wealths, then the utilities and one temporary: the public
+        # summarize/ecdf route also holds a filtered and a sorted copy.
+        n = 100_000
+        p, scenarios = self._set_with_infeasible_draws(make_random_params, n)
+        args = (scenarios, np.ones(3), RiskAversion(5.0), p.gross_rf, "gd", 256)
+        simulation._evaluate_cell(*args)
+        assert _peak_bytes(lambda: simulation._evaluate_cell(*args)) <= 2.5 * n * 8
 
 
 class TestCompare:
