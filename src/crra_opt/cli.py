@@ -112,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_solver_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--eta", type=float, default=GdConfig.eta,
-                     help="gd learning rate (default: auto, matched to sampled curvature)")
+                     help="gd step along M2's stiffest direction "
+                          "(default: auto, matched to sampled curvature)")
     cmd.add_argument("--tol", type=float, default=GdConfig.tol,
                      help="gd gradient-norm stopping threshold (default: %(default)s)")
     cmd.add_argument("--max-iter", type=int, default=GdConfig.max_iter,

@@ -6,19 +6,38 @@ The objective over a scenario set ``{R_i}`` is
 
 with gradient ``(1/N) sum_i R_i / (R_f + w'R_i)^gamma`` and Hessian
 ``-(gamma/N) sum_i R_i R_i' / (R_f + w'R_i)^(1+gamma)``, which is negative
-definite on the feasible region, so fixed-step ascent converges for any
-stable learning rate.  The iteration is
+definite on the feasible region.  The iteration is fixed-step ascent in
+the fixed metric of the sample second moment ``M2 = (1/N) sum_i R_i R_i'``,
 
-    w(i+1) = w(i) + eta * grad V0(w(i)),
+    w(i+1) = w(i) + eta * lambda_max(M2) * M2^+ grad V0(w(i)),
 
-stopped once the Euclidean gradient norm falls below ``tol``.  Steps that
-would push some scenario wealth to zero or below are halved (up to 60
-times) before failing, which preserves both feasibility and ascent.
+stopped once the Euclidean gradient norm falls below ``tol``.  This is
+steepest ascent in the quadratic norm of ``M2`` (Boyd & Vandenberghe,
+*Convex Optimization* 9.4.1), still a first-order method: ``M2`` is
+factored once per solve (``eigh``) and no Hessian is formed per step.  In
+``M2``'s eigenbasis the gradient's coordinate ``i`` is scaled by
+``lambda_max / lambda_i``.  Along the top eigenvector the step is the
+Euclidean ``eta * grad V0``, so ``eta`` keeps its units and its stable
+range; every other direction makes the same relative progress, so the step
+count no longer grows with the conditioning of ``M2``.  Directions with
+``lambda_i <= k * eps * lambda_max``, which a rank-deficient sample has,
+keep the Euclidean step, and the ascent converges along ``M2``'s span.
+With ``M2 = c I``, or at k = 1, the step is the Euclidean one.
+
+Stability: at ``w = 0`` with ``R_f = 1`` the Hessian is ``-gamma M2``,
+so the auto step ``eta = 0.8 / (gamma lambda_max)`` of :func:`suggest_eta`
+makes the update ``0.8 (gamma M2)^-1 grad V0``, which closes 80% of the
+distance to the optimum in every direction of ``M2``'s span; the Euclidean
+step closes only ``0.8 lambda_i / lambda_max`` of it along eigenvector
+``i``.  An explicit ``eta`` is stable where the Euclidean step with the
+same ``eta`` is, since both take the same step along the stiffest
+direction.  Steps that would push some scenario wealth to zero or below
+are halved (up to 60 times) before failing, which preserves feasibility.
 
 By default the ascent starts at the fourth-order expansion weights of
 :func:`~crra_opt.taylor.taylor_solve`, which lie next to the sampled
 optimum (see :class:`GdConfig` for the fallback to zero); on the benchmark
-market it then needs about a third of the steps a zero start needs.  gd's
+market it then needs about half the steps a zero start needs.  gd's
 answer depends on the Taylor weights only through this start: it still
 stops by its own gradient-norm rule, so the Taylor error does not carry
 over.
@@ -56,6 +75,9 @@ MAX_BACKTRACKS = 60
 class GdConfig:
     """Fixed-step ascent settings.
 
+    ``eta`` is the step along ``M2``'s stiffest direction (the top
+    eigenvector of the sample second moment); every other direction is
+    scaled to the same relative progress, as the module docstring says.
     ``eta=None``, the default, takes the step :func:`suggest_eta` matches
     to the sampled curvature; a number pins the step.
     ``initial_weights=None`` starts from the fourth-order expansion weights,
@@ -131,19 +153,30 @@ def v0_hessian(scenarios, weights, ra: RiskAversion, gross_rf: float) -> np.ndar
     diagnostics.
     """
     cols = scenarios.cols
+    k, n = cols.shape
     wealth = scenarios.wealth(np.asarray(weights, dtype=float), gross_rf)
     _require_positive(wealth)
-    total = np.einsum("ij,j,lj->il", cols, wealth ** (-(1.0 + ra.gamma)), cols)
-    return -(ra.gamma / wealth.shape[0]) * total
+    np.power(wealth, -(1.0 + ra.gamma), out=wealth)
+    # Row by row, the upper half only, through one length-N scratch buffer:
+    # a three-operand einsum runs its generic slow loop, and (cols * v)
+    # would hold a k x N temporary.
+    scaled = np.empty(n)
+    total = np.empty((k, k))
+    for i in range(k):
+        np.multiply(cols[i], wealth, out=scaled)
+        total[i, i:] = np.einsum("lj,j->l", cols[i:], scaled)
+        total[i + 1:, i] = total[i, i + 1:]
+    return -(ra.gamma / n) * total
 
 
 def suggest_eta(scenarios, ra: RiskAversion) -> float:
     """Curvature-matched learning rate ``0.8 / (gamma * lambda_max(M2))``.
 
-    ``M2 = (1/N) sum_i R_i R_i'`` bounds the Hessian scale near the start of
-    the ascent, so this step is stable while converging orders of magnitude
-    faster than a unit-scale ``eta`` when returns have small variance.
-    ``M2`` is the scenario set's cached ``m2``.
+    ``gamma M2``, with ``M2 = (1/N) sum_i R_i R_i'``, is the Hessian scale
+    near the start of the ascent, so in :func:`gd_solve`'s metric this step
+    is ``0.8 (gamma M2)^-1 grad V0``: stable, and orders of magnitude faster
+    than a unit-scale ``eta`` when returns have small variance.  ``M2`` is
+    the scenario set's cached ``m2``.
     """
     lam_max = float(np.linalg.eigvalsh(scenarios.m2)[-1])
     if lam_max <= 0.0:
@@ -151,20 +184,43 @@ def suggest_eta(scenarios, ra: RiskAversion) -> float:
     return 0.8 / (ra.gamma * lam_max)
 
 
-def _default_start(scenarios, ra: RiskAversion, gross_rf: float) -> np.ndarray:
-    """The Taylor fixed point if it exists and is feasible, else zero."""
-    try:
-        w = taylor_solve(scenarios, ra, gross_rf).weights
-    except CrraOptError:
-        return np.zeros(scenarios.k)
-    if scenarios.wealth(w, gross_rf).min() > 0.0:
-        return w
-    return np.zeros(scenarios.k)
+def _start(scenarios, ra: RiskAversion, gross_rf: float,
+           initial_weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The start and its scenario wealth, each computed and checked once:
+    ``initial_weights`` if given, else the Taylor fixed point if it exists
+    and is feasible, else zero."""
+    if initial_weights is None:
+        try:
+            w = taylor_solve(scenarios, ra, gross_rf).weights
+        except CrraOptError:
+            pass
+        else:
+            wealth = scenarios.wealth(w, gross_rf)
+            if wealth.min() > 0.0:
+                return w, wealth
+        initial_weights = np.zeros(scenarios.k)
+    w = np.array(initial_weights, dtype=float)
+    wealth = scenarios.wealth(w, gross_rf)
+    _require_positive(wealth)
+    return w, wealth
+
+
+def _metric(m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors ``V`` of ``M2`` and the scale ``lambda_max / lambda_i``
+    of each, 1 where ``lambda_i <= k * eps * lambda_max``; the step
+    direction is ``V (scale * V'g)``."""
+    lam, vecs = np.linalg.eigh(m2)
+    scale = np.ones_like(lam)
+    resolved = lam > lam.shape[0] * np.finfo(float).eps * lam[-1]
+    scale[resolved] = lam[-1] / lam[resolved]
+    return vecs, scale
 
 
 def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None = None) -> GdReport:
     """Run fixed-step gradient ascent on the sampled utility.
 
+    Each step is ``eta * lambda_max(M2) * M2^+ grad V0`` in the metric of
+    the cached sample second moment, as the module docstring describes.
     The ascent starts at ``cfg.initial_weights``, or, when that is None, at
     the Taylor fixed point or zero as :class:`GdConfig` describes.  Returns
     a converged :class:`GdReport`; raises :class:`NotConverged`
@@ -175,12 +231,8 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
     if cfg is None:
         cfg = GdConfig()
     eta = cfg.eta if cfg.eta is not None else suggest_eta(scenarios, ra)
-    if cfg.initial_weights is None:
-        w = _default_start(scenarios, ra, gross_rf)
-    else:
-        w = np.array(cfg.initial_weights, dtype=float)
-    wealth = scenarios.wealth(w, gross_rf)
-    _require_positive(wealth)
+    w, wealth = _start(scenarios, ra, gross_rf, cfg.initial_weights)
+    vecs, scale = _metric(scenarios.m2)
 
     steps = 0
     while True:
@@ -200,7 +252,9 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
                 f"gradient norm {norm:.3e} > tol {cfg.tol:.3e} after {steps} iterations",
                 report,
             )
-        step = eta * grad
+        # einsum, not BLAS, so the step cannot depend on BLAS threads.
+        coords = scale * np.einsum("ji,j->i", vecs, grad)
+        step = eta * np.einsum("ij,j->i", vecs, coords)
         for _ in range(MAX_BACKTRACKS + 1):
             cand = w + step
             cand_wealth = scenarios.wealth(cand, gross_rf)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +101,34 @@ class TestV0Hessian:
             hess = v0_hessian(scenarios, w, ra, 1.0005)
             assert np.linalg.eigvalsh(hess)[-1] <= 1e-12
 
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_matches_the_dense_product(self, k):
+        rng = np.random.default_rng(24 + k)
+        scenarios = ScenarioSet(returns=rng.normal(0.002, 0.02, size=(5_000, k)), seed=0)
+        ra = RiskAversion(6.0)
+        w = rng.normal(scale=0.3, size=k)
+        cols = scenarios.cols
+        v = scenarios.wealth(w, 1.001) ** (-(1.0 + ra.gamma))
+        dense = -(ra.gamma / scenarios.n) * ((cols * v) @ cols.T)
+        hess = v0_hessian(scenarios, w, ra, 1.001)
+        np.testing.assert_array_equal(hess, hess.T)
+        assert np.max(np.abs(hess - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    def test_peak_memory_holds_no_k_by_n_temporary(self):
+        # The wealth and one length-N scratch row: 2 N floats; a (cols * v)
+        # temporary would add k N of them.
+        n, k = 100_000, 16
+        scenarios = ScenarioSet(
+            returns=np.random.default_rng(25).normal(0.002, 0.02, size=(n, k)), seed=0)
+        w = np.full(k, 0.05)
+        tracemalloc.start()
+        try:
+            v0_hessian(scenarios, w, RiskAversion(6.0), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * 8
+
 
 class TestGdSolve:
     def test_starts_at_optimum_takes_zero_iterations(self, symmetric_pair):
@@ -176,6 +205,42 @@ class TestGdSolve:
         assert report.weights[0] == pytest.approx(
             w_closed[0] * (ra.gamma - 1.0) / ra.gamma, rel=0.10
         )
+
+    def test_ill_conditioned_wide_market_takes_few_steps(self, make_random_params):
+        # The M2 metric makes every direction progress alike; a Euclidean
+        # step needs 779 steps on this sample (M2's condition number is 49).
+        p = make_random_params(np.random.default_rng(3), k=16)
+        scenarios = simulate(p, 20_000, 7)
+        ra = RiskAversion(2.0 * max(gamma_lower_bound(p), 2.0))
+        report = gd_solve(scenarios, ra, p.gross_rf, GdConfig())
+        assert report.converged
+        assert report.iterations <= 40
+
+    def test_isotropic_second_moment_takes_euclidean_steps(self):
+        # Whitened draws: M2 = 0.0025 I up to rounding, so the metric is
+        # Euclidean and gd must follow the plain eta * grad path.
+        z = np.random.default_rng(41).normal(0.01, 0.05, size=(400, 4))
+        chol = np.linalg.cholesky(z.T @ z / 400)
+        scenarios = ScenarioSet(returns=0.05 * np.linalg.solve(chol, z.T).T, seed=0)
+        ra = RiskAversion(5.0)
+        eta = suggest_eta(scenarios, ra)
+        path = [np.zeros(4)]
+        while np.linalg.norm(grad := v0_gradient(scenarios, path[-1], ra, 1.0)) > 1e-8:
+            step = eta * grad
+            while scenarios.wealth(path[-1] + step, 1.0).min() <= 0.0:
+                step = 0.5 * step
+            path.append(path[-1] + step)
+        assert len(path) > 10
+        cfg = _zero_start(4)
+        report = gd_solve(scenarios, ra, 1.0, cfg)
+        assert report.iterations == len(path) - 1
+        for budget in range(1, len(path)):
+            try:
+                weights = gd_solve(scenarios, ra, 1.0, replace(cfg, max_iter=budget)).weights
+            except NotConverged as exc:
+                weights = exc.report.weights
+            np.testing.assert_allclose(weights, path[budget], rtol=0.0,
+                                       atol=1e-14 * np.max(np.abs(path[budget])))
 
     def test_dominates_other_solvers_on_shared_sample(self, benchmark_params):
         scenarios = simulate(benchmark_params, 100_000, 8)
@@ -261,7 +326,7 @@ class TestDefaultStart:
 @st.composite
 def random_markets(draw):
     """A PD market in the ranges of the ``make_random_params`` fixture."""
-    k = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 16))
 
     def floats(lo, hi, size):
         return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
