@@ -36,11 +36,12 @@ are halved (up to 60 times) before failing, which preserves feasibility.
 
 By default the ascent starts at the fourth-order expansion weights of
 :func:`~crra_opt.taylor.taylor_solve`, which lie next to the sampled
-optimum (see :class:`GdConfig` for the fallback to zero); on the benchmark
-market it then needs about half the steps a zero start needs.  gd's
-answer depends on the Taylor weights only through this start: it still
-stops by its own gradient-norm rule, so the Taylor error does not carry
-over.
+optimum (see :func:`with_taylor_start` for the fallback to zero); on the
+paper's benchmark draw (N = 2e5) it then needs 3-4 steps per gamma
+against 9 from zero.  gd's answer depends on the Taylor weights only
+through this start: it still stops by its own gradient-norm rule, so the
+Taylor error does not carry over.  ``compare`` and ``solve --method all``
+solve Taylor once per gamma and start gd from that answer.
 
 The wealth ``R_f + w'R_i`` and the gradient's mean over scenarios are the
 scenario set's own reductions (:class:`~crra_opt.simulation.ScenarioSet`),
@@ -54,7 +55,7 @@ the hooks above are the extension point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,7 +67,7 @@ from .errors import (
     ValidationError,
 )
 from .market import RiskAversion
-from .taylor import taylor_solve
+from .taylor import TaylorConfig, taylor_solve
 
 MAX_BACKTRACKS = 60
 
@@ -81,12 +82,14 @@ class GdConfig:
     ``eta=None``, the default, takes the step :func:`suggest_eta` matches
     to the sampled curvature; a number pins the step.
     ``initial_weights=None`` starts from the fourth-order expansion weights,
+    which lie next to the sampled optimum: :func:`gd_solve` runs
     ``taylor_solve`` with its default :class:`~crra_opt.taylor.TaylorConfig`,
-    which lie next to the sampled optimum; when that solve fails, or its
-    weights leave some scenario wealth at or below zero, the start is the
-    all risk-free portfolio (the zero vector), which is always feasible.
-    Either way only the start moves: the steps and the stopping rule are
-    gd's own.
+    while ``solve_method``, ``compare`` and the CLI use the run's own
+    ``TaylorConfig``.  When that solve fails, or its weights leave some
+    scenario wealth at or below zero, the start is the all risk-free
+    portfolio (the zero vector), which is always feasible
+    (:func:`with_taylor_start`).  Either way only the start moves: the steps
+    and the stopping rule are gd's own.
     """
 
     eta: float | None = None
@@ -184,25 +187,36 @@ def suggest_eta(scenarios, ra: RiskAversion) -> float:
     return 0.8 / (ra.gamma * lam_max)
 
 
-def _start(scenarios, ra: RiskAversion, gross_rf: float,
-           initial_weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The start and its scenario wealth, each computed and checked once:
-    ``initial_weights`` if given, else the Taylor fixed point if it exists
-    and is feasible, else zero."""
-    if initial_weights is None:
-        try:
-            w = taylor_solve(scenarios, ra, gross_rf).weights
-        except CrraOptError:
-            pass
-        else:
-            wealth = scenarios.wealth(w, gross_rf)
-            if wealth.min() > 0.0:
-                return w, wealth
-        initial_weights = np.zeros(scenarios.k)
-    w = np.array(initial_weights, dtype=float)
-    wealth = scenarios.wealth(w, gross_rf)
-    _require_positive(wealth)
-    return w, wealth
+def with_taylor_start(cfg: GdConfig | None, scenarios, gross_rf: float,
+                      taylor_weights: np.ndarray | None) -> GdConfig:
+    """``cfg`` (``GdConfig()`` if None) with its start made explicit.
+
+    An ``initial_weights`` of its own is kept.  Otherwise the start is
+    ``taylor_weights``, the Taylor fixed point, when every scenario wealth
+    ``R_f + w'R_i`` is positive there, else zero; also zero when the Taylor
+    solve failed (``taylor_weights`` None).  This is the only place that
+    chooses gd's default start.
+    """
+    cfg = cfg or GdConfig()
+    if cfg.initial_weights is not None:
+        return cfg
+    if taylor_weights is None or not scenarios.wealth(taylor_weights, gross_rf).min() > 0.0:
+        taylor_weights = np.zeros(scenarios.k)
+    return replace(cfg, initial_weights=taylor_weights)
+
+
+def with_solved_taylor_start(cfg: GdConfig | None, scenarios, ra: RiskAversion,
+                             gross_rf: float, taylor_cfg: TaylorConfig | None = None) -> GdConfig:
+    """:func:`with_taylor_start` after a ``taylor_solve`` under
+    ``taylor_cfg``, which runs only when ``cfg`` has no start of its own
+    and counts as failed when it raises a :class:`CrraOptError`."""
+    if cfg is not None and cfg.initial_weights is not None:
+        return cfg
+    try:
+        taylor_weights = taylor_solve(scenarios, ra, gross_rf, taylor_cfg).weights
+    except CrraOptError:
+        taylor_weights = None
+    return with_taylor_start(cfg, scenarios, gross_rf, taylor_weights)
 
 
 def _metric(m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,10 +242,11 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
     the gradient norm below ``tol``, and :class:`StepIntoInfeasible` if step
     halving cannot keep every scenario wealth positive.
     """
-    if cfg is None:
-        cfg = GdConfig()
+    cfg = with_solved_taylor_start(cfg, scenarios, ra, gross_rf)
     eta = cfg.eta if cfg.eta is not None else suggest_eta(scenarios, ra)
-    w, wealth = _start(scenarios, ra, gross_rf, cfg.initial_weights)
+    w = np.array(cfg.initial_weights, dtype=float)
+    wealth = scenarios.wealth(w, gross_rf)
+    _require_positive(wealth)
     vecs, scale = _metric(scenarios.m2)
 
     steps = 0

@@ -31,7 +31,7 @@ import numpy as np
 
 from .closed_form import solve_analytical
 from .errors import AllScenariosInfeasible, CrraOptError, ValidationError
-from .gradient import GdConfig, gd_solve
+from .gradient import GdConfig, gd_solve, with_solved_taylor_start, with_taylor_start
 from .market import MarketParams, RiskAversion, gamma_lower_bound, require_admissible_gamma
 from .taylor import TaylorConfig, taylor_solve
 
@@ -102,13 +102,16 @@ class ScenarioSet:
     def k(self) -> int:
         return self.cols.shape[0]
 
-    def excess(self, weights: np.ndarray) -> np.ndarray:
-        """Portfolio excess return ``w'R_i`` of every scenario, a new array."""
-        return np.einsum("i,ij->j", weights, self.cols)
+    def excess(self, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Portfolio excess return ``w'R_i`` of every scenario, in ``out``
+        (a float length-N array) if given, else in a new array."""
+        return np.einsum("i,ij->j", weights, self.cols, out=out)
 
-    def wealth(self, weights: np.ndarray, gross_rf: float) -> np.ndarray:
-        """Gross portfolio return ``R_f + w'R_i`` of every scenario, a new array."""
-        wealth = self.excess(weights)
+    def wealth(self, weights: np.ndarray, gross_rf: float,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """Gross portfolio return ``R_f + w'R_i`` of every scenario, in
+        ``out`` if given, else in a new array."""
+        wealth = self.excess(weights, out)
         wealth += gross_rf
         return wealth
 
@@ -243,9 +246,8 @@ def _sample(values, min_size: int, what: str) -> np.ndarray:
 
 
 def _middle(s: np.ndarray) -> float:
-    """The median of ``s``, whose middle positions hold its middle order
-    statistics (``s`` sorted, or partitioned at those positions): the
-    middle value for odd sizes, the mean of the middle pair for even ones."""
+    """The median of the ascending ``s``: the middle value for odd sizes,
+    the mean of the middle pair for even ones."""
     h = s.shape[0] // 2
     if s.shape[0] % 2:
         return float(s[h])
@@ -253,18 +255,46 @@ def _middle(s: np.ndarray) -> float:
 
 
 def _summary_of_sorted(s: np.ndarray, mean: float, sd: float) -> SummaryStats:
-    """Summary of the ascending sample ``s``, given its mean and sd.
+    """Summary of the ascending sample ``s`` of size n >= 2, given its mean
+    and sd; ``s`` is only read.
 
-    The median is read from ``s``; ``s`` is then overwritten with the
-    absolute deviations from it, and their median, the MAD, comes from one
-    partition.
+    The median is read from ``s``.  Its absolute deviations form two
+    ascending runs, ``med - s[h-1], ..., med - s[0]`` left of ``h = n // 2``
+    and ``s[h] - med, ..., s[n-1] - med`` from it on, because the median
+    lies between ``s[h-1]`` and ``s[h]`` (or, when the sum of the middle
+    pair overflows, every deviation is infinite).  The MAD needs only the
+    middle one or two order statistics of the two runs together; a binary
+    search for how many of the ``h`` smallest deviations come from the left
+    run finds them in O(log n) deviations, each computed as ``|s_i - med|``.
     """
+    n = s.shape[0]
+    h = n // 2
     med = _middle(s)
-    s -= med
-    np.abs(s, out=s)
-    h = s.shape[0] // 2
-    s.partition(h if s.shape[0] % 2 else [h - 1, h])
-    return SummaryStats(mean=mean, sd=sd, median=med, mad=MAD_SCALE * _middle(s))
+
+    def left(i: int) -> float:  # the i-th smallest deviation left of h
+        return abs(s[h - 1 - i] - med) if i < h else np.inf
+
+    def right(j: int) -> float:  # the j-th smallest deviation from h on
+        if j < 0:
+            return -np.inf
+        return abs(s[h + j] - med) if h + j < n else np.inf
+
+    # The smallest i whose left(i) is no smaller than right(h - 1 - i): then
+    # the h smallest deviations are left(0..i-1) and right(0..h-1-i).
+    lo, hi = 0, h
+    while lo < hi:
+        i = (lo + hi) // 2
+        if left(i) >= right(h - 1 - i):
+            hi = i
+        else:
+            lo = i + 1
+    upper = min(left(lo), right(h - lo))  # the deviation of rank h (from 0)
+    if n % 2:
+        mad = float(upper)
+    else:
+        lower = left(lo - 1) if lo > 0 else -np.inf
+        mad = float((max(lower, right(h - 1 - lo)) + upper) / 2)
+    return SummaryStats(mean=mean, sd=sd, median=med, mad=MAD_SCALE * mad)
 
 
 def _ecdf_of_sorted(s: np.ndarray, grid_points: int) -> np.ndarray:
@@ -282,8 +312,9 @@ def summarize(values) -> SummaryStats:
     The sample must be 1-D, of size >= 2 and finite; anything else raises
     :class:`ValidationError`.  The median averages the two middle order
     statistics for even sizes and is read from one sorted copy; the MAD is
-    ``MAD_SCALE * median(|x - median(x)|)``, from one partition of the
-    deviations, so it estimates the standard deviation under normality.
+    ``MAD_SCALE * median(|x - median(x)|)``, read from the same sorted copy
+    (see :func:`_summary_of_sorted`), so it estimates the standard deviation
+    under normality.
     """
     x = _sample(values, 2, "summarize")
     if not np.isfinite(x).all():
@@ -320,12 +351,16 @@ def solve_method(method: str, p: MarketParams, scenarios: ScenarioSet | None, ra
     """Run one of :data:`METHODS` at one gamma and return its report.
 
     ``analytical`` solves on the exact (mu, sigma) and ignores ``scenarios``.
+    Without a start of its own in ``gd_cfg``, ``gd`` first solves Taylor
+    under ``taylor_cfg`` for its start
+    (:func:`~crra_opt.gradient.with_solved_taylor_start`).
     """
     if method == "analytical":
         return solve_analytical(p, ra)
     if method == "taylor":
         return taylor_solve(scenarios, ra, p.gross_rf, taylor_cfg)
     if method == "gd":
+        gd_cfg = with_solved_taylor_start(gd_cfg, scenarios, ra, p.gross_rf, taylor_cfg)
         return gd_solve(scenarios, ra, p.gross_rf, gd_cfg)
     raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
 
@@ -336,7 +371,7 @@ def _evaluate_cell(scenarios, weights, ra, gross_rf, method, ecdf_points) -> tup
 
     The outcome's arrays are private to the call, so each is sorted in
     place and read for its ECDF; the wealths are then released, and the
-    sorted utilities become the deviations of :func:`_summary_of_sorted`.
+    sorted utilities give the statistics of :func:`_summary_of_sorted`.
     A function of its own, so the cell's length-N arrays are freed before
     the next cell is solved.
     """
@@ -369,14 +404,22 @@ def _compare_gamma(p, scenarios, g, gd_cfg, taylor_cfg, ecdf_points) -> tuple[di
 
     Each method is solved and its weights evaluated; a :class:`CrraOptError`
     at either step becomes its cell's error, with the weights kept if the
-    solve got that far.  Any other exception propagates.
+    solve got that far.  Any other exception propagates.  Taylor is solved
+    once: gd starts from the Taylor cell's weights by
+    :func:`~crra_opt.gradient.with_taylor_start` (zero when that solve
+    failed or the weights are infeasible), so the gd cell equals
+    :func:`solve_method`'s gd under the same configs.
     """
     ra = RiskAversion(g)
     cells, ecdfs = {}, {}
     for method in METHODS:
         weights = None
         try:
-            weights = solve_method(method, p, scenarios, ra, gd_cfg, taylor_cfg).weights
+            cfg = gd_cfg
+            if method == "gd":  # Taylor is solved once: its cell's weights are gd's start
+                cfg = with_taylor_start(gd_cfg, scenarios, p.gross_rf,
+                                        cells[(g, "taylor")].weights)
+            weights = solve_method(method, p, scenarios, ra, cfg, taylor_cfg).weights
             cell, wealth_table, utility_table = _evaluate_cell(
                 scenarios, weights, ra, p.gross_rf, method, ecdf_points
             )
@@ -440,7 +483,8 @@ def compare(
     utility overflows.  ``n`` must be at least 2, the smallest sample the
     statistics take, and ``ecdf_points`` at least 2.
 
-    The solvers are called through :func:`solve_method`.  A
+    The solvers are called through :func:`solve_method`; Taylor is solved
+    once per gamma, and gd starts from its answer.  A
     :class:`CrraOptError` while solving or evaluating one (gamma, method)
     cell is recorded on that cell and does not abort the rest of the run;
     any other error propagates.

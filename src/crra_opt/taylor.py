@@ -15,9 +15,10 @@ fixed point yields the benchmark weights.
 ``M2`` and ``m1`` are the scenario set's moments, shared with
 ``suggest_eta``; ``M2`` is factored once per solve and reused.  The
 excess wealth ``w'R_i`` and the two sums of each update are the scenario
-set's own reductions.  Expectations are estimated on the same scenario set
-used by the other solvers, which removes cross-method sampling noise from
-comparisons.
+set's own reductions; a solve allocates the two length-N arrays they work
+in once, and every update overwrites them.  Expectations are estimated on
+the same scenario set used by the other solvers, which removes
+cross-method sampling noise from comparisons.
 """
 
 from __future__ import annotations
@@ -73,10 +74,17 @@ def _m2_factor(scenarios) -> np.ndarray:
     return factor
 
 
-def _step(scenarios, factor, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
+def _buffers(scenarios) -> tuple[np.ndarray, np.ndarray]:
+    """The two length-N work arrays of :func:`_step`."""
+    return np.empty(scenarios.n), np.empty(scenarios.n)
+
+
+def _step(scenarios, factor, ra: RiskAversion, gross_rf: float, w: np.ndarray,
+          x: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """One update; overwrites the length-N work arrays ``x`` and ``x2``."""
     g = ra.gamma
-    x = scenarios.excess(w)
-    x2 = x * x
+    scenarios.excess(w, out=x)
+    np.multiply(x, x, out=x2)
     quad = scenarios.weighted_mean(x2)
     x2 *= x
     cube = scenarios.weighted_mean(x2)
@@ -97,7 +105,8 @@ def taylor_initial(scenarios, ra: RiskAversion, gross_rf: float) -> np.ndarray:
     Implemented as the fixed-point update evaluated at the zero vector, so
     it is bit-identical to the first step of :func:`taylor_solve`.
     """
-    return _step(scenarios, _m2_factor(scenarios), ra, gross_rf, np.zeros(scenarios.k))
+    return _step(scenarios, _m2_factor(scenarios), ra, gross_rf, np.zeros(scenarios.k),
+                 *_buffers(scenarios))
 
 
 def taylor_initial_population(p: MarketParams, ra: RiskAversion) -> np.ndarray:
@@ -117,7 +126,8 @@ def taylor_initial_population(p: MarketParams, ra: RiskAversion) -> np.ndarray:
 
 def taylor_step(scenarios, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
     """One fixed-point update of the fourth-order expansion weights."""
-    return _step(scenarios, _m2_factor(scenarios), ra, gross_rf, np.asarray(w, dtype=float))
+    return _step(scenarios, _m2_factor(scenarios), ra, gross_rf, np.asarray(w, dtype=float),
+                 *_buffers(scenarios))
 
 
 def taylor_solve(
@@ -136,9 +146,10 @@ def taylor_solve(
     if cfg is None:
         cfg = TaylorConfig()
     factor = _m2_factor(scenarios)
-    w = _step(scenarios, factor, ra, gross_rf, np.zeros(scenarios.k))
+    work = _buffers(scenarios)
+    w = _step(scenarios, factor, ra, gross_rf, np.zeros(scenarios.k), *work)
     for iteration in range(1, cfg.max_iter + 1):
-        update = _step(scenarios, factor, ra, gross_rf, w) - w
+        update = _step(scenarios, factor, ra, gross_rf, w, *work) - w
         delta = float(np.linalg.norm(update))
         w = w + update
         if delta <= cfg.tol:

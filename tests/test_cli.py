@@ -17,6 +17,7 @@ from conftest import BENCHMARK_MU, BENCHMARK_RF, BENCHMARK_SIGMA
 from crra_opt import (
     NonFiniteIterate,
     gamma_lower_bound,
+    gradient,
     make_params,
     simulation,
     tangency,
@@ -264,6 +265,50 @@ class TestCompare:
         cell = json.loads((tmp_path / "study" / "comparison.json").read_text(encoding="utf-8"))
         solved = json.loads((tmp_path / "gd.json").read_text(encoding="utf-8"))
         assert dumps_json(cell["results"]["10"]["gd"]["weights"]) == dumps_json(solved["weights"])
+
+    @pytest.mark.parametrize("taylor_flags", [[], ["--taylor-tol", "1e-6"]])
+    def test_gd_agrees_across_commands_under_taylor_flags(self, tmp_path, benchmark_json,
+                                                          monkeypatch, taylor_flags):
+        # gd starts from the Taylor answer under the run's own Taylor flags;
+        # `solve --method all` solves Taylor once and shares it with gd.
+        taylor_calls = []
+        for module in (simulation, gradient):
+            def counted(*args, real=module.taylor_solve):
+                taylor_calls.append(args[1].gamma)
+                return real(*args)
+
+            monkeypatch.setattr(module, "taylor_solve", counted)
+        common = ["--params", str(benchmark_json), "--samples", "5000", "--seed", "9",
+                  *taylor_flags]
+        assert main(["solve", *common, "--gamma", "10", "--method", "all",
+                     "--out", str(tmp_path / "all.json")]) == 0
+        assert taylor_calls == [10.0]
+        assert main(["solve", *common, "--gamma", "10", "--method", "gd",
+                     "--out", str(tmp_path / "gd.json")]) == 0
+        assert main(["compare", *common, "--gammas", "10",
+                     "--outdir", str(tmp_path / "study")]) == 0
+
+        def read(name):
+            return json.loads((tmp_path / name).read_text(encoding="utf-8"))
+
+        solved = read("gd.json")
+        assert read("all.json")["gd"] == solved
+        cell = read("study/comparison.json")["results"]["10"]["gd"]
+        assert dumps_json(cell["weights"]) == dumps_json(solved["weights"])
+
+    def test_gd_cell_matches_solve_when_taylor_stops_short(self, tmp_path, benchmark_json):
+        # Two Taylor iterations are too few: the Taylor cell fails, and gd
+        # starts at zero in both commands.
+        common = ["--params", str(benchmark_json), "--samples", "5000", "--seed", "9",
+                  "--taylor-max-iter", "2"]
+        assert main(["compare", *common, "--gammas", "10",
+                     "--outdir", str(tmp_path / "study")]) == 0
+        assert main(["solve", *common, "--gamma", "10", "--method", "gd",
+                     "--out", str(tmp_path / "gd.json")]) == 0
+        cells = json.loads((tmp_path / "study" / "comparison.json").read_text(encoding="utf-8"))
+        solved = json.loads((tmp_path / "gd.json").read_text(encoding="utf-8"))
+        assert "after 2 iterations" in cells["results"]["10"]["taylor"]["error"]
+        assert dumps_json(cells["results"]["10"]["gd"]["weights"]) == dumps_json(solved["weights"])
 
 
 @pytest.mark.parametrize(

@@ -17,12 +17,15 @@ from hypothesis import strategies as st
 
 from crra_opt import (
     AllScenariosInfeasible,
+    CrraOptError,
     GammaBelowBound,
     GdConfig,
+    NotConverged,
     RiskAversion,
     ScenarioSet,
     StepIntoInfeasible,
     SummaryStats,
+    TaylorConfig,
     ValidationError,
     compare,
     ecdf,
@@ -33,7 +36,7 @@ from crra_opt import (
     simulate,
     summarize,
 )
-from crra_opt import simulation
+from crra_opt import gradient, simulation
 from crra_opt.reports import comparison_report_dict, human_comparison_table
 from crra_opt.simulation import MAD_SCALE, METHODS
 
@@ -143,6 +146,16 @@ class TestScenarioSet:
         np.testing.assert_allclose(scenarios.m2, returns.T @ returns / 40, rtol=1e-13)
         assert not scenarios.m1.flags.writeable and not scenarios.m2.flags.writeable
 
+    def test_reductions_write_into_out(self):
+        returns = np.random.default_rng(3).normal(0.01, 0.05, size=(40, 3))
+        scenarios = ScenarioSet(returns=returns, seed=0)
+        w = np.array([0.5, -0.2, 1.1])
+        out = np.full(40, np.nan)
+        assert scenarios.excess(w, out=out) is out
+        assert np.array_equal(_bits(out), _bits(scenarios.excess(w)))
+        assert scenarios.wealth(w, 1.001, out=out) is out
+        assert np.array_equal(_bits(out), _bits(scenarios.wealth(w, 1.001)))
+
     def test_sets_compare_by_identity(self):
         a = ScenarioSet(returns=np.ones((3, 2)), seed=0)
         b = ScenarioSet(returns=np.ones((3, 2)), seed=0)
@@ -210,6 +223,15 @@ class TestSummarize:
         with pytest.raises(ValidationError, match="finite"):
             summarize([1.0, bad, 3.0])
 
+    @pytest.mark.parametrize("x", [[1e308, 1e308], [0.0, 1.5e308, 1.6e308, 2.0],
+                                   [-1e308, -1.5e308, 3.0, -1.2e308]])
+    def test_overflowing_median_follows_the_np_median_formulas(self, x):
+        # The middle pair's sum overflows, so the median is infinite and so
+        # is every deviation from it.
+        x = np.array(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _same_stats(summarize(x), _np_median_summary(x))
+
 
 @st.composite
 def _tied_samples(draw):
@@ -246,6 +268,11 @@ def _same_stats(a: SummaryStats, b: SummaryStats) -> bool:
 @example(x=np.full(7, -2.5))
 @example(x=np.array([-3.0, 1.0, 1.0, 4.0]))
 @example(x=np.array([1.0, -1.0]))
+@example(x=np.array([0.5, 0.25]))  # n = 2
+@example(x=np.array([-1.0, 10.0, 4.0]))  # n = 3
+@example(x=np.array([0.0, 0.0, 0.0, 5.0]))  # every deviation right of the median
+@example(x=np.array([2.0, 2.0, 2.0, 2.0, 9.0]))  # a run of ties at the median
+@example(x=np.array([-1.5, -1.5, -1.5, -1.5, 0.25, 3.0]))  # the median is the minimum
 def test_summarize_equals_the_np_median_formulas(x):
     assert _same_stats(summarize(x), _np_median_summary(x))
 
@@ -463,6 +490,127 @@ class TestSolveMethod:
     def test_unknown_method(self, benchmark_params):
         with pytest.raises(ValueError, match="unknown method"):
             simulation.solve_method("newton", benchmark_params, None, RiskAversion(10.0))
+
+
+class TestSharedTaylorStart:
+    """compare solves Taylor once per gamma and starts gd from that answer;
+    its gd cell must equal ``solve_method("gd", ...)``, which solves Taylor
+    for itself under the same configs."""
+
+    @staticmethod
+    def _gd_cell_and_solve_method(monkeypatch, p, scenarios, gamma, gd_cfg=None,
+                                  taylor_cfg=None, evaluate=None):
+        """compare's gd cell on ``scenarios``, the report or error of its gd
+        solve, and the report or error of ``solve_method("gd", ...)``."""
+        monkeypatch.setattr(simulation, "simulate", lambda p, n, seed: scenarios)
+        if evaluate is not None:
+            monkeypatch.setattr(simulation, "evaluate_strategy", evaluate)
+        outcomes = []
+        real_gd = simulation.gd_solve
+
+        def gd(scenarios, ra, gross_rf, cfg):
+            try:
+                outcomes.append(real_gd(scenarios, ra, gross_rf, cfg))
+            except CrraOptError as exc:
+                outcomes.append(exc)
+                raise
+            return outcomes[-1]
+
+        monkeypatch.setattr(simulation, "gd_solve", gd)
+        report = compare(p, [gamma], n=scenarios.n, seed=0, gd_cfg=gd_cfg, taylor_cfg=taylor_cfg)
+        (in_compare,) = outcomes
+        try:
+            alone = simulation.solve_method("gd", p, scenarios, RiskAversion(gamma), gd_cfg,
+                                            taylor_cfg)
+        except CrraOptError as exc:
+            alone = exc
+        return report.cells[(gamma, "gd")], report.cells[(gamma, "taylor")], in_compare, alone
+
+    @staticmethod
+    def _assert_same_report(a, b):
+        assert np.array_equal(_bits(a.weights), _bits(b.weights))
+        assert (a.iterations, a.final_gradient_norm, a.objective, a.converged) == (
+            b.iterations, b.final_gradient_norm, b.objective, b.converged)
+
+    def _assert_cell_is_solve_method(self, *args, **kwargs):
+        cell, taylor_cell, in_compare, alone = self._gd_cell_and_solve_method(*args, **kwargs)
+        assert type(in_compare) is type(alone)
+        if isinstance(alone, CrraOptError):
+            assert cell.error == str(in_compare) == str(alone)
+            self._assert_same_report(in_compare.report, alone.report)
+        else:
+            assert not cell.failed
+            assert np.array_equal(_bits(cell.weights), _bits(alone.weights))
+            self._assert_same_report(in_compare, alone)
+        return cell, taylor_cell, alone
+
+    def test_default_configs(self, benchmark_params, monkeypatch):
+        scenarios = simulate(benchmark_params, 5_000, 23)
+        _, taylor_cell, alone = self._assert_cell_is_solve_method(
+            monkeypatch, benchmark_params, scenarios, 10.0)
+        assert alone.converged and not taylor_cell.failed
+
+    def test_non_default_taylor_config(self, benchmark_params, monkeypatch):
+        # A looser Taylor tolerance moves gd's start, and so its digits, in
+        # compare and in solve_method alike.
+        scenarios = simulate(benchmark_params, 5_000, 23)
+        cell, _, _ = self._assert_cell_is_solve_method(
+            monkeypatch, benchmark_params, scenarios, 10.0, taylor_cfg=TaylorConfig(tol=1e-6))
+        default = simulation.solve_method("gd", benchmark_params, scenarios, RiskAversion(10.0))
+        assert not np.array_equal(cell.weights, default.weights)
+
+    def test_singular_second_moment_starts_at_zero(self, monkeypatch):
+        # The second asset is twice the first: M2 has rank one, so the Taylor
+        # cell fails and gd starts at zero.
+        r = np.random.default_rng(32).normal(0.01, 0.05, size=400)
+        scenarios = ScenarioSet(returns=np.column_stack([r, 2.0 * r]), seed=0)
+        p = make_params([0.01, 0.02], np.diag([0.0025, 0.01]), 0.0)
+        _, taylor_cell, alone = self._assert_cell_is_solve_method(monkeypatch, p, scenarios, 5.0)
+        assert "not positive definite" in taylor_cell.error
+        zero = gd_solve(scenarios, RiskAversion(5.0), 1.0, GdConfig(initial_weights=np.zeros(2)))
+        assert np.array_equal(_bits(alone.weights), _bits(zero.weights))
+
+    def test_infeasible_taylor_weights_start_at_zero(self, monkeypatch):
+        # The Taylor weights leave the crash draw with negative wealth, so
+        # both sides start at zero and fail after the same 25 steps.
+        scenarios = ScenarioSet(returns=[[0.1]] * 100 + [[-0.3]], seed=0)
+        p = make_params([0.01], [[0.01]], 0.0)
+        cell, taylor_cell, alone = self._assert_cell_is_solve_method(
+            monkeypatch, p, scenarios, 2.0, gd_cfg=GdConfig(max_iter=25))
+        assert 1.0 - 0.3 * taylor_cell.weights[0] <= 0.0
+        assert isinstance(alone, NotConverged) and "after 25 iterations" in cell.error
+
+    def test_taylor_cell_failing_in_evaluation_still_gives_the_start(
+        self, benchmark_params, monkeypatch
+    ):
+        # Feasibility comes from the wealth, not from the Taylor cell's error.
+        real_evaluate = simulation.evaluate_strategy
+
+        def evaluate(scenarios, weights, ra, gross_rf, method):
+            if method == "taylor":
+                raise AllScenariosInfeasible("evaluation failed")
+            return real_evaluate(scenarios, weights, ra, gross_rf, method=method)
+
+        scenarios = simulate(benchmark_params, 5_000, 23)
+        _, taylor_cell, alone = self._assert_cell_is_solve_method(
+            monkeypatch, benchmark_params, scenarios, 10.0, evaluate=evaluate)
+        assert taylor_cell.error == "evaluation failed" and taylor_cell.weights is not None
+        zero = gd_solve(scenarios, RiskAversion(10.0), benchmark_params.gross_rf,
+                        GdConfig(initial_weights=np.zeros(3)))
+        assert not np.array_equal(alone.weights, zero.weights)
+
+    def test_taylor_is_solved_once_per_gamma(self, benchmark_params, monkeypatch):
+        calls = []
+        for module in (simulation, gradient):
+            real = module.taylor_solve
+
+            def counted(scenarios, ra, gross_rf, cfg=None, real=real):
+                calls.append(ra.gamma)
+                return real(scenarios, ra, gross_rf, cfg)
+
+            monkeypatch.setattr(module, "taylor_solve", counted)
+        compare(benchmark_params, (5.0, 10.0, 15.0), n=5_000, seed=22)
+        assert sorted(calls) == [5.0, 10.0, 15.0]
 
 
 class TestConcurrentSolve:

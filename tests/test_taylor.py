@@ -13,6 +13,7 @@ from crra_opt import (
     ScenarioSet,
     SingularSecondMoment,
     TaylorConfig,
+    gamma_lower_bound,
     gd_solve,
     make_params,
     simulate,
@@ -145,6 +146,23 @@ class TestSolve:
         second = taylor_solve(scenarios, ra, benchmark_params.gross_rf)
         np.testing.assert_array_equal(first.weights, second.weights)
         assert (first.iterations, first.converged) == (second.iterations, second.converged)
+
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_equals_a_chain_of_public_steps(self, make_random_params, k):
+        # taylor_solve reuses two work arrays across its updates; each
+        # public call allocates its own, so they must agree bit for bit.
+        p = make_random_params(np.random.default_rng(k), k)
+        scenarios = simulate(p, 20_000, 17)
+        ra, cfg = RiskAversion(2.0 * max(gamma_lower_bound(p), 2.0)), TaylorConfig()
+        solved = taylor_solve(scenarios, ra, p.gross_rf, cfg)
+        w = taylor_initial(scenarios, ra, p.gross_rf)
+        for iteration in range(1, cfg.max_iter + 1):
+            update = taylor_step(scenarios, ra, p.gross_rf, w) - w
+            w = w + update
+            if float(np.linalg.norm(update)) <= cfg.tol:
+                break
+        assert solved.iterations == iteration > 1
+        assert np.array_equal(solved.weights.view(np.uint64), w.view(np.uint64))
 
     def test_not_converged_carries_partial_report(self, benchmark_params):
         scenarios = simulate(benchmark_params, 20_000, 47)
