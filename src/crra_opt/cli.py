@@ -28,7 +28,7 @@ from .errors import (
     StepIntoInfeasible,
     ValidationError,
 )
-from .gradient import GdConfig, with_taylor_start
+from .gradient import GdConfig
 from .market import (
     RiskAversion,
     estimate_params,
@@ -115,13 +115,13 @@ def _add_solver_flags(cmd: argparse.ArgumentParser) -> None:
                      help="gd step along M2's stiffest direction "
                           "(default: auto, matched to sampled curvature)")
     cmd.add_argument("--tol", type=float, default=GdConfig.tol,
-                     help="gd gradient-norm stopping threshold (default: %(default)s)")
+                     help="gd stops when the gradient's norm in its step metric, "
+                          "sqrt(g' M2^-1 g), is at most this; the norm does not "
+                          "change when the returns are rescaled (default: %(default)s)")
     cmd.add_argument("--max-iter", type=int, default=GdConfig.max_iter,
                      help="gd iteration cap (default: %(default)s)")
     cmd.add_argument("--taylor-tol", type=float, default=TaylorConfig.tol,
-                     help="fixed-point step threshold; gd starts from this Taylor "
-                          "answer, so a non-default value (or --taylor-max-iter) "
-                          "can move gd's digits (default: %(default)s)")
+                     help="fixed-point step threshold (default: %(default)s)")
     cmd.add_argument("--taylor-max-iter", type=int, default=TaylorConfig.max_iter,
                      help="fixed-point iteration cap (default: %(default)s)")
 
@@ -158,13 +158,9 @@ def cmd_solve(args) -> int:
         if args.samples is None or args.seed is None:
             raise ValidationError(f"--method {args.method} requires --samples and --seed")
         scenarios = simulate(params, args.samples, args.seed)
-    solved = {}
-    for m in methods:
-        cfg = gd_cfg
-        if m == "gd" and "taylor" in solved:  # Taylor is solved once: gd starts there
-            cfg = with_taylor_start(gd_cfg, scenarios, params.gross_rf, solved["taylor"].weights)
-        solved[m] = solve_method(m, params, scenarios, ra, cfg, taylor_cfg)
-    reports = {m: solver_report_dict(m, report) for m, report in solved.items()}
+    reports = {m: solver_report_dict(m, solve_method(m, params, scenarios, ra,
+                                                     gd_cfg, taylor_cfg))
+               for m in methods}
 
     if args.method == "all":
         distances = {}

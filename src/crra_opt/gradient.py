@@ -11,10 +11,13 @@ the fixed metric of the sample second moment ``M2 = (1/N) sum_i R_i R_i'``,
 
     w(i+1) = w(i) + eta * lambda_max(M2) * M2^+ grad V0(w(i)),
 
-stopped once the Euclidean gradient norm falls below ``tol``.  This is
-steepest ascent in the quadratic norm of ``M2`` (Boyd & Vandenberghe,
-*Convex Optimization* 9.4.1), still a first-order method: ``M2`` is
-factored once per solve (``eigh``) and no Hessian is formed per step.  In
+started at zero (the all-risk-free portfolio) and stopped once the
+gradient's norm in the same metric, ``sqrt(grad' M2^+ grad)`` (see
+:class:`GdConfig`), falls to ``tol``.  This is steepest ascent in the
+quadratic norm of ``M2``, stopped by the gradient's dual norm (Boyd &
+Vandenberghe, *Convex Optimization* 9.4.1), still a first-order method:
+``M2`` is factored once per solve (``eigh``) and no Hessian is formed per
+step.  In
 ``M2``'s eigenbasis the gradient's coordinate ``i`` is scaled by
 ``lambda_max / lambda_i``.  Along the top eigenvector the step is the
 Euclidean ``eta * grad V0``, so ``eta`` keeps its units and its stable
@@ -34,14 +37,13 @@ same ``eta`` is, since both take the same step along the stiffest
 direction.  Steps that would push some scenario wealth to zero or below
 are halved (up to 60 times) before failing, which preserves feasibility.
 
-By default the ascent starts at the fourth-order expansion weights of
-:func:`~crra_opt.taylor.taylor_solve`, which lie next to the sampled
-optimum (see :func:`with_taylor_start` for the fallback to zero); on the
-paper's benchmark draw (N = 2e5) it then needs 3-4 steps per gamma
-against 9 from zero.  gd's answer depends on the Taylor weights only
-through this start: it still stops by its own gradient-norm rule, so the
-Taylor error does not carry over.  ``compare`` and ``solve --method all``
-solve Taylor once per gamma and start gd from that answer.
+Rescaling the returns, ``R -> cR``, maps the optimum to ``w / c``.  The
+zero start, the auto step (which scales as ``1 / c^2``) and the stopping
+norm (unchanged) then make the iterates ``w(i) / c`` to rounding, so the
+step count and the stop do not depend on the units of the returns.  On the
+paper's benchmark draw (N = 2e5) the ascent takes 10 steps per gamma.  gd
+uses nothing of the Taylor solver: the two are independent columns of the
+comparison.
 
 The wealth ``R_f + w'R_i`` and the gradient's mean over scenarios are the
 scenario set's own reductions (:class:`~crra_opt.simulation.ScenarioSet`),
@@ -55,19 +57,13 @@ the hooks above are the extension point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CrraOptError,
-    NonPositiveWealthScenario,
-    NotConverged,
-    StepIntoInfeasible,
-    ValidationError,
-)
+from .errors import NonPositiveWealthScenario, NotConverged, StepIntoInfeasible, ValidationError
 from .market import RiskAversion
-from .taylor import TaylorConfig, taylor_solve
 
 MAX_BACKTRACKS = 60
 
@@ -81,21 +77,16 @@ class GdConfig:
     scaled to the same relative progress, as the module docstring says.
     ``eta=None``, the default, takes the step :func:`suggest_eta` matches
     to the sampled curvature; a number pins the step.
-    ``initial_weights=None`` starts from the fourth-order expansion weights,
-    which lie next to the sampled optimum: :func:`gd_solve` runs
-    ``taylor_solve`` with its default :class:`~crra_opt.taylor.TaylorConfig`,
-    while ``solve_method``, ``compare`` and the CLI use the run's own
-    ``TaylorConfig``.  When that solve fails, or its weights leave some
-    scenario wealth at or below zero, the start is the all risk-free
-    portfolio (the zero vector), which is always feasible
-    (:func:`with_taylor_start`).  Either way only the start moves: the steps
-    and the stopping rule are gd's own.
+    ``tol`` bounds the stopping norm ``sqrt(grad' M2^+ grad)``, the
+    gradient's dual norm in the step's metric (directions off ``M2``'s
+    span, where the step is Euclidean, count ``1 / lambda_max``).  Unlike
+    the Euclidean gradient norm, it is unchanged when the returns are
+    rescaled.
     """
 
     eta: float | None = None
-    tol: float = 1e-8
+    tol: float = 1e-7
     max_iter: int = 100_000
-    initial_weights: np.ndarray | None = None
 
     def __post_init__(self):
         if self.eta is not None and not self.eta > 0.0:
@@ -104,15 +95,12 @@ class GdConfig:
             raise ValidationError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.initial_weights is not None:
-            w = np.array(self.initial_weights, dtype=float)
-            w.setflags(write=False)
-            object.__setattr__(self, "initial_weights", w)
 
 
 @dataclass(frozen=True)
 class GdReport:
-    """Ascent outcome; ``converged`` iff the final gradient norm is <= tol."""
+    """Ascent outcome; ``converged`` iff ``final_gradient_norm``, the
+    gradient's norm in the step's metric (see :class:`GdConfig`), is <= tol."""
 
     weights: np.ndarray
     iterations: int
@@ -187,72 +175,45 @@ def suggest_eta(scenarios, ra: RiskAversion) -> float:
     return 0.8 / (ra.gamma * lam_max)
 
 
-def with_taylor_start(cfg: GdConfig | None, scenarios, gross_rf: float,
-                      taylor_weights: np.ndarray | None) -> GdConfig:
-    """``cfg`` (``GdConfig()`` if None) with its start made explicit.
-
-    An ``initial_weights`` of its own is kept.  Otherwise the start is
-    ``taylor_weights``, the Taylor fixed point, when every scenario wealth
-    ``R_f + w'R_i`` is positive there, else zero; also zero when the Taylor
-    solve failed (``taylor_weights`` None).  This is the only place that
-    chooses gd's default start.
-    """
-    cfg = cfg or GdConfig()
-    if cfg.initial_weights is not None:
-        return cfg
-    if taylor_weights is None or not scenarios.wealth(taylor_weights, gross_rf).min() > 0.0:
-        taylor_weights = np.zeros(scenarios.k)
-    return replace(cfg, initial_weights=taylor_weights)
-
-
-def with_solved_taylor_start(cfg: GdConfig | None, scenarios, ra: RiskAversion,
-                             gross_rf: float, taylor_cfg: TaylorConfig | None = None) -> GdConfig:
-    """:func:`with_taylor_start` after a ``taylor_solve`` under
-    ``taylor_cfg``, which runs only when ``cfg`` has no start of its own
-    and counts as failed when it raises a :class:`CrraOptError`."""
-    if cfg is not None and cfg.initial_weights is not None:
-        return cfg
-    try:
-        taylor_weights = taylor_solve(scenarios, ra, gross_rf, taylor_cfg).weights
-    except CrraOptError:
-        taylor_weights = None
-    return with_taylor_start(cfg, scenarios, gross_rf, taylor_weights)
-
-
-def _metric(m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors ``V`` of ``M2`` and the scale ``lambda_max / lambda_i``
-    of each, 1 where ``lambda_i <= k * eps * lambda_max``; the step
-    direction is ``V (scale * V'g)``."""
+def _metric(m2: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenvectors ``V`` of ``M2``, the scale ``lambda_max / lambda_i`` of
+    each (1 where ``lambda_i <= k * eps * lambda_max``) and ``lambda_max``:
+    the step direction is ``V (scale * V'g)`` and the stopping norm
+    ``sqrt(sum(scale * (V'g)^2) / lambda_max)``.  An all-zero ``M2``, whose
+    scenarios give a zero gradient everywhere, takes ``lambda_max = 1``."""
     lam, vecs = np.linalg.eigh(m2)
     scale = np.ones_like(lam)
     resolved = lam > lam.shape[0] * np.finfo(float).eps * lam[-1]
     scale[resolved] = lam[-1] / lam[resolved]
-    return vecs, scale
+    return vecs, scale, float(lam[-1]) if lam[-1] > 0.0 else 1.0
 
 
 def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None = None) -> GdReport:
     """Run fixed-step gradient ascent on the sampled utility.
 
-    Each step is ``eta * lambda_max(M2) * M2^+ grad V0`` in the metric of
-    the cached sample second moment, as the module docstring describes.
-    The ascent starts at ``cfg.initial_weights``, or, when that is None, at
-    the Taylor fixed point or zero as :class:`GdConfig` describes.  Returns
-    a converged :class:`GdReport`; raises :class:`NotConverged`
-    (with the partial report attached) if ``max_iter`` steps do not bring
-    the gradient norm below ``tol``, and :class:`StepIntoInfeasible` if step
-    halving cannot keep every scenario wealth positive.
+    The ascent starts at zero, the all risk-free portfolio, and each step is
+    ``eta * lambda_max(M2) * M2^+ grad V0`` in the metric of the cached
+    sample second moment, as the module docstring describes.  Returns a
+    converged :class:`GdReport`; raises :class:`NotConverged` (with the
+    partial report attached) if ``max_iter`` steps do not bring the
+    gradient's norm in that metric to ``tol``, and
+    :class:`StepIntoInfeasible` if step halving cannot keep every scenario
+    wealth positive.
     """
-    cfg = with_solved_taylor_start(cfg, scenarios, ra, gross_rf)
+    cfg = cfg or GdConfig()
     eta = cfg.eta if cfg.eta is not None else suggest_eta(scenarios, ra)
-    w = np.array(cfg.initial_weights, dtype=float)
+    w = np.zeros(scenarios.k)
     wealth = scenarios.wealth(w, gross_rf)
     _require_positive(wealth)
-    vecs, scale = _metric(scenarios.m2)
+    vecs, scale, lam_max = _metric(scenarios.m2)
 
     steps = 0
     while True:
         grad = scenarios.weighted_mean(wealth ** (-ra.gamma))
-        norm = float(np.linalg.norm(grad))
+        # einsum, not BLAS, so the step cannot depend on BLAS threads.
+        proj = np.einsum("ji,j->i", vecs, grad)
+        coords = scale * proj
+        norm = math.sqrt(float(np.einsum("i,i->", coords, proj)) / lam_max)
         if norm <= cfg.tol:
             return GdReport(
                 weights=w, iterations=steps, final_gradient_norm=norm,
@@ -267,8 +228,6 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
                 f"gradient norm {norm:.3e} > tol {cfg.tol:.3e} after {steps} iterations",
                 report,
             )
-        # einsum, not BLAS, so the step cannot depend on BLAS threads.
-        coords = scale * np.einsum("ji,j->i", vecs, grad)
         step = eta * np.einsum("ij,j->i", vecs, coords)
         for _ in range(MAX_BACKTRACKS + 1):
             cand = w + step

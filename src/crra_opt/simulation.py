@@ -31,7 +31,7 @@ import numpy as np
 
 from .closed_form import solve_analytical
 from .errors import AllScenariosInfeasible, CrraOptError, ValidationError
-from .gradient import GdConfig, gd_solve, with_solved_taylor_start, with_taylor_start
+from .gradient import GdConfig, gd_solve
 from .market import MarketParams, RiskAversion, gamma_lower_bound, require_admissible_gamma
 from .taylor import TaylorConfig, taylor_solve
 
@@ -350,17 +350,15 @@ def solve_method(method: str, p: MarketParams, scenarios: ScenarioSet | None, ra
                  gd_cfg: GdConfig | None = None, taylor_cfg: TaylorConfig | None = None):
     """Run one of :data:`METHODS` at one gamma and return its report.
 
-    ``analytical`` solves on the exact (mu, sigma) and ignores ``scenarios``.
-    Without a start of its own in ``gd_cfg``, ``gd`` first solves Taylor
-    under ``taylor_cfg`` for its start
-    (:func:`~crra_opt.gradient.with_solved_taylor_start`).
+    ``analytical`` solves on the exact (mu, sigma) and ignores ``scenarios``
+    and both configs; ``taylor`` reads only ``taylor_cfg`` and ``gd`` only
+    ``gd_cfg``.
     """
     if method == "analytical":
         return solve_analytical(p, ra)
     if method == "taylor":
         return taylor_solve(scenarios, ra, p.gross_rf, taylor_cfg)
     if method == "gd":
-        gd_cfg = with_solved_taylor_start(gd_cfg, scenarios, ra, p.gross_rf, taylor_cfg)
         return gd_solve(scenarios, ra, p.gross_rf, gd_cfg)
     raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
 
@@ -404,22 +402,16 @@ def _compare_gamma(p, scenarios, g, gd_cfg, taylor_cfg, ecdf_points) -> tuple[di
 
     Each method is solved and its weights evaluated; a :class:`CrraOptError`
     at either step becomes its cell's error, with the weights kept if the
-    solve got that far.  Any other exception propagates.  Taylor is solved
-    once: gd starts from the Taylor cell's weights by
-    :func:`~crra_opt.gradient.with_taylor_start` (zero when that solve
-    failed or the weights are infeasible), so the gd cell equals
-    :func:`solve_method`'s gd under the same configs.
+    solve got that far.  Any other exception propagates.  The methods are
+    independent: each cell is :func:`solve_method`'s answer under the same
+    configs, whatever another cell's outcome.
     """
     ra = RiskAversion(g)
     cells, ecdfs = {}, {}
     for method in METHODS:
         weights = None
         try:
-            cfg = gd_cfg
-            if method == "gd":  # Taylor is solved once: its cell's weights are gd's start
-                cfg = with_taylor_start(gd_cfg, scenarios, p.gross_rf,
-                                        cells[(g, "taylor")].weights)
-            weights = solve_method(method, p, scenarios, ra, cfg, taylor_cfg).weights
+            weights = solve_method(method, p, scenarios, ra, gd_cfg, taylor_cfg).weights
             cell, wealth_table, utility_table = _evaluate_cell(
                 scenarios, weights, ra, p.gross_rf, method, ecdf_points
             )
@@ -483,8 +475,9 @@ def compare(
     utility overflows.  ``n`` must be at least 2, the smallest sample the
     statistics take, and ``ecdf_points`` at least 2.
 
-    The solvers are called through :func:`solve_method`; Taylor is solved
-    once per gamma, and gd starts from its answer.  A
+    The solvers are called through :func:`solve_method`, each on its own:
+    ``taylor_cfg`` reaches only the Taylor cells and ``gd_cfg`` only the gd
+    cells, and no cell's outcome moves another's.  A
     :class:`CrraOptError` while solving or evaluating one (gamma, method)
     cell is recorded on that cell and does not abort the rest of the run;
     any other error propagates.

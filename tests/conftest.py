@@ -10,6 +10,8 @@ import pytest
 from crra_opt import MarketParams, make_params
 from crra_opt.closed_form import _scale_root
 
+pytest_plugins = ["pytester"]
+
 # Three-asset weekly benchmark market used throughout: excess-return moments
 # estimated from DAX / Nasdaq futures / Russell 2000 futures weekly prices,
 # with a 0.06% weekly risk-free rate.

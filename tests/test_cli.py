@@ -15,9 +15,9 @@ import pytest
 import crra_opt
 from conftest import BENCHMARK_MU, BENCHMARK_RF, BENCHMARK_SIGMA
 from crra_opt import (
+    GdConfig,
     NonFiniteIterate,
     gamma_lower_bound,
-    gradient,
     make_params,
     simulation,
     tangency,
@@ -112,7 +112,7 @@ class TestSolve:
         assert code == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["converged"] is True
-        assert payload["grad_norm"] <= 1e-8
+        assert payload["grad_norm"] <= GdConfig.tol
         assert payload["method"] == "gd"
 
     def test_gd_iteration_cap_exit_5(self, benchmark_json):
@@ -266,49 +266,58 @@ class TestCompare:
         solved = json.loads((tmp_path / "gd.json").read_text(encoding="utf-8"))
         assert dumps_json(cell["results"]["10"]["gd"]["weights"]) == dumps_json(solved["weights"])
 
-    @pytest.mark.parametrize("taylor_flags", [[], ["--taylor-tol", "1e-6"]])
-    def test_gd_agrees_across_commands_under_taylor_flags(self, tmp_path, benchmark_json,
-                                                          monkeypatch, taylor_flags):
-        # gd starts from the Taylor answer under the run's own Taylor flags;
-        # `solve --method all` solves Taylor once and shares it with gd.
+    @staticmethod
+    def _assert_gd_untouched_by(tmp_path, benchmark_json, monkeypatch, taylor_flags,
+                                all_code=0):
+        """Under ``taylor_flags``, compare's gd JSON cell and gd ECDF files
+        are byte-identical to a default run's and equal ``solve --method
+        gd``; ``solve --method all`` solves Taylor once, and exits with
+        ``all_code`` (its gd report equals ``solve --method gd``'s if 0)."""
         taylor_calls = []
-        for module in (simulation, gradient):
-            def counted(*args, real=module.taylor_solve):
-                taylor_calls.append(args[1].gamma)
-                return real(*args)
 
-            monkeypatch.setattr(module, "taylor_solve", counted)
-        common = ["--params", str(benchmark_json), "--samples", "5000", "--seed", "9",
-                  *taylor_flags]
-        assert main(["solve", *common, "--gamma", "10", "--method", "all",
-                     "--out", str(tmp_path / "all.json")]) == 0
+        def counted(*args, real=simulation.taylor_solve):
+            taylor_calls.append(args[1].gamma)
+            return real(*args)
+
+        monkeypatch.setattr(simulation, "taylor_solve", counted)
+        common = ["--params", str(benchmark_json), "--samples", "5000", "--seed", "9"]
+        assert main(["solve", *common, *taylor_flags, "--gamma", "10", "--method", "all",
+                     "--out", str(tmp_path / "all.json")]) == all_code
         assert taylor_calls == [10.0]
-        assert main(["solve", *common, "--gamma", "10", "--method", "gd",
+        assert main(["solve", *common, *taylor_flags, "--gamma", "10", "--method", "gd",
                      "--out", str(tmp_path / "gd.json")]) == 0
-        assert main(["compare", *common, "--gammas", "10",
-                     "--outdir", str(tmp_path / "study")]) == 0
+        for name, flags in (("flagged", taylor_flags), ("default", [])):
+            assert main(["compare", *common, *flags, "--gammas", "10",
+                         "--outdir", str(tmp_path / name)]) == 0
 
         def read(name):
             return json.loads((tmp_path / name).read_text(encoding="utf-8"))
 
         solved = read("gd.json")
-        assert read("all.json")["gd"] == solved
-        cell = read("study/comparison.json")["results"]["10"]["gd"]
+        if all_code == 0:
+            assert read("all.json")["gd"] == solved
+        cell = read("flagged/comparison.json")["results"]["10"]["gd"]
+        assert cell == read("default/comparison.json")["results"]["10"]["gd"]
         assert dumps_json(cell["weights"]) == dumps_json(solved["weights"])
+        for kind in ("wealth", "utility"):
+            name = f"ecdf_{kind}_gamma10_gd.csv"
+            assert (tmp_path / "flagged" / name).read_bytes() == (
+                tmp_path / "default" / name).read_bytes()
+        return read("flagged/comparison.json")["results"]["10"]["taylor"]
 
-    def test_gd_cell_matches_solve_when_taylor_stops_short(self, tmp_path, benchmark_json):
-        # Two Taylor iterations are too few: the Taylor cell fails, and gd
-        # starts at zero in both commands.
-        common = ["--params", str(benchmark_json), "--samples", "5000", "--seed", "9",
-                  "--taylor-max-iter", "2"]
-        assert main(["compare", *common, "--gammas", "10",
-                     "--outdir", str(tmp_path / "study")]) == 0
-        assert main(["solve", *common, "--gamma", "10", "--method", "gd",
-                     "--out", str(tmp_path / "gd.json")]) == 0
-        cells = json.loads((tmp_path / "study" / "comparison.json").read_text(encoding="utf-8"))
-        solved = json.loads((tmp_path / "gd.json").read_text(encoding="utf-8"))
-        assert "after 2 iterations" in cells["results"]["10"]["taylor"]["error"]
-        assert dumps_json(cells["results"]["10"]["gd"]["weights"]) == dumps_json(solved["weights"])
+    @pytest.mark.parametrize("taylor_flags", [[], ["--taylor-tol", "1e-6"]])
+    def test_gd_agrees_across_commands_under_taylor_flags(self, tmp_path, benchmark_json,
+                                                          monkeypatch, taylor_flags):
+        # Taylor's flags reach only Taylor.
+        self._assert_gd_untouched_by(tmp_path, benchmark_json, monkeypatch, taylor_flags)
+
+    def test_gd_cell_matches_solve_when_taylor_stops_short(self, tmp_path, benchmark_json,
+                                                           monkeypatch):
+        # Two Taylor iterations are too few: the Taylor cell fails (and
+        # `solve --method all` exits 5), and gd's does not move.
+        taylor = self._assert_gd_untouched_by(tmp_path, benchmark_json, monkeypatch,
+                                              ["--taylor-max-iter", "2"], all_code=5)
+        assert "after 2 iterations" in taylor["error"]
 
 
 @pytest.mark.parametrize(

@@ -17,15 +17,13 @@ from hypothesis import strategies as st
 
 from crra_opt import (
     AllScenariosInfeasible,
-    CrraOptError,
     GammaBelowBound,
     GdConfig,
-    NotConverged,
+    NonFiniteIterate,
     RiskAversion,
     ScenarioSet,
     StepIntoInfeasible,
     SummaryStats,
-    TaylorConfig,
     ValidationError,
     compare,
     ecdf,
@@ -36,7 +34,7 @@ from crra_opt import (
     simulate,
     summarize,
 )
-from crra_opt import gradient, simulation
+from crra_opt import simulation
 from crra_opt.reports import comparison_report_dict, human_comparison_table
 from crra_opt.simulation import MAD_SCALE, METHODS
 
@@ -491,126 +489,27 @@ class TestSolveMethod:
         with pytest.raises(ValueError, match="unknown method"):
             simulation.solve_method("newton", benchmark_params, None, RiskAversion(10.0))
 
+    def test_taylor_cannot_move_gd(self, benchmark_params, monkeypatch):
+        # gd uses nothing of the Taylor solver: with every Taylor solve
+        # failing, the gd cells and ECDFs are bitwise those of a normal run.
+        gammas = (5.0, 10.0)
+        normal = compare(benchmark_params, gammas, n=5_000, seed=23)
 
-class TestSharedTaylorStart:
-    """compare solves Taylor once per gamma and starts gd from that answer;
-    its gd cell must equal ``solve_method("gd", ...)``, which solves Taylor
-    for itself under the same configs."""
+        def taylor_solve(*args, **kwargs):
+            raise NonFiniteIterate("Taylor solve failed")
 
-    @staticmethod
-    def _gd_cell_and_solve_method(monkeypatch, p, scenarios, gamma, gd_cfg=None,
-                                  taylor_cfg=None, evaluate=None):
-        """compare's gd cell on ``scenarios``, the report or error of its gd
-        solve, and the report or error of ``solve_method("gd", ...)``."""
-        monkeypatch.setattr(simulation, "simulate", lambda p, n, seed: scenarios)
-        if evaluate is not None:
-            monkeypatch.setattr(simulation, "evaluate_strategy", evaluate)
-        outcomes = []
-        real_gd = simulation.gd_solve
-
-        def gd(scenarios, ra, gross_rf, cfg):
-            try:
-                outcomes.append(real_gd(scenarios, ra, gross_rf, cfg))
-            except CrraOptError as exc:
-                outcomes.append(exc)
-                raise
-            return outcomes[-1]
-
-        monkeypatch.setattr(simulation, "gd_solve", gd)
-        report = compare(p, [gamma], n=scenarios.n, seed=0, gd_cfg=gd_cfg, taylor_cfg=taylor_cfg)
-        (in_compare,) = outcomes
-        try:
-            alone = simulation.solve_method("gd", p, scenarios, RiskAversion(gamma), gd_cfg,
-                                            taylor_cfg)
-        except CrraOptError as exc:
-            alone = exc
-        return report.cells[(gamma, "gd")], report.cells[(gamma, "taylor")], in_compare, alone
-
-    @staticmethod
-    def _assert_same_report(a, b):
-        assert np.array_equal(_bits(a.weights), _bits(b.weights))
-        assert (a.iterations, a.final_gradient_norm, a.objective, a.converged) == (
-            b.iterations, b.final_gradient_norm, b.objective, b.converged)
-
-    def _assert_cell_is_solve_method(self, *args, **kwargs):
-        cell, taylor_cell, in_compare, alone = self._gd_cell_and_solve_method(*args, **kwargs)
-        assert type(in_compare) is type(alone)
-        if isinstance(alone, CrraOptError):
-            assert cell.error == str(in_compare) == str(alone)
-            self._assert_same_report(in_compare.report, alone.report)
-        else:
-            assert not cell.failed
-            assert np.array_equal(_bits(cell.weights), _bits(alone.weights))
-            self._assert_same_report(in_compare, alone)
-        return cell, taylor_cell, alone
-
-    def test_default_configs(self, benchmark_params, monkeypatch):
-        scenarios = simulate(benchmark_params, 5_000, 23)
-        _, taylor_cell, alone = self._assert_cell_is_solve_method(
-            monkeypatch, benchmark_params, scenarios, 10.0)
-        assert alone.converged and not taylor_cell.failed
-
-    def test_non_default_taylor_config(self, benchmark_params, monkeypatch):
-        # A looser Taylor tolerance moves gd's start, and so its digits, in
-        # compare and in solve_method alike.
-        scenarios = simulate(benchmark_params, 5_000, 23)
-        cell, _, _ = self._assert_cell_is_solve_method(
-            monkeypatch, benchmark_params, scenarios, 10.0, taylor_cfg=TaylorConfig(tol=1e-6))
-        default = simulation.solve_method("gd", benchmark_params, scenarios, RiskAversion(10.0))
-        assert not np.array_equal(cell.weights, default.weights)
-
-    def test_singular_second_moment_starts_at_zero(self, monkeypatch):
-        # The second asset is twice the first: M2 has rank one, so the Taylor
-        # cell fails and gd starts at zero.
-        r = np.random.default_rng(32).normal(0.01, 0.05, size=400)
-        scenarios = ScenarioSet(returns=np.column_stack([r, 2.0 * r]), seed=0)
-        p = make_params([0.01, 0.02], np.diag([0.0025, 0.01]), 0.0)
-        _, taylor_cell, alone = self._assert_cell_is_solve_method(monkeypatch, p, scenarios, 5.0)
-        assert "not positive definite" in taylor_cell.error
-        zero = gd_solve(scenarios, RiskAversion(5.0), 1.0, GdConfig(initial_weights=np.zeros(2)))
-        assert np.array_equal(_bits(alone.weights), _bits(zero.weights))
-
-    def test_infeasible_taylor_weights_start_at_zero(self, monkeypatch):
-        # The Taylor weights leave the crash draw with negative wealth, so
-        # both sides start at zero and fail after the same 25 steps.
-        scenarios = ScenarioSet(returns=[[0.1]] * 100 + [[-0.3]], seed=0)
-        p = make_params([0.01], [[0.01]], 0.0)
-        cell, taylor_cell, alone = self._assert_cell_is_solve_method(
-            monkeypatch, p, scenarios, 2.0, gd_cfg=GdConfig(max_iter=25))
-        assert 1.0 - 0.3 * taylor_cell.weights[0] <= 0.0
-        assert isinstance(alone, NotConverged) and "after 25 iterations" in cell.error
-
-    def test_taylor_cell_failing_in_evaluation_still_gives_the_start(
-        self, benchmark_params, monkeypatch
-    ):
-        # Feasibility comes from the wealth, not from the Taylor cell's error.
-        real_evaluate = simulation.evaluate_strategy
-
-        def evaluate(scenarios, weights, ra, gross_rf, method):
-            if method == "taylor":
-                raise AllScenariosInfeasible("evaluation failed")
-            return real_evaluate(scenarios, weights, ra, gross_rf, method=method)
-
-        scenarios = simulate(benchmark_params, 5_000, 23)
-        _, taylor_cell, alone = self._assert_cell_is_solve_method(
-            monkeypatch, benchmark_params, scenarios, 10.0, evaluate=evaluate)
-        assert taylor_cell.error == "evaluation failed" and taylor_cell.weights is not None
-        zero = gd_solve(scenarios, RiskAversion(10.0), benchmark_params.gross_rf,
-                        GdConfig(initial_weights=np.zeros(3)))
-        assert not np.array_equal(alone.weights, zero.weights)
-
-    def test_taylor_is_solved_once_per_gamma(self, benchmark_params, monkeypatch):
-        calls = []
-        for module in (simulation, gradient):
-            real = module.taylor_solve
-
-            def counted(scenarios, ra, gross_rf, cfg=None, real=real):
-                calls.append(ra.gamma)
-                return real(scenarios, ra, gross_rf, cfg)
-
-            monkeypatch.setattr(module, "taylor_solve", counted)
-        compare(benchmark_params, (5.0, 10.0, 15.0), n=5_000, seed=22)
-        assert sorted(calls) == [5.0, 10.0, 15.0]
+        monkeypatch.setattr(simulation, "taylor_solve", taylor_solve)
+        broken = compare(benchmark_params, gammas, n=5_000, seed=23)
+        for g in gammas:
+            assert broken.cells[(g, "taylor")].error == "Taylor solve failed"
+            cell, expected = broken.cells[(g, "gd")], normal.cells[(g, "gd")]
+            assert np.array_equal(_bits(cell.weights), _bits(expected.weights))
+            assert _same_stats(cell.stats, expected.stats)
+            assert (cell.infeasible_count, cell.nonfinite_count, cell.error) == (
+                expected.infeasible_count, expected.nonfinite_count, None)
+            for kind in ("wealth", "utility"):
+                assert np.array_equal(_bits(broken.ecdfs[(g, "gd", kind)]),
+                                      _bits(normal.ecdfs[(g, "gd", kind)]))
 
 
 class TestConcurrentSolve:
