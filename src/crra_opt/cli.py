@@ -23,6 +23,7 @@ import numpy as np
 
 from .closed_form import frontier_point, tangency
 from .errors import (
+    CrraOptError,
     GammaBelowBound,
     NotConverged,
     StepIntoInfeasible,
@@ -158,26 +159,46 @@ def cmd_solve(args) -> int:
         if args.samples is None or args.seed is None:
             raise ValidationError(f"--method {args.method} requires --samples and --seed")
         scenarios = simulate(params, args.samples, args.seed)
-    reports = {m: solver_report_dict(m, solve_method(m, params, scenarios, ra,
-                                                     gd_cfg, taylor_cfg))
-               for m in methods}
+    if args.method != "all":
+        report = solve_method(args.method, params, scenarios, ra, gd_cfg, taylor_cfg)
+        return _write_report(args.out, dumps_json(solver_report_dict(args.method, report)))
 
-    if args.method == "all":
-        distances = {}
-        for i, a in enumerate(methods):
-            for b in methods[i + 1:]:
-                wa = np.asarray(reports[a]["weights"])
-                wb = np.asarray(reports[b]["weights"])
-                distances[f"{a}_{b}"] = float(np.max(np.abs(wa - wb)))
-        payload: dict = dict(reports)
-        payload["weight_distance_inf"] = distances
-        text = dumps_json(payload)
-    else:
-        text = dumps_json(reports[args.method])
+    # As in compare, a method that fails is recorded and the others still
+    # report; only a gamma below the bound stops the command.
+    payload: dict = {}
+    failed = []
+    for m in methods:
+        try:
+            report = solve_method(m, params, scenarios, ra, gd_cfg, taylor_cfg)
+        except GammaBelowBound:
+            raise
+        except CrraOptError as exc:
+            payload[m] = {"error": str(exc), "method": m}
+            failed.append(m)
+        else:
+            payload[m] = solver_report_dict(m, report)
+    solved = [m for m in methods if m not in failed]
+    distances = {}
+    for i, a in enumerate(solved):
+        for b in solved[i + 1:]:
+            wa = np.asarray(payload[a]["weights"])
+            wb = np.asarray(payload[b]["weights"])
+            distances[f"{a}_{b}"] = float(np.max(np.abs(wa - wb)))
+    payload["weight_distance_inf"] = distances
+    code = _write_report(args.out, dumps_json(payload))
+    for m in failed:
+        print(f"method {m} failed: {payload[m]['error']}", file=sys.stderr)
+    if not solved:
+        print("every method failed", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
+    return code
 
-    if args.out is not None:
-        write_text(args.out, text)
-        print(f"wrote {args.out}")
+
+def _write_report(out, text: str) -> int:
+    """``text`` to the ``--out`` path, or to stdout when there is none."""
+    if out is not None:
+        write_text(out, text)
+        print(f"wrote {out}")
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -336,9 +336,10 @@ def ecdf(values, grid_points: int) -> np.ndarray:
     return _ecdf_of_sorted(np.sort(_sample(values, 1, "ecdf")), grid_points)
 
 
-def _solve_workers(tasks: int) -> int:
-    """Threads for the gamma tasks of :func:`compare`: one per task, at most
-    one per CPU this process may run on."""
+def worker_count(tasks: int) -> int:
+    """Workers for ``tasks`` independent tasks: one per task, at most one
+    per CPU this process may run on.  :func:`compare`'s gamma threads and
+    the ECDF writer processes of :mod:`crra_opt.reports` both follow it."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
@@ -447,7 +448,7 @@ def _compare_gammas(p, scenarios, gammas, gd_cfg, taylor_cfg, ecdf_points) -> li
             results[i] = _compare_gamma(p, scenarios, gammas[i], gd_cfg, taylor_cfg,
                                         ecdf_points)
 
-    helpers = _solve_workers(len(gammas)) - 1
+    helpers = worker_count(len(gammas)) - 1
     # A pool starts its threads on submit, so one worker starts none.
     with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
         futures = [pool.submit(work) for _ in range(helpers)]

@@ -1,0 +1,89 @@
+"""Golden outputs of the CLI: run the cases of ``cases.json`` and record them.
+
+``cases.json`` holds the markets (mu, sigma, r_f) and one entry per CLI run:
+``compare`` on the three benchmark workload markets at N = 20,000 (the
+one-asset sweep keeps its 12 gammas and 4096 ECDF points), ``solve --method
+all`` on two markets and ``frontier``.  ``manifest.json`` records the sha256
+of every file these runs write, and the numpy version and machine they were
+recorded under; the three ``comparison.json`` files are also kept verbatim
+under ``compare/``, so a moved digit shows as a readable diff.
+
+To rewrite the data, from the repository root:
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+Regenerate only in a change that means to move output digits, and name in
+its CHANGES.md entry the files that moved and the largest change per method.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from crra_opt.cli import main as cli_main
+
+HERE = Path(__file__).resolve().parent
+CASES = HERE / "cases.json"
+MANIFEST = HERE / "manifest.json"
+
+# Outputs kept verbatim next to the manifest.
+VERBATIM = tuple(f"compare/{market}/comparison.json"
+                 for market in ("paper_study", "gamma_sweep_1asset", "wide_market_k16"))
+
+
+def environment() -> dict:
+    """What the output bytes depend on beyond the code: numpy's kernels."""
+    return {"numpy": np.__version__, "machine": platform.machine()}
+
+
+def run_cases(workdir: Path) -> dict[str, bytes]:
+    """Run every case into ``workdir``; map each written file's path,
+    relative to ``workdir``, to its bytes."""
+    cases = json.loads(CASES.read_text(encoding="utf-8"))
+    params = {}
+    for name, market in cases["markets"].items():
+        params[name] = workdir / "params" / f"{name}.json"
+        params[name].parent.mkdir(parents=True, exist_ok=True)
+        params[name].write_text(json.dumps(market), encoding="utf-8")
+    outdir = workdir / "out"
+    for run in cases["runs"]:
+        out = outdir / run["out"]
+        out_flag = "--outdir" if run["argv"][0] == "compare" else "--out"
+        out.parent.mkdir(parents=True, exist_ok=True)
+        argv = [*run["argv"], "--params", str(params[run["market"]]), out_flag, str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(argv)
+        if code != 0:
+            raise RuntimeError(f"crra-opt {' '.join(argv)} exited {code}")
+    return {path.relative_to(outdir).as_posix(): path.read_bytes()
+            for path in sorted(outdir.rglob("*")) if path.is_file()}
+
+
+def sha256s(outputs: dict[str, bytes]) -> dict[str, str]:
+    return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = run_cases(Path(tmp))
+    for name in VERBATIM:
+        path = HERE / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(outputs[name])
+    manifest = {"environment": environment(), "sha256": sha256s(outputs)}
+    MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    print(f"recorded {len(outputs)} outputs under {environment()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

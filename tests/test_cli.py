@@ -17,12 +17,14 @@ from conftest import BENCHMARK_MU, BENCHMARK_RF, BENCHMARK_SIGMA
 from crra_opt import (
     GdConfig,
     NonFiniteIterate,
+    NotConverged,
     gamma_lower_bound,
     make_params,
     simulation,
     tangency,
     write_params_json,
 )
+from crra_opt import cli
 from crra_opt.cli import main
 from crra_opt.reports import dumps_json
 
@@ -136,6 +138,24 @@ class TestSolve:
         assert distances["taylor_gd"] == pytest.approx(
             float(np.max(np.abs(w_taylor - w_gd))), rel=1e-12
         )
+
+    def test_all_exits_5_only_when_every_method_fails(self, tmp_path, benchmark_json,
+                                                      monkeypatch, capsys):
+        def fail(method, *args):
+            raise NotConverged(f"{method} gave up", None)
+
+        monkeypatch.setattr(cli, "solve_method", fail)
+        out = tmp_path / "all.json"
+        code = main(["solve", "--params", str(benchmark_json), "--gamma", "10",
+                     "--method", "all", "--samples", "500", "--seed", "42",
+                     "--out", str(out)])
+        assert code == 5
+        err = capsys.readouterr().err
+        for method in simulation.METHODS:
+            assert f"method {method} failed: {method} gave up" in err
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload["weight_distance_inf"] == {}
+        assert payload["gd"] == {"error": "gd gave up", "method": "gd"}
 
 
 class TestCompare:
@@ -267,12 +287,12 @@ class TestCompare:
         assert dumps_json(cell["results"]["10"]["gd"]["weights"]) == dumps_json(solved["weights"])
 
     @staticmethod
-    def _assert_gd_untouched_by(tmp_path, benchmark_json, monkeypatch, taylor_flags,
-                                all_code=0):
+    def _assert_gd_untouched_by(tmp_path, benchmark_json, monkeypatch, taylor_flags):
         """Under ``taylor_flags``, compare's gd JSON cell and gd ECDF files
         are byte-identical to a default run's and equal ``solve --method
-        gd``; ``solve --method all`` solves Taylor once, and exits with
-        ``all_code`` (its gd report equals ``solve --method gd``'s if 0)."""
+        gd``; ``solve --method all`` solves Taylor once, exits 0 and reports
+        the same gd answer.  Returns compare's Taylor cell and ``solve
+        --method all``'s report."""
         taylor_calls = []
 
         def counted(*args, real=simulation.taylor_solve):
@@ -282,7 +302,7 @@ class TestCompare:
         monkeypatch.setattr(simulation, "taylor_solve", counted)
         common = ["--params", str(benchmark_json), "--samples", "5000", "--seed", "9"]
         assert main(["solve", *common, *taylor_flags, "--gamma", "10", "--method", "all",
-                     "--out", str(tmp_path / "all.json")]) == all_code
+                     "--out", str(tmp_path / "all.json")]) == 0
         assert taylor_calls == [10.0]
         assert main(["solve", *common, *taylor_flags, "--gamma", "10", "--method", "gd",
                      "--out", str(tmp_path / "gd.json")]) == 0
@@ -294,8 +314,7 @@ class TestCompare:
             return json.loads((tmp_path / name).read_text(encoding="utf-8"))
 
         solved = read("gd.json")
-        if all_code == 0:
-            assert read("all.json")["gd"] == solved
+        assert read("all.json")["gd"] == solved
         cell = read("flagged/comparison.json")["results"]["10"]["gd"]
         assert cell == read("default/comparison.json")["results"]["10"]["gd"]
         assert dumps_json(cell["weights"]) == dumps_json(solved["weights"])
@@ -303,7 +322,7 @@ class TestCompare:
             name = f"ecdf_{kind}_gamma10_gd.csv"
             assert (tmp_path / "flagged" / name).read_bytes() == (
                 tmp_path / "default" / name).read_bytes()
-        return read("flagged/comparison.json")["results"]["10"]["taylor"]
+        return read("flagged/comparison.json")["results"]["10"]["taylor"], read("all.json")
 
     @pytest.mark.parametrize("taylor_flags", [[], ["--taylor-tol", "1e-6"]])
     def test_gd_agrees_across_commands_under_taylor_flags(self, tmp_path, benchmark_json,
@@ -312,12 +331,16 @@ class TestCompare:
         self._assert_gd_untouched_by(tmp_path, benchmark_json, monkeypatch, taylor_flags)
 
     def test_gd_cell_matches_solve_when_taylor_stops_short(self, tmp_path, benchmark_json,
-                                                           monkeypatch):
-        # Two Taylor iterations are too few: the Taylor cell fails (and
-        # `solve --method all` exits 5), and gd's does not move.
-        taylor = self._assert_gd_untouched_by(tmp_path, benchmark_json, monkeypatch,
-                                              ["--taylor-max-iter", "2"], all_code=5)
+                                                           monkeypatch, capsys):
+        # Two Taylor iterations are too few: the Taylor cell fails, `solve
+        # --method all` records that failure and still reports the others,
+        # and gd's answer does not move.
+        taylor, solved_all = self._assert_gd_untouched_by(
+            tmp_path, benchmark_json, monkeypatch, ["--taylor-max-iter", "2"])
         assert "after 2 iterations" in taylor["error"]
+        assert solved_all["taylor"] == {"error": taylor["error"], "method": "taylor"}
+        assert list(solved_all["weight_distance_inf"]) == ["analytical_gd"]
+        assert capsys.readouterr().err.count("method taylor failed: ") == 1
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
 from crra_opt import CellResult, ComparisonReport, RiskAversion, SummaryStats, simulate
+from crra_opt import reports
 from crra_opt.reports import (
     dumps_json,
     ecdf_filename,
@@ -147,3 +151,101 @@ def test_ecdf_files_match_per_row_float_repr(tmp_path):
     expected = ["x,F"] + [f"{float(x)!r},{float(f)!r}" for x, f in awkward]
     assert path.name == "ecdf_utility_gamma12.5_gd.csv"
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def _awkward_report(tables: int = 7):
+    """``tables`` ECDF tables of floats whose shortest repr is long, tiny,
+    huge, negative zero or subnormal, under distinct (gamma, method, kind)."""
+    rng = np.random.default_rng(5)
+    special = [1e-300, -2.5e20, 0.1, 1 / 3, -0.0, 5e-324, 1.7976931348623157e308]
+    keys = itertools.product((5.0, 7.5, 12.5), METHODS, ("wealth", "utility"))
+    ecdfs = {}
+    for i, key in zip(range(tables), keys):
+        x = np.concatenate([special[i:], rng.normal(scale=10.0 ** i, size=20 + i)])
+        ecdfs[key] = np.column_stack([x, rng.uniform(size=x.shape[0])])
+    return _report_with(ecdfs=ecdfs, gammas=(5.0, 7.5, 12.5))
+
+
+def _expected_text(table) -> bytes:
+    return ("x,F\n" + "".join(f"{float(x)!r},{float(f)!r}\n" for x, f in table)).encode()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_ecdf_files_keep_their_bytes_under_any_worker_count(tmp_path, monkeypatch, workers):
+    report = _awkward_report()
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(reports, "worker_count", lambda tasks: workers)
+    monkeypatch.setattr(os, "fork", fork)
+    written = write_ecdf_files(report, tmp_path)
+    assert len(forks) == workers - 1
+    assert written == [tmp_path / ecdf_filename(kind, g, m) for g, m, kind in report.ecdfs]
+    for path, table in zip(written, report.ecdfs.values()):
+        assert path.read_bytes() == _expected_text(table)
+    assert sorted(tmp_path.iterdir()) == sorted(written)
+
+
+def test_failed_child_share_raises_in_the_caller_and_leaves_no_child(tmp_path, monkeypatch):
+    report = _awkward_report()
+    monkeypatch.setattr(reports, "worker_count", lambda tasks: 3)
+    g, method, kind = list(report.ecdfs)[1]  # dealt to share 1 of 3
+    (tmp_path / ecdf_filename(kind, g, method)).mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_ecdf_files(report, tmp_path)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_fork_while_another_thread_is_alive(tmp_path, monkeypatch):
+    report = _awkward_report()
+
+    def fork():
+        raise AssertionError("forked while another thread was alive")
+
+    monkeypatch.setattr(reports, "worker_count", lambda tasks: 3)
+    monkeypatch.setattr(os, "fork", fork)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        written = write_ecdf_files(report, tmp_path)
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    for path, table in zip(written, report.ecdfs.values()):
+        assert path.read_bytes() == _expected_text(table)
+
+
+def test_caller_writes_the_share_of_a_failed_fork(tmp_path, monkeypatch):
+    report = _awkward_report()
+
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(reports, "worker_count", lambda tasks: 3)
+    monkeypatch.setattr(os, "fork", fork)
+    written = write_ecdf_files(report, tmp_path)
+    for path, table in zip(written, report.ecdfs.values()):
+        assert path.read_bytes() == _expected_text(table)
+
+
+@pytest.mark.parametrize("min_share_rows, tasks", [(60, 3), (10, 7), (reports.MIN_SHARE_ROWS, 0)])
+def test_writer_count_asks_for_one_share_per_min_share_rows(tmp_path, monkeypatch,
+                                                             min_share_rows, tasks):
+    report = _awkward_report()  # 7 tables of 27 rows
+    asked = []
+
+    def fork():
+        raise AssertionError("forked for one share")
+
+    monkeypatch.setattr(reports, "MIN_SHARE_ROWS", min_share_rows)
+    monkeypatch.setattr(reports, "worker_count", lambda n: asked.append(n) or 1)
+    monkeypatch.setattr(os, "fork", fork)
+    write_ecdf_files(report, tmp_path)
+    assert asked == [tasks]

@@ -517,8 +517,8 @@ class TestConcurrentSolve:
 
     def test_worker_count_follows_tasks_and_cpus(self):
         cpus = len(os.sched_getaffinity(0))
-        assert simulation._solve_workers(1) == 1
-        assert simulation._solve_workers(10_000) == cpus
+        assert simulation.worker_count(1) == 1
+        assert simulation.worker_count(10_000) == cpus
 
     def test_bitwise_equal_for_any_worker_count(self, benchmark_params, monkeypatch):
         # More workers than CPUs and frequent thread switches: every cell
@@ -536,7 +536,7 @@ class TestConcurrentSolve:
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 5):
-                monkeypatch.setattr(simulation, "_solve_workers", lambda tasks, w=workers: w)
+                monkeypatch.setattr(simulation, "worker_count", lambda tasks, w=workers: w)
                 solved_cells.clear()
                 reports.append(compare(benchmark_params, self.GAMMAS, n=20_000, seed=21))
                 assert sorted(solved_cells) == sorted((g, m) for g in self.GAMMAS for m in METHODS)
@@ -560,7 +560,7 @@ class TestConcurrentSolve:
         it runs in the worker that is not the calling thread."""
         caller = threading.get_ident()
         both_started = threading.Barrier(2)
-        monkeypatch.setattr(simulation, "_solve_workers", lambda tasks: 2)
+        monkeypatch.setattr(simulation, "worker_count", lambda tasks: 2)
 
         def in_helper() -> bool:
             both_started.wait(timeout=60)
