@@ -42,14 +42,13 @@ from .market import (
 from .reports import (
     comparison_report_dict,
     dumps_json,
-    fmt_gamma,
     human_comparison_table,
     solver_report_dict,
     write_comparison_csv,
     write_ecdf_files,
     write_text,
 )
-from .simulation import METHODS, compare, simulate, solve_method
+from .simulation import METHODS, compare, fmt_gamma, simulate, solve_method
 from .taylor import TaylorConfig
 
 EXIT_OK = 0
@@ -212,10 +211,6 @@ def cmd_compare(args) -> int:
         raise ValidationError(f"--gammas must be comma-separated numbers, got {args.gammas!r}")
     if not gammas:
         raise ValidationError("--gammas must name at least one value")
-    labels = [fmt_gamma(g) for g in gammas]
-    if len(set(labels)) < len(labels):
-        # The label keys comparison.json and names the ECDF files.
-        raise ValidationError(f"--gammas repeats a value at 6 digits: {', '.join(labels)}")
     gd_cfg, taylor_cfg = _solver_configs(args)
     report = compare(
         params, gammas, n=args.samples, seed=args.seed,

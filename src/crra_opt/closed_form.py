@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     NonPositiveGrossMean,
     SingularDenominator,
+    ValidationError,
 )
 from .market import MarketParams, RiskAversion, require_admissible_gamma
 
@@ -152,7 +153,7 @@ def approx_expected_utility(
     + (1-gamma)^2/2 * w'sigma w / (R_f + w'mu)^2]``.
     """
     if not w0 > 0.0:
-        raise ValueError(f"w0 must be positive, got {w0}")
+        raise ValidationError(f"w0 must be positive, got {w0}")
     w, m = _weights_and_gross_mean(p, weights)
     lam = 1.0 - ra.gamma
     quad = float(w @ p.sigma @ w)

@@ -62,7 +62,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveWealthScenario, NotConverged, StepIntoInfeasible, ValidationError
+from .errors import (
+    NonPositiveWealthScenario,
+    NotConverged,
+    SingularSecondMoment,
+    StepIntoInfeasible,
+    ValidationError,
+)
 from .market import RiskAversion
 
 MAX_BACKTRACKS = 60
@@ -171,7 +177,7 @@ def suggest_eta(scenarios, ra: RiskAversion) -> float:
     """
     lam_max = float(np.linalg.eigvalsh(scenarios.m2)[-1])
     if lam_max <= 0.0:
-        raise ValueError("second-moment matrix has no positive eigenvalue")
+        raise SingularSecondMoment("second-moment matrix has no positive eigenvalue")
     return 0.8 / (ra.gamma * lam_max)
 
 

@@ -1,10 +1,11 @@
 """Report serialization: solver JSON, long-form CSV, ECDF files.
 
-JSON floats are written with 17 significant digits (lossless for float64)
-and CSV floats with shortest round-trip ``repr``; both are fixed formats,
-so identical inputs produce byte-identical files.  The ECDF files, most of
-a study's bytes, are written by up to one process per CPU (see
-:func:`write_ecdf_files`); their bytes do not depend on how many.
+Every float in every file, JSON and CSV alike, is written as its shortest
+round-trip ``repr``: a fixed format, lossless for float64, so identical
+inputs produce byte-identical files.  The standard library's ``json``
+writes the JSON.  The ECDF files, most of a study's bytes, are written by
+up to one process per CPU (see :func:`write_ecdf_files`); their bytes do
+not depend on how many.
 """
 
 from __future__ import annotations
@@ -19,15 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .simulation import METHODS, ComparisonReport, SummaryStats, worker_count
+from .simulation import METHODS, ComparisonReport, SummaryStats, fmt_gamma, worker_count
 
 # Summary statistics in output order: mean, sd, median, mad.
 STATS = tuple(f.name for f in fields(SummaryStats))
 
 # Solver report fields that ``solve`` writes under another key.
 REPORT_KEYS = {"expected_excess_return": "mean_excess", "final_gradient_norm": "grad_norm"}
-
-JSON_INDENT = "  "
 
 # Fewest ECDF rows per writer process.  On a 2-vCPU x86-64 VM, a fork of
 # a ~50 MB process, its reaping and the copy-on-write faults the caller
@@ -38,59 +37,22 @@ JSON_INDENT = "  "
 MIN_SHARE_ROWS = 16_384
 
 
-def fmt17(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def fmt_gamma(g: float) -> str:
-    return f"{float(g):g}"
-
-
 def dumps_json(obj) -> str:
-    """Serialize nested dict/list/scalar data with 17-digit floats.
+    """``obj`` as indented JSON (RFC 8259), with a final newline.
 
-    Strings and keys are escaped per RFC 8259 section 7: ``"``, ``\\`` and the
-    control characters U+0000-U+001F; every other character is written
-    as is.  A NaN or infinite float, which JSON cannot hold, raises
-    ``ValueError``.
+    Floats are written as their shortest round-trip ``repr``, strings as
+    is but for the escapes JSON requires, and numpy arrays and scalars as
+    their ``tolist()``.  A NaN or infinite float, which JSON cannot hold,
+    raises ``ValueError``; any other type raises ``TypeError``.
     """
-    return _dumps(obj, 0) + "\n"
+    return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False,
+                      default=_plain) + "\n"
 
 
-def _dumps(obj, level: int) -> str:
-    pad = JSON_INDENT * level
-    inner = JSON_INDENT * (level + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{_dumps_str(str(key))}: {_dumps(value, level + 1)}"
-            for key, value in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{inner}{_dumps(value, level + 1)}" for value in seq]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        if not np.isfinite(obj):
-            raise ValueError(f"cannot serialize non-finite float {obj!r} as JSON")
-        return fmt17(obj)
-    if isinstance(obj, str):
-        return _dumps_str(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _dumps_str(text: str) -> str:
-    return json.dumps(text, ensure_ascii=False)
+def _plain(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj)!r} as JSON")
 
 
 def solver_report_dict(method: str, report) -> dict:

@@ -30,7 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_form import solve_analytical
-from .errors import AllScenariosInfeasible, CrraOptError, ValidationError
+from .errors import (
+    AllScenariosInfeasible,
+    CrraOptError,
+    DimensionMismatch,
+    NonFiniteInput,
+    ValidationError,
+)
 from .gradient import GdConfig, gd_solve
 from .market import MarketParams, RiskAversion, gamma_lower_bound, require_admissible_gamma
 from .taylor import TaylorConfig, taylor_solve
@@ -82,10 +88,10 @@ class ScenarioSet:
     def _own(self, cols: np.ndarray) -> None:
         """Check ``cols``, compute the moments and freeze all three."""
         if cols.ndim != 2 or 0 in cols.shape:
-            raise ValueError("returns must be 2-D (N, k) with N >= 1 and k >= 1, "
-                             f"got shape {cols.shape[::-1]}")
+            raise DimensionMismatch("returns must be 2-D (N, k) with N >= 1 and k >= 1, "
+                                    f"got shape {cols.shape[::-1]}")
         if not np.isfinite(cols).all():
-            raise ValueError("scenario returns must be finite")
+            raise NonFiniteInput("scenario returns must be finite")
         n = cols.shape[1]
         m1 = np.einsum("ij->i", cols) / n
         m2 = np.einsum("ij,lj->il", cols, cols) / n
@@ -183,6 +189,13 @@ class ComparisonReport:
     ecdfs: dict = field(default_factory=dict)
 
 
+def fmt_gamma(g: float) -> str:
+    """The label of a gamma in every output: its key in ``comparison.json``,
+    its CSV column and its ECDF file names.  Gammas alike to 6 significant
+    digits share a label, so :func:`compare` refuses them."""
+    return f"{float(g):g}"
+
+
 def simulate(p: MarketParams, n: int, seed: int) -> ScenarioSet:
     """Draw ``n`` excess-return vectors from ``N(mu, sigma)``.
 
@@ -216,9 +229,9 @@ def evaluate_strategy(
     """Realized wealth and utility of fixed weights on every scenario."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (scenarios.k,):
-        raise ValueError(f"weights must have shape ({scenarios.k},), got {w.shape}")
+        raise DimensionMismatch(f"weights must have shape ({scenarios.k},), got {w.shape}")
     if not w0 > 0.0:
-        raise ValueError(f"w0 must be positive, got {w0}")
+        raise ValidationError(f"w0 must be positive, got {w0}")
     wealths = scenarios.wealth(w, gross_rf)
     wealths *= w0
     feasible = wealths > 0.0
@@ -433,7 +446,9 @@ def _compare_gammas(p, scenarios, gammas, gd_cfg, taylor_cfg, ecdf_points) -> li
     The calling thread is one of the workers.  Each worker takes the next
     gamma until none is left, and results are stored by gamma index, so
     they do not depend on the number of workers or on which worker took
-    what.
+    what.  ``pool.map`` with an idle caller is no faster and needs one more
+    thread, whose own malloc arena raised peak RSS by 0.4-1.7 MB on the
+    benchmark workloads.
     """
     results: list = [None] * len(gammas)
     todo = iter(range(len(gammas)))
@@ -474,7 +489,8 @@ def compare(
     strategies are then evaluated on the same scenarios; utility summary
     statistics exclude (but count) non-positive-wealth draws and draws whose
     utility overflows.  ``n`` must be at least 2, the smallest sample the
-    statistics take, and ``ecdf_points`` at least 2.
+    statistics take, ``ecdf_points`` at least 2, and no two gammas may
+    share a :func:`fmt_gamma` label; these are checked before the draw.
 
     The solvers are called through :func:`solve_method`, each on its own:
     ``taylor_cfg`` reaches only the Taylor cells and ``gd_cfg`` only the gd
@@ -494,6 +510,9 @@ def compare(
     if ecdf_points < 2:
         raise ValidationError(f"--ecdf-points must be >= 2, got {ecdf_points}")
     gammas = tuple(float(g) for g in gammas)
+    labels = [fmt_gamma(g) for g in gammas]
+    if len(set(labels)) < len(labels):
+        raise ValidationError(f"gammas repeat a value at 6 digits: {', '.join(labels)}")
     bound = gamma_lower_bound(p)
     for g in gammas:
         require_admissible_gamma(g, bound)

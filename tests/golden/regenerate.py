@@ -12,8 +12,10 @@ To rewrite the data, from the repository root:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Regenerate only in a change that means to move output digits, and name in
-its CHANGES.md entry the files that moved and the largest change per method.
+Regenerate only in a change that means to move output digits or to change
+an output format, and name in its CHANGES.md entry the files that moved and
+the largest change per method; a format change shows, with a check that
+parses old and new, that every value is the same float64 (|delta| = 0).
 """
 
 from __future__ import annotations

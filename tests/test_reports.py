@@ -16,7 +16,6 @@ from crra_opt import reports
 from crra_opt.reports import (
     dumps_json,
     ecdf_filename,
-    fmt17,
     fmt_gamma,
     solver_report_dict,
     write_comparison_csv,
@@ -26,13 +25,15 @@ from crra_opt.simulation import METHODS, solve_method
 
 
 class TestFloatFormatting:
-    def test_fmt17_round_trips_float64(self):
+    def test_dumps_json_round_trips_float64(self):
         rng = np.random.default_rng(8)
         values = list(rng.normal(scale=1e4, size=200)) + [
-            0.1, 1e-300, -1e300, 3.141592653589793, 1.0006 ** (-4) / (-4)
+            0.1, 1e-300, -1e300, 3.141592653589793, 1.0006 ** (-4) / (-4),
+            -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
         ]
-        for x in values:
-            assert float(fmt17(float(x))) == float(x)
+        parsed = np.array(json.loads(dumps_json(values)))
+        assert parsed.dtype == np.float64
+        assert parsed.tobytes() == np.array(values).tobytes()
 
     def test_fmt_gamma_trims(self):
         assert fmt_gamma(5.0) == "5"
@@ -77,7 +78,7 @@ class TestDumpsJson:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, np.float64("nan")])
     def test_rejects_non_finite_floats(self, value):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="not JSON compliant"):
             dumps_json({"stats": {"mean": value}})
 
 

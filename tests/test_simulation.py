@@ -375,6 +375,17 @@ class TestCompare:
         with pytest.raises(ValidationError, match="must be >= 2, got 1"):
             compare(benchmark_params, [10.0], n=500, seed=9, ecdf_points=1)
 
+    def test_repeated_gamma_labels_checked_before_the_draw(self, benchmark_params,
+                                                           monkeypatch):
+        # 5 and 5.0000001 share the label "5", which keys comparison.json
+        # and names the ECDF files.
+        def simulate_unexpected(p, n, seed):
+            raise AssertionError("compare drew scenarios")
+
+        monkeypatch.setattr(simulation, "simulate", simulate_unexpected)
+        with pytest.raises(ValidationError, match="repeat a value at 6 digits: 5, 5, 10"):
+            compare(benchmark_params, [5, 5.0000001, 10], n=2000, seed=1)
+
     def test_deterministic(self, benchmark_params):
         a = compare(benchmark_params, [6.0], n=20_000, seed=12)
         b = compare(benchmark_params, [6.0], n=20_000, seed=12)
