@@ -209,8 +209,6 @@ def cmd_compare(args) -> int:
         gammas = [float(tok) for tok in args.gammas.split(",") if tok.strip()]
     except ValueError:
         raise ValidationError(f"--gammas must be comma-separated numbers, got {args.gammas!r}")
-    if not gammas:
-        raise ValidationError("--gammas must name at least one value")
     gd_cfg, taylor_cfg = _solver_configs(args)
     report = compare(
         params, gammas, n=args.samples, seed=args.seed,

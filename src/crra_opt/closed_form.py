@@ -29,7 +29,7 @@ from .errors import (
     SingularDenominator,
     ValidationError,
 )
-from .market import MarketParams, RiskAversion, require_admissible_gamma
+from .market import MarketParams, RiskAversion, gamma_lower_bound, require_admissible_gamma
 
 D_CLAMP = 1e-14     # discriminant values with |D| < D_CLAMP are treated as 0
 J_MIN = 1e-14       # below this, mu is considered degenerate
@@ -103,7 +103,7 @@ def solve_analytical(p: MarketParams, ra: RiskAversion) -> ClosedFormSolution:
     if J <= J_MIN:
         raise DegenerateMu(f"mu' sigma^-1 mu = {J:.3e} is numerically zero")
     gamma = ra.gamma
-    require_admissible_gamma(gamma, 1.0 + 4.0 * J)
+    require_admissible_gamma(gamma, gamma_lower_bound(p))
     c, d = _scale_root(J, gamma, p.gross_rf)
     weights = c * sol
     mean = float(weights @ p.mu)

@@ -115,10 +115,14 @@ class GdReport:
     converged: bool
 
 
-def _require_positive(wealth: np.ndarray) -> None:
+def _positive_wealth(scenarios, weights, gross_rf: float) -> np.ndarray:
+    """Wealth ``R_f + w'R_i`` of every scenario; raises
+    :class:`NonPositiveWealthScenario` naming the first one that is <= 0."""
+    wealth = scenarios.wealth(np.asarray(weights, dtype=float), gross_rf)
     bad = wealth <= 0.0
     if bad.any():
         raise NonPositiveWealthScenario(int(np.argmax(bad)))
+    return wealth
 
 
 def _v0_from_wealth(wealth: np.ndarray, gamma: float) -> float:
@@ -131,15 +135,12 @@ def v0(scenarios, weights, ra: RiskAversion, gross_rf: float) -> float:
     Raises :class:`NonPositiveWealthScenario` naming the first scenario with
     ``R_f + w'R_i <= 0``.
     """
-    wealth = scenarios.wealth(np.asarray(weights, dtype=float), gross_rf)
-    _require_positive(wealth)
-    return _v0_from_wealth(wealth, ra.gamma)
+    return _v0_from_wealth(_positive_wealth(scenarios, weights, gross_rf), ra.gamma)
 
 
 def v0_gradient(scenarios, weights, ra: RiskAversion, gross_rf: float) -> np.ndarray:
     """Gradient ``(1/N) sum_i R_i (R_f + w'R_i)^(-gamma)``."""
-    wealth = scenarios.wealth(np.asarray(weights, dtype=float), gross_rf)
-    _require_positive(wealth)
+    wealth = _positive_wealth(scenarios, weights, gross_rf)
     return scenarios.weighted_mean(wealth ** (-ra.gamma))
 
 
@@ -151,8 +152,7 @@ def v0_hessian(scenarios, weights, ra: RiskAversion, gross_rf: float) -> np.ndar
     """
     cols = scenarios.cols
     k, n = cols.shape
-    wealth = scenarios.wealth(np.asarray(weights, dtype=float), gross_rf)
-    _require_positive(wealth)
+    wealth = _positive_wealth(scenarios, weights, gross_rf)
     np.power(wealth, -(1.0 + ra.gamma), out=wealth)
     # Row by row, the upper half only, through one length-N scratch buffer:
     # a three-operand einsum runs its generic slow loop, and (cols * v)
@@ -209,8 +209,7 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
     cfg = cfg or GdConfig()
     eta = cfg.eta if cfg.eta is not None else suggest_eta(scenarios, ra)
     w = np.zeros(scenarios.k)
-    wealth = scenarios.wealth(w, gross_rf)
-    _require_positive(wealth)
+    wealth = _positive_wealth(scenarios, w, gross_rf)
     vecs, scale, lam_max = _metric(scenarios.m2)
 
     steps = 0
@@ -220,20 +219,8 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
         proj = np.einsum("ji,j->i", vecs, grad)
         coords = scale * proj
         norm = math.sqrt(float(np.einsum("i,i->", coords, proj)) / lam_max)
-        if norm <= cfg.tol:
-            return GdReport(
-                weights=w, iterations=steps, final_gradient_norm=norm,
-                objective=_v0_from_wealth(wealth, ra.gamma), converged=True,
-            )
-        if steps >= cfg.max_iter:
-            report = GdReport(
-                weights=w, iterations=steps, final_gradient_norm=norm,
-                objective=_v0_from_wealth(wealth, ra.gamma), converged=False,
-            )
-            raise NotConverged(
-                f"gradient norm {norm:.3e} > tol {cfg.tol:.3e} after {steps} iterations",
-                report,
-            )
+        if norm <= cfg.tol or steps >= cfg.max_iter:
+            break
         step = eta * np.einsum("ij,j->i", vecs, coords)
         for _ in range(MAX_BACKTRACKS + 1):
             cand = w + step
@@ -247,3 +234,9 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
             )
         w, wealth = cand, cand_wealth
         steps += 1
+    report = GdReport(weights=w, iterations=steps, final_gradient_norm=norm,
+                      objective=_v0_from_wealth(wealth, ra.gamma), converged=norm <= cfg.tol)
+    if report.converged:
+        return report
+    raise NotConverged(
+        f"gradient norm {norm:.3e} > tol {cfg.tol:.3e} after {steps} iterations", report)

@@ -70,6 +70,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class MarketParams:
     """Validated market parameters.
 
+    ``sigma`` is symmetrized to ``(A + A')/2`` (rejecting asymmetry beyond
+    ``SYMMETRY_RTOL`` relative) and must admit a Cholesky factorization.
+
     Attributes
     ----------
     mu : ndarray, shape (k,)
@@ -80,6 +83,11 @@ class MarketParams:
         Per-period net risk-free rate; the gross return is ``1 + r_f > 0``.
     asset_names : tuple of str, optional
         Labels carried through estimation and serialization.
+
+    Raises
+    ------
+    NotPositiveDefinite, DimensionMismatch, NonFiniteInput, AsymmetricSigma,
+    InvalidRiskFreeRate
     """
 
     mu: np.ndarray
@@ -89,6 +97,7 @@ class MarketParams:
     chol_lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "r_f", float(self.r_f))
         mu = np.asarray(self.mu, dtype=float)
         sigma = np.asarray(self.sigma, dtype=float)
         if mu.ndim != 1 or mu.shape[0] < 1:
@@ -113,7 +122,6 @@ class MarketParams:
             raise InvalidRiskFreeRate(f"gross risk-free return 1 + {self.r_f} is not positive")
         object.__setattr__(self, "mu", _readonly(mu))
         object.__setattr__(self, "sigma", _readonly(sigma))
-        object.__setattr__(self, "r_f", float(self.r_f))
         object.__setattr__(self, "chol_lower", _readonly(chol))
         if self.asset_names is not None:
             names = tuple(str(n) for n in self.asset_names)
@@ -192,25 +200,8 @@ class PriceSeries:
         return self.prices.shape[1]
 
 
-def make_params(
-    mu,
-    sigma,
-    r_f: float,
-    asset_names=None,
-) -> MarketParams:
-    """Validate and assemble market parameters.
-
-    ``sigma`` is symmetrized to ``(A + A')/2`` (rejecting asymmetry beyond
-    ``SYMMETRY_RTOL`` relative) and must admit a Cholesky factorization.
-
-    Raises
-    ------
-    NotPositiveDefinite, DimensionMismatch, NonFiniteInput, AsymmetricSigma,
-    InvalidRiskFreeRate
-    """
-    names = tuple(asset_names) if asset_names is not None else None
-    return MarketParams(mu=np.asarray(mu, dtype=float), sigma=np.asarray(sigma, dtype=float),
-                        r_f=float(r_f), asset_names=names)
+# The public constructor name; it validates exactly as MarketParams does.
+make_params = MarketParams
 
 
 def estimate_params(series: PriceSeries, r_f: float) -> MarketParams:

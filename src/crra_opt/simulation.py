@@ -411,7 +411,7 @@ def _evaluate_cell(scenarios, weights, ra, gross_rf, method, ecdf_points) -> tup
     return cell, wealth_table, utility_table
 
 
-def _compare_gamma(p, scenarios, g, gd_cfg, taylor_cfg, ecdf_points) -> tuple[dict, dict]:
+def _compare_gamma(p, scenarios, ra, gd_cfg, taylor_cfg, ecdf_points) -> tuple[dict, dict]:
     """The cells and ECDF tables of one gamma, keyed as in :class:`ComparisonReport`.
 
     Each method is solved and its weights evaluated; a :class:`CrraOptError`
@@ -420,7 +420,7 @@ def _compare_gamma(p, scenarios, g, gd_cfg, taylor_cfg, ecdf_points) -> tuple[di
     independent: each cell is :func:`solve_method`'s answer under the same
     configs, whatever another cell's outcome.
     """
-    ra = RiskAversion(g)
+    g = ra.gamma
     cells, ecdfs = {}, {}
     for method in METHODS:
         weights = None
@@ -440,8 +440,8 @@ def _compare_gamma(p, scenarios, g, gd_cfg, taylor_cfg, ecdf_points) -> tuple[di
     return cells, ecdfs
 
 
-def _compare_gammas(p, scenarios, gammas, gd_cfg, taylor_cfg, ecdf_points) -> list[tuple]:
-    """:func:`_compare_gamma` for every gamma, on up to one thread per CPU.
+def _compare_gammas(p, scenarios, ras, gd_cfg, taylor_cfg, ecdf_points) -> list[tuple]:
+    """:func:`_compare_gamma` for every risk aversion, on up to one thread per CPU.
 
     The calling thread is one of the workers.  Each worker takes the next
     gamma until none is left, and results are stored by gamma index, so
@@ -450,8 +450,8 @@ def _compare_gammas(p, scenarios, gammas, gd_cfg, taylor_cfg, ecdf_points) -> li
     thread, whose own malloc arena raised peak RSS by 0.4-1.7 MB on the
     benchmark workloads.
     """
-    results: list = [None] * len(gammas)
-    todo = iter(range(len(gammas)))
+    results: list = [None] * len(ras)
+    todo = iter(range(len(ras)))
     todo_lock = threading.Lock()
 
     def work() -> None:
@@ -460,10 +460,9 @@ def _compare_gammas(p, scenarios, gammas, gd_cfg, taylor_cfg, ecdf_points) -> li
                 i = next(todo, None)
             if i is None:
                 return
-            results[i] = _compare_gamma(p, scenarios, gammas[i], gd_cfg, taylor_cfg,
-                                        ecdf_points)
+            results[i] = _compare_gamma(p, scenarios, ras[i], gd_cfg, taylor_cfg, ecdf_points)
 
-    helpers = worker_count(len(gammas)) - 1
+    helpers = worker_count(len(ras)) - 1
     # A pool starts its threads on submit, so one worker starts none.
     with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
         futures = [pool.submit(work) for _ in range(helpers)]
@@ -488,9 +487,10 @@ def compare(
     fixed-point and gradient solvers consume the simulated scenarios.  All
     strategies are then evaluated on the same scenarios; utility summary
     statistics exclude (but count) non-positive-wealth draws and draws whose
-    utility overflows.  ``n`` must be at least 2, the smallest sample the
-    statistics take, ``ecdf_points`` at least 2, and no two gammas may
-    share a :func:`fmt_gamma` label; these are checked before the draw.
+    utility overflows.  Before the draw, ``n`` (the smallest sample the
+    statistics take is 2) and ``ecdf_points`` must be at least 2, and
+    ``gammas`` non-empty, distinct by :func:`fmt_gamma` label, at least the
+    admissibility bound and each a valid :class:`RiskAversion`.
 
     The solvers are called through :func:`solve_method`, each on its own:
     ``taylor_cfg`` reaches only the Taylor cells and ``gd_cfg`` only the gd
@@ -510,15 +510,18 @@ def compare(
     if ecdf_points < 2:
         raise ValidationError(f"--ecdf-points must be >= 2, got {ecdf_points}")
     gammas = tuple(float(g) for g in gammas)
+    if not gammas:
+        raise ValidationError("compare needs at least one gamma")
     labels = [fmt_gamma(g) for g in gammas]
     if len(set(labels)) < len(labels):
         raise ValidationError(f"gammas repeat a value at 6 digits: {', '.join(labels)}")
     bound = gamma_lower_bound(p)
     for g in gammas:
         require_admissible_gamma(g, bound)
+    ras = [RiskAversion(g) for g in gammas]
     scenarios = simulate(p, n, seed)
     report = ComparisonReport(gammas=gammas, n=int(n), seed=int(seed))
-    for cells, ecdfs in _compare_gammas(p, scenarios, gammas, gd_cfg, taylor_cfg, ecdf_points):
+    for cells, ecdfs in _compare_gammas(p, scenarios, ras, gd_cfg, taylor_cfg, ecdf_points):
         report.cells.update(cells)
         report.ecdfs.update(ecdfs)
     return report

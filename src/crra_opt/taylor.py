@@ -10,7 +10,9 @@ the resulting first-order condition gives the update
 where ``M2 = (1/N) sum R_i R_i'`` and ``m1 = (1/N) sum R_i`` are sample
 moments of the shared scenario set.  The zero-weight instance of the update
 is the standard starting point ``(R_f/gamma) M2^-1 m1``; iterating to a
-fixed point yields the benchmark weights.
+fixed point yields the benchmark weights.  The start, like every update,
+reads only the scenario set: there is no variant built on the population
+moments ``(mu, sigma)``.
 
 ``M2`` and ``m1`` are the scenario set's moments, shared with
 ``suggest_eta``; ``M2`` is factored once per solve and reused.  The
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteIterate, NotConverged, SingularSecondMoment, ValidationError
-from .market import MarketParams, RiskAversion, cho_solve
+from .market import RiskAversion, cho_solve
 
 
 @dataclass(frozen=True)
@@ -74,11 +76,6 @@ def _m2_factor(scenarios) -> np.ndarray:
     return factor
 
 
-def _buffers(scenarios) -> tuple[np.ndarray, np.ndarray]:
-    """The two length-N work arrays of :func:`_step`."""
-    return np.empty(scenarios.n), np.empty(scenarios.n)
-
-
 def _step(scenarios, factor, ra: RiskAversion, gross_rf: float, w: np.ndarray,
           x: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """One update; overwrites the length-N work arrays ``x`` and ``x2``."""
@@ -105,29 +102,13 @@ def taylor_initial(scenarios, ra: RiskAversion, gross_rf: float) -> np.ndarray:
     Implemented as the fixed-point update evaluated at the zero vector, so
     it is bit-identical to the first step of :func:`taylor_solve`.
     """
-    return _step(scenarios, _m2_factor(scenarios), ra, gross_rf, np.zeros(scenarios.k),
-                 *_buffers(scenarios))
-
-
-def taylor_initial_population(p: MarketParams, ra: RiskAversion) -> np.ndarray:
-    """Population-moment variant ``(R_f / gamma) (sigma + mu mu')^-1 mu``.
-
-    Useful when exact market parameters are available instead of scenarios.
-    """
-    m2 = p.sigma + np.outer(p.mu, p.mu)
-    try:
-        factor = np.linalg.cholesky(m2)
-    except np.linalg.LinAlgError:
-        raise SingularSecondMoment(
-            "population second-moment matrix is not positive definite"
-        ) from None
-    return (p.gross_rf / ra.gamma) * cho_solve(factor, p.mu)
+    return taylor_step(scenarios, ra, gross_rf, np.zeros(scenarios.k))
 
 
 def taylor_step(scenarios, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
     """One fixed-point update of the fourth-order expansion weights."""
     return _step(scenarios, _m2_factor(scenarios), ra, gross_rf, np.asarray(w, dtype=float),
-                 *_buffers(scenarios))
+                 np.empty(scenarios.n), np.empty(scenarios.n))
 
 
 def taylor_solve(
@@ -146,7 +127,7 @@ def taylor_solve(
     if cfg is None:
         cfg = TaylorConfig()
     factor = _m2_factor(scenarios)
-    work = _buffers(scenarios)
+    work = np.empty(scenarios.n), np.empty(scenarios.n)
     w = _step(scenarios, factor, ra, gross_rf, np.zeros(scenarios.k), *work)
     for iteration in range(1, cfg.max_iter + 1):
         update = _step(scenarios, factor, ra, gross_rf, w, *work) - w

@@ -361,6 +361,8 @@ class TestCompare:
         ("compare", ["--gammas", "5,5"]),
         ("compare", ["--seed", "-1"]),
         ("solve", ["--method", "gd", "--seed", "-1"]),
+        ("compare", ["--gammas", ","]),
+        ("compare", ["--gammas", "nan"]),
     ],
 )
 def test_bad_numeric_flag_is_validation_error(tmp_path, benchmark_json, capsys, command, flags):

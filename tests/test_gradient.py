@@ -49,11 +49,13 @@ class TestV0:
         value = v0(symmetric_pair, np.ones(1), RiskAversion(2.0), 1.0)
         assert value == pytest.approx(-(1.0 / 1.1 + 1.0 / 0.9) / 2.0, rel=1e-15)
 
-    def test_nonpositive_wealth_names_first_scenario(self):
+    @pytest.mark.parametrize("fn", [v0, v0_gradient, v0_hessian],
+                             ids=["v0", "v0_gradient", "v0_hessian"])
+    def test_nonpositive_wealth_names_first_scenario(self, fn):
         returns = np.array([[0.1], [0.2], [0.1], [-2.0], [-3.0]])
         scenarios = ScenarioSet(returns=returns, seed=0)
         with pytest.raises(NonPositiveWealthScenario) as excinfo:
-            v0(scenarios, np.ones(1), RiskAversion(2.0), 1.0)
+            fn(scenarios, np.ones(1), RiskAversion(2.0), 1.0)
         assert excinfo.value.index == 3
 
 

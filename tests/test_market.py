@@ -295,6 +295,22 @@ class TestParamsJson:
         with pytest.raises(InvalidParamsFile):
             read_params_json(path)
 
+    def test_numeric_string_rate_reads_as_make_params(self, tmp_path):
+        # MarketParams converts r_f with float() before its finiteness check.
+        path = tmp_path / "params.json"
+        path.write_text(
+            '{"mu": [0.00134, 0.00231], "sigma": [[0.000545, 0.000319], [0.000319, 0.00041]],'
+            ' "r_f": "0.0006", "asset_names": ["dax", "nasdaq_fut"]}',
+            encoding="utf-8",
+        )
+        got = read_params_json(path)
+        want = make_params([0.00134, 0.00231], [[0.000545, 0.000319], [0.000319, 0.00041]],
+                           0.0006, asset_names=("dax", "nasdaq_fut"))
+        np.testing.assert_array_equal(got.mu, want.mu)
+        np.testing.assert_array_equal(got.sigma, want.sigma)
+        assert got.r_f == want.r_f and type(got.r_f) is float
+        assert got.asset_names == want.asset_names == ("dax", "nasdaq_fut")
+
     def test_invalid_params_propagate(self, tmp_path):
         path = tmp_path / "params.json"
         path.write_text(

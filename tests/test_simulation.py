@@ -386,6 +386,24 @@ class TestCompare:
         with pytest.raises(ValidationError, match="repeat a value at 6 digits: 5, 5, 10"):
             compare(benchmark_params, [5, 5.0000001, 10], n=2000, seed=1)
 
+    @pytest.mark.parametrize("gammas", [[], [np.nan], [np.inf], [5.0, np.nan]])
+    def test_gamma_list_checked_before_the_draw(self, benchmark_params, monkeypatch, gammas):
+        draws = []
+        real_simulate = simulation.simulate
+
+        def counting_simulate(p, n, seed):
+            draws.append(n)
+            return real_simulate(p, n, seed)
+
+        monkeypatch.setattr(simulation, "simulate", counting_simulate)
+        with pytest.raises(ValidationError):
+            compare(benchmark_params, gammas, n=2000, seed=1)
+        assert draws == []
+        # A gamma below the bound is still a GammaBelowBound, before any draw.
+        with pytest.raises(GammaBelowBound):
+            compare(benchmark_params, [0.5], n=2000, seed=1)
+        assert draws == []
+
     def test_deterministic(self, benchmark_params):
         a = compare(benchmark_params, [6.0], n=20_000, seed=12)
         b = compare(benchmark_params, [6.0], n=20_000, seed=12)

@@ -19,7 +19,6 @@ from crra_opt import (
     simulate,
     suggest_eta,
     taylor_initial,
-    taylor_initial_population,
     taylor_solve,
     taylor_step,
 )
@@ -40,11 +39,6 @@ def symmetric_pairs() -> ScenarioSet:
 
 
 class TestInitialPoint:
-    def test_population_variant_exact(self, single_asset_params):
-        w = taylor_initial_population(single_asset_params, RiskAversion(10.0))
-        # (R_f/gamma) mu / (var + mu^2) = 0.1 * 0.05 / 0.0125
-        assert w[0] == pytest.approx(0.4, rel=1e-14)
-
     def test_sample_variant_matches_moment_formula(self):
         rng = np.random.default_rng(3)
         returns = rng.normal(0.01, 0.03, size=(500, 2))
