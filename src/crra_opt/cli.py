@@ -7,15 +7,17 @@ solve      params JSON + gamma -> solver report JSON (one method or all)
 compare    full simulation study: long-form CSV, ECDF files, nested JSON
 frontier   gamma sweep of closed-form mean/variance plus the tangency row
 
-Exit codes: 0 success, 2 I/O error, 3 validation error, 4 risk aversion
-below the admissibility bound (the bound is printed), 5 solver did not
-converge.  Identical invocations over identical files produce byte-identical
-outputs.  Seeds are required for every stochastic command.
+Exit codes: 0 success, 2 I/O or usage error, 3 validation error, 4 risk
+aversion below the admissibility bound (the bound is printed), 5 solver did
+not converge.  Identical invocations over identical files produce
+byte-identical outputs.  Seeds are required for every stochastic command.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
+import re
 import sys
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from .errors import (
     NotConverged,
     StepIntoInfeasible,
     ValidationError,
+    require_int,
 )
 from .gradient import GdConfig
 from .market import (
@@ -57,6 +60,12 @@ EXIT_VALIDATION = 3
 EXIT_GAMMA_BOUND = 4
 EXIT_NOT_CONVERGED = 5
 
+# argparse reads "-1e3", "-inf" or "-5,10" after a flag as an unknown option
+# (exit 2), not as the value "--flag=-1e3" gives; each subcommand takes such
+# a token as a value through argparse's private negative-number pattern.
+NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crra-opt",
@@ -76,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv = sub.add_parser("solve", help="solve for optimal weights at one gamma")
     slv.add_argument("--params", required=True, type=Path, help="params JSON path")
     slv.add_argument("--gamma", required=True, type=float, help="relative risk aversion")
-    slv.add_argument("--method", choices=METHODS + ("all",),
+    slv.add_argument("--method", choices=(*METHODS, "all"),
                      default="analytical", help="solver to run (default: analytical)")
     slv.add_argument("--samples", type=int, default=None,
                      help="scenario count for gd/taylor (required for those methods)")
@@ -107,6 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     fro.add_argument("--steps", type=int, default=50, help="grid size (default: 50)")
     fro.add_argument("--out", required=True, type=Path, help="frontier CSV path")
     fro.set_defaults(func=cmd_frontier)
+    for cmd in sub.choices.values():
+        cmd._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 
@@ -152,54 +163,44 @@ def cmd_solve(args) -> int:
     params = read_params_json(args.params)
     ra = RiskAversion(args.gamma)
     gd_cfg, taylor_cfg = _solver_configs(args)
-    methods = METHODS if args.method == "all" else (args.method,)
+    every = args.method == "all"
+    methods = tuple(METHODS) if every else (args.method,)
     scenarios = None
     if methods != ("analytical",):
         if args.samples is None or args.seed is None:
             raise ValidationError(f"--method {args.method} requires --samples and --seed")
         scenarios = simulate(params, args.samples, args.seed)
-    if args.method != "all":
-        report = solve_method(args.method, params, scenarios, ra, gd_cfg, taylor_cfg)
-        return _write_report(args.out, dumps_json(solver_report_dict(args.method, report)))
-
-    # As in compare, a method that fails is recorded and the others still
-    # report; only a gamma below the bound stops the command.
+    # Under "all", as in compare, a method that fails is recorded and the
+    # others still report; only a gamma below the bound stops the command.
     payload: dict = {}
     failed = []
     for m in methods:
         try:
             report = solve_method(m, params, scenarios, ra, gd_cfg, taylor_cfg)
-        except GammaBelowBound:
-            raise
         except CrraOptError as exc:
+            if not every or isinstance(exc, GammaBelowBound):
+                raise
             payload[m] = {"error": str(exc), "method": m}
             failed.append(m)
         else:
             payload[m] = solver_report_dict(m, report)
     solved = [m for m in methods if m not in failed]
-    distances = {}
-    for i, a in enumerate(solved):
-        for b in solved[i + 1:]:
-            wa = np.asarray(payload[a]["weights"])
-            wb = np.asarray(payload[b]["weights"])
-            distances[f"{a}_{b}"] = float(np.max(np.abs(wa - wb)))
-    payload["weight_distance_inf"] = distances
-    code = _write_report(args.out, dumps_json(payload))
+    weights = {m: np.asarray(payload[m]["weights"]) for m in solved}
+    payload["weight_distance_inf"] = {
+        f"{a}_{b}": float(np.max(np.abs(weights[a] - weights[b])))
+        for a, b in itertools.combinations(solved, 2)
+    }
+    text = dumps_json(payload if every else payload[args.method])
+    if args.out is not None:
+        write_text(args.out, text)
+        print(f"wrote {args.out}")
+    else:
+        sys.stdout.write(text)
     for m in failed:
         print(f"method {m} failed: {payload[m]['error']}", file=sys.stderr)
     if not solved:
         print("every method failed", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    return code
-
-
-def _write_report(out, text: str) -> int:
-    """``text`` to the ``--out`` path, or to stdout when there is none."""
-    if out is not None:
-        write_text(out, text)
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -238,8 +239,7 @@ def cmd_frontier(args) -> int:
     require_admissible_gamma(args.gamma_from, gamma_lower_bound(params))
     if args.gamma_to < args.gamma_from:
         raise ValidationError("--gamma-to must be >= --gamma-from")
-    if args.steps < 1:
-        raise ValidationError(f"--steps must be >= 1, got {args.steps}")
+    require_int("--steps", args.steps, 1)
     grid = np.linspace(args.gamma_from, args.gamma_to, args.steps)
     lines = ["gamma,mean_excess,variance,tangency"]
     for g in grid:

@@ -27,7 +27,7 @@ from .errors import (
     DimensionMismatch,
     NonPositiveGrossMean,
     SingularDenominator,
-    ValidationError,
+    require_positive,
 )
 from .market import MarketParams, RiskAversion, gamma_lower_bound, require_admissible_gamma
 
@@ -152,8 +152,7 @@ def approx_expected_utility(
     ``w0^(1-gamma)/(1-gamma) * exp[(1-gamma) ln(R_f + w'mu)
     + (1-gamma)^2/2 * w'sigma w / (R_f + w'mu)^2]``.
     """
-    if not w0 > 0.0:
-        raise ValidationError(f"w0 must be positive, got {w0}")
+    require_positive("w0", w0)
     w, m = _weights_and_gross_mean(p, weights)
     lam = 1.0 - ra.gamma
     quad = float(w @ p.sigma @ w)

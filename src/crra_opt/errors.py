@@ -2,10 +2,14 @@
 
 Every error raised by this package derives from :class:`CrraOptError`, so
 callers can catch one base class.  Validation-style errors also derive from
-``ValueError`` to stay friendly to generic handling.
+``ValueError`` to stay friendly to generic handling.  The checks shared by
+every count and every positive setting end the module.
 """
 
 from __future__ import annotations
+
+import math
+import operator
 
 
 class CrraOptError(Exception):
@@ -108,3 +112,21 @@ class NotConverged(CrraOptError):
     def __init__(self, message: str, report):
         self.report = report
         super().__init__(message)
+
+
+def require_int(name: str, value, least: int) -> int:
+    """``value`` as an ``int``; :class:`ValidationError` unless it is an
+    integer (a float, even a whole one, is not) of at least ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def require_positive(name: str, value: float) -> None:
+    """Raise :class:`ValidationError` unless ``value`` is finite and > 0."""
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value}")

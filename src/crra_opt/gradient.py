@@ -12,13 +12,13 @@ the fixed metric of the sample second moment ``M2 = (1/N) sum_i R_i R_i'``,
     w(i+1) = w(i) + eta * lambda_max(M2) * M2^+ grad V0(w(i)),
 
 started at zero (the all-risk-free portfolio) and stopped once the
-gradient's norm in the same metric, ``sqrt(grad' M2^+ grad)`` (see
-:class:`GdConfig`), falls to ``tol``.  This is steepest ascent in the
-quadratic norm of ``M2``, stopped by the gradient's dual norm (Boyd &
-Vandenberghe, *Convex Optimization* 9.4.1), still a first-order method:
-``M2`` is factored once per solve (``eigh``) and no Hessian is formed per
-step.  In
-``M2``'s eigenbasis the gradient's coordinate ``i`` is scaled by
+gradient's norm in the same metric, ``sqrt(grad' M2^+ grad)``, falls to
+``tol``; :class:`GdReport` gives that norm at the last iterate as
+``stopping_residual``.  This is steepest ascent in the quadratic norm of
+``M2``, stopped by the gradient's dual norm (Boyd & Vandenberghe, *Convex
+Optimization* 9.4.1), still a first-order method: ``M2`` is factored once
+per solve (``eigh``) and no Hessian is formed per step.  In ``M2``'s
+eigenbasis the gradient's coordinate ``i`` is scaled by
 ``lambda_max / lambda_i``.  Along the top eigenvector the step is the
 Euclidean ``eta * grad V0``, so ``eta`` keeps its units and its stable
 range; every other direction makes the same relative progress, so the step
@@ -48,11 +48,6 @@ comparison.
 The wealth ``R_f + w'R_i`` and the gradient's mean over scenarios are the
 scenario set's own reductions (:class:`~crra_opt.simulation.ScenarioSet`),
 which fix their summation order without BLAS.
-
-The same ascent applies to any concave utility: replace the power kernel in
-the gradient by ``U'(W0 (R_f + w'R_i)) R_i`` and the Hessian stays negative
-definite by concavity of U.  This module pins the power-utility instance;
-the hooks above are the extension point.
 """
 
 from __future__ import annotations
@@ -67,7 +62,8 @@ from .errors import (
     NotConverged,
     SingularSecondMoment,
     StepIntoInfeasible,
-    ValidationError,
+    require_int,
+    require_positive,
 )
 from .market import RiskAversion
 
@@ -78,16 +74,14 @@ MAX_BACKTRACKS = 60
 class GdConfig:
     """Fixed-step ascent settings.
 
-    ``eta`` is the step along ``M2``'s stiffest direction (the top
-    eigenvector of the sample second moment); every other direction is
-    scaled to the same relative progress, as the module docstring says.
-    ``eta=None``, the default, takes the step :func:`suggest_eta` matches
-    to the sampled curvature; a number pins the step.
-    ``tol`` bounds the stopping norm ``sqrt(grad' M2^+ grad)``, the
-    gradient's dual norm in the step's metric (directions off ``M2``'s
-    span, where the step is Euclidean, count ``1 / lambda_max``).  Unlike
-    the Euclidean gradient norm, it is unchanged when the returns are
-    rescaled.
+    ``eta`` is the step along ``M2``'s stiffest direction (see the module
+    docstring); ``None``, the default, takes the step :func:`suggest_eta`
+    matches to the sampled curvature, and a number pins the step.  ``tol``
+    bounds the stopping norm ``sqrt(grad' M2^+ grad)`` (directions off
+    ``M2``'s span, where the step is Euclidean, count ``1 / lambda_max``),
+    which, unlike the Euclidean gradient norm, does not change when the
+    returns are rescaled.  ``eta`` and ``tol`` must be finite and positive
+    and ``max_iter`` an integer >= 1, else :class:`ValidationError`.
     """
 
     eta: float | None = None
@@ -95,22 +89,21 @@ class GdConfig:
     max_iter: int = 100_000
 
     def __post_init__(self):
-        if self.eta is not None and not self.eta > 0.0:
-            raise ValidationError(f"eta must be positive, got {self.eta}")
-        if not self.tol > 0.0:
-            raise ValidationError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.eta is not None:
+            require_positive("eta", self.eta)
+        require_positive("tol", self.tol)
+        require_int("max_iter", self.max_iter, 1)
 
 
 @dataclass(frozen=True)
 class GdReport:
-    """Ascent outcome; ``converged`` iff ``final_gradient_norm``, the
-    gradient's norm in the step's metric (see :class:`GdConfig`), is <= tol."""
+    """Ascent outcome; ``converged`` iff ``stopping_residual``, the
+    gradient's norm in the step's metric (see :class:`GdConfig`) at the
+    last iterate, is <= tol."""
 
     weights: np.ndarray
     iterations: int
-    final_gradient_norm: float
+    stopping_residual: float
     objective: float
     converged: bool
 
@@ -195,16 +188,12 @@ def _metric(m2: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None = None) -> GdReport:
-    """Run fixed-step gradient ascent on the sampled utility.
+    """Run the fixed-step ascent of the module docstring from zero.
 
-    The ascent starts at zero, the all risk-free portfolio, and each step is
-    ``eta * lambda_max(M2) * M2^+ grad V0`` in the metric of the cached
-    sample second moment, as the module docstring describes.  Returns a
-    converged :class:`GdReport`; raises :class:`NotConverged` (with the
-    partial report attached) if ``max_iter`` steps do not bring the
-    gradient's norm in that metric to ``tol``, and
-    :class:`StepIntoInfeasible` if step halving cannot keep every scenario
-    wealth positive.
+    Returns a converged :class:`GdReport`; raises :class:`NotConverged`,
+    with the partial report attached, if ``max_iter`` steps do not bring
+    the stopping norm to ``tol``, and :class:`StepIntoInfeasible` if step
+    halving cannot keep every scenario wealth positive.
     """
     cfg = cfg or GdConfig()
     eta = cfg.eta if cfg.eta is not None else suggest_eta(scenarios, ra)
@@ -234,7 +223,7 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
             )
         w, wealth = cand, cand_wealth
         steps += 1
-    report = GdReport(weights=w, iterations=steps, final_gradient_norm=norm,
+    report = GdReport(weights=w, iterations=steps, stopping_residual=norm,
                       objective=_v0_from_wealth(wealth, ra.gamma), converged=norm <= cfg.tol)
     if report.converged:
         return report

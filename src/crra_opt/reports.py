@@ -25,9 +25,6 @@ from .simulation import METHODS, ComparisonReport, SummaryStats, fmt_gamma, work
 # Summary statistics in output order: mean, sd, median, mad.
 STATS = tuple(f.name for f in fields(SummaryStats))
 
-# Solver report fields that ``solve`` writes under another key.
-REPORT_KEYS = {"expected_excess_return": "mean_excess", "final_gradient_norm": "grad_norm"}
-
 # Fewest ECDF rows per writer process.  On a 2-vCPU x86-64 VM, a fork of
 # a ~50 MB process, its reaping and the copy-on-write faults the caller
 # takes afterwards cost ~10 ms, and a row takes ~2 us to format, so a
@@ -56,14 +53,10 @@ def _plain(obj):
 
 
 def solver_report_dict(method: str, report) -> dict:
-    """A solver report as ``solve`` writes it: the dataclass fields in
-    declaration order, renamed by :data:`REPORT_KEYS`, then ``method``."""
-    out = {}
-    for f in fields(report):
-        value = getattr(report, f.name)
-        out[REPORT_KEYS.get(f.name, f.name)] = (
-            value.tolist() if isinstance(value, np.ndarray) else value
-        )
+    """A solver report as ``solve`` writes it: the dataclass fields under
+    their own names, in declaration order, then ``method``."""
+    out = {f.name: getattr(report, f.name) for f in fields(report)}
+    out["weights"] = report.weights.tolist()  # the one array field
     out["method"] = method
     return out
 

@@ -18,6 +18,12 @@ these and the single-site ones (the draw, ``v0_hessian``), is one
 product, so numpy alone fixes its summation order: draws, weights and
 statistics are bit-identical under any BLAS thread count, and no BLAS
 thread pool competes with the solver threads of :func:`compare`.
+
+The solvers sit in one table, :data:`METHODS`, in output order.
+:func:`solve_method` looks a method up there; it is the one call that
+:func:`compare` and the CLI's ``solve`` make.  The iterative methods'
+reports share ``iterations``, ``stopping_residual`` and ``converged``,
+which holds exactly when ``stopping_residual <= tol``.
 """
 
 from __future__ import annotations
@@ -36,12 +42,23 @@ from .errors import (
     DimensionMismatch,
     NonFiniteInput,
     ValidationError,
+    require_int,
+    require_positive,
 )
 from .gradient import GdConfig, gd_solve
 from .market import MarketParams, RiskAversion, gamma_lower_bound, require_admissible_gamma
 from .taylor import TaylorConfig, taylor_solve
 
-METHODS = ("analytical", "taylor", "gd")
+# Each method's solver, (p, scenarios, ra, gd_cfg, taylor_cfg) -> report, in
+# output order.  The closed form solves on the exact (mu, sigma) and reads
+# neither scenarios nor configs; Taylor reads only taylor_cfg, gd only gd_cfg.
+METHODS = {
+    "analytical": lambda p, scenarios, ra, gd_cfg, taylor_cfg: solve_analytical(p, ra),
+    "taylor": lambda p, scenarios, ra, gd_cfg, taylor_cfg: taylor_solve(
+        scenarios, ra, p.gross_rf, taylor_cfg),
+    "gd": lambda p, scenarios, ra, gd_cfg, taylor_cfg: gd_solve(
+        scenarios, ra, p.gross_rf, gd_cfg),
+}
 
 # Scenarios drawn per block by :func:`simulate`: its temporaries stay a few
 # MB, whatever N.
@@ -202,14 +219,11 @@ def simulate(p: MarketParams, n: int, seed: int) -> ScenarioSet:
     The draw stream is determined solely by ``seed``; the covariance enters
     linearly through the cached lower Cholesky factor.  The draw is made
     in blocks straight into the set's ``(k, N)`` array (see the module
-    docstring).
+    docstring).  ``n`` must be an integer >= 1 and ``seed`` one >= 0; a
+    float, even a whole one, raises :class:`ValidationError`.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    n, seed = require_int("n", n, 1), require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    n = int(n)
     cols = np.empty((p.k, n))
     for start in range(0, n, _DRAW_BLOCK):
         z = rng.standard_normal((min(_DRAW_BLOCK, n - start), p.k))
@@ -230,8 +244,7 @@ def evaluate_strategy(
     w = np.asarray(weights, dtype=float)
     if w.shape != (scenarios.k,):
         raise DimensionMismatch(f"weights must have shape ({scenarios.k},), got {w.shape}")
-    if not w0 > 0.0:
-        raise ValidationError(f"w0 must be positive, got {w0}")
+    require_positive("w0", w0)
     wealths = scenarios.wealth(w, gross_rf)
     wealths *= w0
     feasible = wealths > 0.0
@@ -344,8 +357,7 @@ def ecdf(values, grid_points: int) -> np.ndarray:
     ``values`` must be 1-D, non-empty and finite and ``grid_points`` at
     least 2; anything else raises :class:`ValidationError`.
     """
-    if grid_points < 2:
-        raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
+    require_int("grid_points", grid_points, 2)
     return _ecdf_of_sorted(np.sort(_sample(values, 1, "ecdf")), grid_points)
 
 
@@ -362,19 +374,10 @@ def worker_count(tasks: int) -> int:
 
 def solve_method(method: str, p: MarketParams, scenarios: ScenarioSet | None, ra: RiskAversion,
                  gd_cfg: GdConfig | None = None, taylor_cfg: TaylorConfig | None = None):
-    """Run one of :data:`METHODS` at one gamma and return its report.
-
-    ``analytical`` solves on the exact (mu, sigma) and ignores ``scenarios``
-    and both configs; ``taylor`` reads only ``taylor_cfg`` and ``gd`` only
-    ``gd_cfg``.
-    """
-    if method == "analytical":
-        return solve_analytical(p, ra)
-    if method == "taylor":
-        return taylor_solve(scenarios, ra, p.gross_rf, taylor_cfg)
-    if method == "gd":
-        return gd_solve(scenarios, ra, p.gross_rf, gd_cfg)
-    raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
+    """Run the :data:`METHODS` entry ``method`` at one gamma and return its report."""
+    if method not in METHODS:
+        raise ValidationError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+    return METHODS[method](p, scenarios, ra, gd_cfg, taylor_cfg)
 
 
 def _evaluate_cell(scenarios, weights, ra, gross_rf, method, ecdf_points) -> tuple:
@@ -416,9 +419,7 @@ def _compare_gamma(p, scenarios, ra, gd_cfg, taylor_cfg, ecdf_points) -> tuple[d
 
     Each method is solved and its weights evaluated; a :class:`CrraOptError`
     at either step becomes its cell's error, with the weights kept if the
-    solve got that far.  Any other exception propagates.  The methods are
-    independent: each cell is :func:`solve_method`'s answer under the same
-    configs, whatever another cell's outcome.
+    solve got that far.  Any other exception propagates.
     """
     g = ra.gamma
     cells, ecdfs = {}, {}
@@ -481,23 +482,18 @@ def compare(
     taylor_cfg: TaylorConfig | None = None,
     ecdf_points: int = 256,
 ) -> ComparisonReport:
-    """Run the three solvers on one shared scenario set and summarize.
+    """Run every :data:`METHODS` solver on one shared scenario set and summarize.
 
-    For each gamma: the closed form solves on the exact (mu, sigma); the
-    fixed-point and gradient solvers consume the simulated scenarios.  All
-    strategies are then evaluated on the same scenarios; utility summary
-    statistics exclude (but count) non-positive-wealth draws and draws whose
-    utility overflows.  Before the draw, ``n`` (the smallest sample the
-    statistics take is 2) and ``ecdf_points`` must be at least 2, and
-    ``gammas`` non-empty, distinct by :func:`fmt_gamma` label, at least the
-    admissibility bound and each a valid :class:`RiskAversion`.
-
-    The solvers are called through :func:`solve_method`, each on its own:
+    Each (gamma, method) cell is :func:`solve_method`'s answer, on its own:
     ``taylor_cfg`` reaches only the Taylor cells and ``gd_cfg`` only the gd
-    cells, and no cell's outcome moves another's.  A
-    :class:`CrraOptError` while solving or evaluating one (gamma, method)
-    cell is recorded on that cell and does not abort the rest of the run;
-    any other error propagates.
+    cells.  Every cell's weights are evaluated on the same scenarios; the
+    utility statistics exclude (but count) non-positive-wealth draws and
+    draws whose utility overflows.  A :class:`CrraOptError` while solving or
+    evaluating a cell is recorded on that cell and does not abort the run;
+    any other error propagates.  Before the draw, ``n`` (the statistics need
+    2 draws) and ``ecdf_points`` must be integers >= 2, ``seed`` one >= 0,
+    and ``gammas`` non-empty, distinct by :func:`fmt_gamma` label, at least
+    the admissibility bound and each a valid :class:`RiskAversion`.
 
     Each gamma is solved, evaluated, summarized and given its ECDFs as one
     task; the tasks run concurrently, on up to one thread per CPU this
@@ -505,10 +501,8 @@ def compare(
     the shared scenario set.  Their results are merged in gamma order, so
     the report is bit-identical whatever the number of threads.
     """
-    if n < 2:
-        raise ValidationError(f"compare needs n >= 2 scenarios, got {n}")
-    if ecdf_points < 2:
-        raise ValidationError(f"--ecdf-points must be >= 2, got {ecdf_points}")
+    n = require_int("n", n, 2)
+    ecdf_points = require_int("--ecdf-points", ecdf_points, 2)
     gammas = tuple(float(g) for g in gammas)
     if not gammas:
         raise ValidationError("compare needs at least one gamma")
@@ -520,7 +514,7 @@ def compare(
         require_admissible_gamma(g, bound)
     ras = [RiskAversion(g) for g in gammas]
     scenarios = simulate(p, n, seed)
-    report = ComparisonReport(gammas=gammas, n=int(n), seed=int(seed))
+    report = ComparisonReport(gammas=gammas, n=n, seed=int(seed))
     for cells, ecdfs in _compare_gammas(p, scenarios, ras, gd_cfg, taylor_cfg, ecdf_points):
         report.cells.update(cells)
         report.ecdfs.update(ecdfs)

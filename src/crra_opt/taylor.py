@@ -8,11 +8,12 @@ the resulting first-order condition gives the update
              - gamma(gamma+1)(gamma+2)/(6 R_f^2) * (1/N) sum (w'R_i)^3 R_i ],
 
 where ``M2 = (1/N) sum R_i R_i'`` and ``m1 = (1/N) sum R_i`` are sample
-moments of the shared scenario set.  The zero-weight instance of the update
-is the standard starting point ``(R_f/gamma) M2^-1 m1``; iterating to a
-fixed point yields the benchmark weights.  The start, like every update,
-reads only the scenario set: there is no variant built on the population
-moments ``(mu, sigma)``.
+moments of the shared scenario set.  The zero-weight instance of the update,
+``taylor_step`` at ``w = 0``, is the standard starting point
+``(R_f/gamma) M2^-1 m1``; iterating to a fixed point yields the benchmark
+weights, and the last update's length is the report's ``stopping_residual``.
+The start, like every update, reads only the scenario set: there is no
+variant built on the population moments ``(mu, sigma)``.
 
 ``M2`` and ``m1`` are the scenario set's moments, shared with
 ``suggest_eta``; ``M2`` is factored once per solve and reused.  The
@@ -29,28 +30,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteIterate, NotConverged, SingularSecondMoment, ValidationError
+from .errors import (
+    NonFiniteIterate,
+    NotConverged,
+    SingularSecondMoment,
+    require_int,
+    require_positive,
+)
 from .market import RiskAversion, cho_solve
 
 
 @dataclass(frozen=True)
 class TaylorConfig:
-    """Fixed-point stopping rule: quit once ``||w(i+1) - w(i)|| <= tol``."""
+    """Fixed-point stopping rule: quit once ``||w(i+1) - w(i)|| <= tol``.
+    ``tol`` must be finite and positive and ``max_iter`` an integer >= 1,
+    else :class:`ValidationError`."""
 
     tol: float = 1e-10
     max_iter: int = 1000
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValidationError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
+        require_positive("tol", self.tol)
+        require_int("max_iter", self.max_iter, 1)
 
 
 @dataclass(frozen=True)
 class TaylorReport:
+    """Fixed-point outcome; ``converged`` iff ``stopping_residual``, the
+    last update's length ``||w(i+1) - w(i)||``, is <= tol."""
+
     weights: np.ndarray
     iterations: int
+    stopping_residual: float
     converged: bool
 
 
@@ -96,17 +107,9 @@ def _step(scenarios, factor, ra: RiskAversion, gross_rf: float, w: np.ndarray,
     return out
 
 
-def taylor_initial(scenarios, ra: RiskAversion, gross_rf: float) -> np.ndarray:
-    """Starting weights ``(R_f / gamma) M2^-1 m1`` from sample moments.
-
-    Implemented as the fixed-point update evaluated at the zero vector, so
-    it is bit-identical to the first step of :func:`taylor_solve`.
-    """
-    return taylor_step(scenarios, ra, gross_rf, np.zeros(scenarios.k))
-
-
 def taylor_step(scenarios, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
-    """One fixed-point update of the fourth-order expansion weights."""
+    """One fixed-point update of the fourth-order expansion weights; at
+    ``w = 0`` it gives the starting point ``(R_f / gamma) M2^-1 m1``."""
     return _step(scenarios, _m2_factor(scenarios), ra, gross_rf, np.asarray(w, dtype=float),
                  np.empty(scenarios.n), np.empty(scenarios.n))
 
@@ -124,8 +127,7 @@ def taylor_solve(
     when ``max_iter`` updates do not get there, as in a market where the
     update does not contract.
     """
-    if cfg is None:
-        cfg = TaylorConfig()
+    cfg = cfg or TaylorConfig()
     factor = _m2_factor(scenarios)
     work = np.empty(scenarios.n), np.empty(scenarios.n)
     w = _step(scenarios, factor, ra, gross_rf, np.zeros(scenarios.k), *work)
@@ -134,9 +136,10 @@ def taylor_solve(
         delta = float(np.linalg.norm(update))
         w = w + update
         if delta <= cfg.tol:
-            return TaylorReport(weights=w, iterations=iteration, converged=True)
-    report = TaylorReport(weights=w, iterations=cfg.max_iter, converged=False)
+            break
+    report = TaylorReport(weights=w, iterations=iteration, stopping_residual=delta,
+                          converged=delta <= cfg.tol)
+    if report.converged:
+        return report
     raise NotConverged(
-        f"fixed-point step {delta:.3e} > tol {cfg.tol:.3e} after {cfg.max_iter} iterations",
-        report,
-    )
+        f"fixed-point step {delta:.3e} > tol {cfg.tol:.3e} after {iteration} iterations", report)

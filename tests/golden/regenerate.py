@@ -3,10 +3,14 @@
 ``cases.json`` holds the markets (mu, sigma, r_f) and one entry per CLI run:
 ``compare`` on the three benchmark workload markets at N = 20,000 (the
 one-asset sweep keeps its 12 gammas and 4096 ECDF points), ``solve --method
-all`` on two markets and ``frontier``.  ``manifest.json`` records the sha256
-of every file these runs write, and the numpy version and machine they were
-recorded under; the three ``comparison.json`` files are also kept verbatim
-under ``compare/``, so a moved digit shows as a readable diff.
+all`` on two markets, ``frontier``, and ``--help`` of the program and of each
+subcommand.  A run with a market writes the file its ``--out``/``--outdir``
+names; a run without one (``--help``) is recorded as its stdout, wrapped at
+``COLUMNS`` = 80.  ``manifest.json`` records the sha256 of every file these
+runs write, and the numpy version, Python version (argparse lays out the
+help) and machine they were recorded under; the three ``comparison.json``
+files and the help texts are also kept verbatim, so a moved digit or a
+changed help line shows as a readable diff.
 
 To rewrite the data, from the repository root:
 
@@ -24,10 +28,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -38,13 +44,30 @@ CASES = HERE / "cases.json"
 MANIFEST = HERE / "manifest.json"
 
 # Outputs kept verbatim next to the manifest.
-VERBATIM = tuple(f"compare/{market}/comparison.json"
-                 for market in ("paper_study", "gamma_sweep_1asset", "wide_market_k16"))
+VERBATIM = (
+    *(f"compare/{market}/comparison.json"
+      for market in ("paper_study", "gamma_sweep_1asset", "wide_market_k16")),
+    *(f"help/{command}.txt"
+      for command in ("crra-opt", "estimate", "solve", "compare", "frontier")),
+)
 
 
 def environment() -> dict:
-    """What the output bytes depend on beyond the code: numpy's kernels."""
-    return {"numpy": np.__version__, "machine": platform.machine()}
+    """What the output bytes depend on beyond the code: numpy's kernels and
+    the Python version, whose argparse lays out the help."""
+    return {"numpy": np.__version__, "python": ".".join(platform.python_version_tuple()[:2]),
+            "machine": platform.machine()}
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of ``crra-opt argv``, with help wrapped at 80 columns."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    return code, stdout.getvalue()
 
 
 def run_cases(workdir: Path) -> dict[str, bytes]:
@@ -59,13 +82,16 @@ def run_cases(workdir: Path) -> dict[str, bytes]:
     outdir = workdir / "out"
     for run in cases["runs"]:
         out = outdir / run["out"]
-        out_flag = "--outdir" if run["argv"][0] == "compare" else "--out"
         out.parent.mkdir(parents=True, exist_ok=True)
-        argv = [*run["argv"], "--params", str(params[run["market"]]), out_flag, str(out)]
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main(argv)
+        argv = run["argv"]
+        if "market" in run:
+            out_flag = "--outdir" if argv[0] == "compare" else "--out"
+            argv = [*argv, "--params", str(params[run["market"]]), out_flag, str(out)]
+        code, stdout = run_cli(argv)
         if code != 0:
             raise RuntimeError(f"crra-opt {' '.join(argv)} exited {code}")
+        if "market" not in run:
+            out.write_bytes(stdout.encode("utf-8"))
     return {path.relative_to(outdir).as_posix(): path.read_bytes()
             for path in sorted(outdir.rglob("*")) if path.is_file()}
 

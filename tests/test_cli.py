@@ -91,7 +91,7 @@ class TestSolve:
         assert payload["method"] == "analytical"
         assert abs(payload["foc_residual"]) < 1e-10
         assert len(payload["weights"]) == 3
-        assert payload["mean_excess"] ** 2 == pytest.approx(
+        assert payload["expected_excess_return"] ** 2 == pytest.approx(
             payload["J"] * payload["variance"], rel=1e-10
         )
 
@@ -114,7 +114,7 @@ class TestSolve:
         assert code == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["converged"] is True
-        assert payload["grad_norm"] <= GdConfig.tol
+        assert payload["stopping_residual"] <= GdConfig.tol
         assert payload["method"] == "gd"
 
     def test_gd_iteration_cap_exit_5(self, benchmark_json):
@@ -138,6 +138,17 @@ class TestSolve:
         assert distances["taylor_gd"] == pytest.approx(
             float(np.max(np.abs(w_taylor - w_gd))), rel=1e-12
         )
+
+    def test_each_method_writes_its_entry_of_all(self, tmp_path, benchmark_json):
+        common = ["--params", str(benchmark_json), "--gamma", "10", "--samples", "5000",
+                  "--seed", "9"]
+        assert main(["solve", *common, "--method", "all", "--out", str(tmp_path / "all.json")]) == 0
+        every = json.loads((tmp_path / "all.json").read_text(encoding="utf-8"))
+        assert list(every) == [*simulation.METHODS, "weight_distance_inf"]
+        for method in simulation.METHODS:
+            out = tmp_path / f"{method}.json"
+            assert main(["solve", *common, "--method", method, "--out", str(out)]) == 0
+            assert out.read_text(encoding="utf-8") == dumps_json(every[method])
 
     def test_all_exits_5_only_when_every_method_fails(self, tmp_path, benchmark_json,
                                                       monkeypatch, capsys):
@@ -363,6 +374,10 @@ class TestCompare:
         ("solve", ["--method", "gd", "--seed", "-1"]),
         ("compare", ["--gammas", ","]),
         ("compare", ["--gammas", "nan"]),
+        ("solve", ["--tol", "inf"]),
+        ("solve", ["--taylor-tol", "inf"]),
+        ("solve", ["--eta", "inf"]),
+        ("compare", ["--tol", "inf"]),
     ],
 )
 def test_bad_numeric_flag_is_validation_error(tmp_path, benchmark_json, capsys, command, flags):
@@ -375,6 +390,43 @@ def test_bad_numeric_flag_is_validation_error(tmp_path, benchmark_json, capsys, 
     code = main(args + flags)
     assert code == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, code",
+    [
+        ("compare", "--gammas", "-inf", 4),
+        ("compare", "--gammas", "-5,10", 4),
+        ("compare", "--gammas", "-1e3", 4),
+        ("solve", "--gamma", "-inf", 3),
+        ("frontier", "--gamma-to", "-1e3", 3),
+        ("solve", "--eta", "-1e-3", 3),
+    ],
+)
+def test_negative_value_reads_as_its_equals_form(tmp_path, benchmark_json, capsys, command,
+                                                 flag, value, code):
+    # Left to itself, argparse takes "-inf" for an unknown option: the space
+    # form would exit 2 ("expected one argument") while "=" reaches validation.
+    args = {
+        "compare": ["--gammas", "10", "--samples", "500", "--seed", "9",
+                    "--outdir", str(tmp_path / "o")],
+        "solve": ["--gamma", "10", "--method", "all", "--samples", "500", "--seed", "9"],
+        "frontier": ["--gamma-from", "5", "--gamma-to", "50", "--out", str(tmp_path / "f.csv")],
+    }[command]
+    args = [command, "--params", str(benchmark_json), *args]
+    assert main([*args, f"{flag}={value}"]) == code
+    equals_err = capsys.readouterr().err
+    assert main([*args, flag, value]) == code
+    assert capsys.readouterr().err == equals_err
+
+
+@pytest.mark.parametrize("tail", [["--gamma"], ["--gamma", "10", "--bogus", "-1"],
+                                  ["--gamma", "10", "--eta", "-x"]],
+                         ids=["missing-value", "unknown-flag", "non-numeric-value"])
+def test_usage_errors_still_exit_2(benchmark_json, tail):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["solve", "--params", str(benchmark_json), *tail])
+    assert excinfo.value.code == 2
 
 
 class TestFrontier:

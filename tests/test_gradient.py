@@ -16,6 +16,7 @@ from crra_opt import (
     NotConverged,
     RiskAversion,
     ScenarioSet,
+    ValidationError,
     gamma_lower_bound,
     gd_solve,
     make_params,
@@ -186,13 +187,13 @@ class TestGdSolve:
         report = excinfo.value.report
         assert report.iterations == 3
         assert not report.converged
-        assert report.final_gradient_norm > 1e-12
+        assert report.stopping_residual > 1e-12
 
     def test_zero_sample_is_stationary_at_the_start(self):
         # M2 = 0: the metric is Euclidean and the gradient zero everywhere.
         scenarios = ScenarioSet(returns=np.zeros((7, 2)), seed=0)
         report = gd_solve(scenarios, RiskAversion(5.0), 1.0, GdConfig(eta=0.1))
-        assert (report.converged, report.iterations, report.final_gradient_norm) == (
+        assert (report.converged, report.iterations, report.stopping_residual) == (
             True, 0, 0.0)
 
     def test_rank_one_sample_is_the_one_asset_problem(self):
@@ -364,10 +365,11 @@ def test_gd_lands_next_to_the_newton_answer(p, gamma_scale, seed):
 class TestGdConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(eta=0.0), dict(eta=-1.0), dict(tol=0.0), dict(max_iter=0)],
+        [dict(eta=0.0), dict(eta=-1.0), dict(tol=0.0), dict(max_iter=0),
+         dict(eta=math.inf), dict(tol=math.inf), dict(max_iter=2.5), dict(max_iter=10.0)],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             GdConfig(**kwargs)
 
 

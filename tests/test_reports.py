@@ -97,10 +97,10 @@ def _report_with(cells=None, ecdfs=None, gammas=(5.0,)):
 def test_solver_report_keys_keep_solve_order(benchmark_params):
     scenarios = simulate(benchmark_params, 2_000, 3)
     expected = {
-        "analytical": ["weights", "c", "J", "D", "gamma", "mean_excess", "variance",
+        "analytical": ["weights", "c", "J", "D", "gamma", "expected_excess_return", "variance",
                        "foc_residual", "method"],
-        "taylor": ["weights", "iterations", "converged", "method"],
-        "gd": ["weights", "iterations", "grad_norm", "objective", "converged", "method"],
+        "taylor": ["weights", "iterations", "stopping_residual", "converged", "method"],
+        "gd": ["weights", "iterations", "stopping_residual", "objective", "converged", "method"],
     }
     for method in METHODS:
         report = solve_method(method, benchmark_params, scenarios, RiskAversion(10.0))

@@ -20,10 +20,12 @@ from crra_opt import (
     GammaBelowBound,
     GdConfig,
     NonFiniteIterate,
+    NotConverged,
     RiskAversion,
     ScenarioSet,
     StepIntoInfeasible,
     SummaryStats,
+    TaylorConfig,
     ValidationError,
     compare,
     ecdf,
@@ -404,6 +406,24 @@ class TestCompare:
             compare(benchmark_params, [0.5], n=2000, seed=1)
         assert draws == []
 
+    @pytest.mark.parametrize("n, seed", [(2.5, 1), (100.0, 1), (100, 1.5), (100, None)])
+    def test_non_integer_n_or_seed_raises_before_the_draw(self, benchmark_params, monkeypatch,
+                                                          n, seed):
+        # Truncating n = 2.5 would draw 2 scenarios and report n == 2.
+        rngs = []
+        real_default_rng = np.random.default_rng
+
+        def counting_default_rng(*args, **kwargs):
+            rngs.append(args)
+            return real_default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            compare(benchmark_params, [5.0], n=n, seed=seed)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            simulate(benchmark_params, n, seed)
+        assert rngs == []
+
     def test_deterministic(self, benchmark_params):
         a = compare(benchmark_params, [6.0], n=20_000, seed=12)
         b = compare(benchmark_params, [6.0], n=20_000, seed=12)
@@ -513,6 +533,28 @@ class TestSolveMethod:
         dispatched = simulation.solve_method("gd", benchmark_params, scenarios, ra)
         np.testing.assert_array_equal(direct.weights, dispatched.weights)
         assert direct.iterations == dispatched.iterations
+
+    # Each iterative table entry's default setting and one that stops it short.
+    ITERATIVE = {
+        "taylor": (TaylorConfig(), TaylorConfig(max_iter=2)),
+        "gd": (GdConfig(), GdConfig(eta=0.1, max_iter=5)),
+    }
+
+    @pytest.mark.parametrize("method", ["taylor", "gd"])
+    def test_converged_exactly_when_the_residual_is_within_tol(self, benchmark_params, method):
+        assert set(self.ITERATIVE) == set(METHODS) - {"analytical"}
+        scenarios = simulate(benchmark_params, 2_000, 6)
+        ra = RiskAversion(8.0)
+        converged = []
+        for cfg in self.ITERATIVE[method]:
+            # Passed as both configs: each entry reads only its own.
+            try:
+                report = simulation.solve_method(method, benchmark_params, scenarios, ra, cfg, cfg)
+            except NotConverged as exc:
+                report = exc.report
+            assert report.converged == (report.stopping_residual <= cfg.tol)
+            converged.append(report.converged)
+        assert converged == [True, False]
 
     def test_unknown_method(self, benchmark_params):
         with pytest.raises(ValueError, match="unknown method"):

@@ -7,6 +7,7 @@ import pytest
 
 from crra_opt import (
     GdConfig,
+    ValidationError,
     NonFiniteIterate,
     NotConverged,
     RiskAversion,
@@ -18,7 +19,6 @@ from crra_opt import (
     make_params,
     simulate,
     suggest_eta,
-    taylor_initial,
     taylor_solve,
     taylor_step,
 )
@@ -44,28 +44,21 @@ class TestInitialPoint:
         returns = rng.normal(0.01, 0.03, size=(500, 2))
         scenarios = ScenarioSet(returns=returns, seed=0)
         ra = RiskAversion(6.0)
-        w = taylor_initial(scenarios, ra, 1.002)
+        w = taylor_step(scenarios, ra, 1.002, np.zeros(2))
         m2 = returns.T @ returns / len(returns)
         m1 = returns.mean(axis=0)
         expected = 1.002 / 6.0 * np.linalg.solve(m2, m1)
         np.testing.assert_allclose(w, expected, rtol=1e-12)
 
-    def test_initial_is_bitwise_step_at_zero(self, benchmark_params):
-        scenarios = simulate(benchmark_params, 30_000, 44)
-        ra = RiskAversion(8.0)
-        initial = taylor_initial(scenarios, ra, benchmark_params.gross_rf)
-        stepped = taylor_step(scenarios, ra, benchmark_params.gross_rf, np.zeros(3))
-        np.testing.assert_array_equal(initial, stepped)
-
     def test_symmetric_sample_starts_at_zero(self, symmetric_pairs):
-        w = taylor_initial(symmetric_pairs, RiskAversion(4.0), 1.0)
+        w = taylor_step(symmetric_pairs, RiskAversion(4.0), 1.0, np.zeros(2))
         np.testing.assert_array_equal(w, np.zeros(2))
 
     def test_rank_one_sample_is_singular(self):
         returns = np.tile(np.array([[0.02, 0.01]]), (50, 1))
         scenarios = ScenarioSet(returns=returns, seed=0)
         with pytest.raises(SingularSecondMoment):
-            taylor_initial(scenarios, RiskAversion(5.0), 1.0)
+            taylor_step(scenarios, RiskAversion(5.0), 1.0, np.zeros(2))
 
     @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
     @pytest.mark.parametrize("order_seed", [0, 1, 2])
@@ -79,7 +72,7 @@ class TestInitialPoint:
         returns = scale * np.outer(rng.permutation(multiples), direction)
         scenarios = ScenarioSet(returns=returns, seed=0)
         with pytest.raises(SingularSecondMoment):
-            taylor_initial(scenarios, RiskAversion(5.0), 1.0)
+            taylor_step(scenarios, RiskAversion(5.0), 1.0, np.zeros(3))
 
 
 class TestStep:
@@ -149,7 +142,7 @@ class TestSolve:
         scenarios = simulate(p, 20_000, 17)
         ra, cfg = RiskAversion(2.0 * max(gamma_lower_bound(p), 2.0)), TaylorConfig()
         solved = taylor_solve(scenarios, ra, p.gross_rf, cfg)
-        w = taylor_initial(scenarios, ra, p.gross_rf)
+        w = taylor_step(scenarios, ra, p.gross_rf, np.zeros(k))
         for iteration in range(1, cfg.max_iter + 1):
             update = taylor_step(scenarios, ra, p.gross_rf, w) - w
             w = w + update
@@ -163,8 +156,9 @@ class TestSolve:
         cfg = TaylorConfig(tol=1e-14, max_iter=1)
         with pytest.raises(NotConverged) as excinfo:
             taylor_solve(scenarios, RiskAversion(9.0), benchmark_params.gross_rf, cfg)
-        assert excinfo.value.report.iterations == 1
-        assert not excinfo.value.report.converged
+        report = excinfo.value.report
+        assert (report.iterations, report.converged) == (1, False)
+        assert report.stopping_residual > cfg.tol
 
     def test_non_contracting_update_is_not_converged(self):
         # On this sample the update cycles instead of contracting; the solve
@@ -191,7 +185,8 @@ class TestSolve:
 
 
 class TestTaylorConfig:
-    @pytest.mark.parametrize("kwargs", [dict(tol=0.0), dict(tol=-1.0), dict(max_iter=0)])
+    @pytest.mark.parametrize("kwargs", [dict(tol=0.0), dict(tol=-1.0), dict(max_iter=0),
+                                        dict(tol=np.inf), dict(max_iter=2.5)])
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             TaylorConfig(**kwargs)
