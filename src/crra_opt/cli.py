@@ -118,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     fro.set_defaults(func=cmd_frontier)
     for cmd in sub.choices.values():
         cmd._negative_number_matcher = NEGATIVE_NUMBER
+        cmd.set_defaults(parser=cmd)
     return parser
 
 
@@ -258,6 +259,11 @@ def cmd_frontier(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse drops the "--" of "--flag=--" and hands the flag [] without
+    # calling its type; every flag here takes one value, so a list is a usage error.
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            args.parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return args.func(args)
     except GammaBelowBound as exc:

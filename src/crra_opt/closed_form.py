@@ -27,7 +27,6 @@ from .errors import (
     DimensionMismatch,
     NonPositiveGrossMean,
     SingularDenominator,
-    require_positive,
 )
 from .market import MarketParams, RiskAversion, gamma_lower_bound, require_admissible_gamma
 
@@ -137,27 +136,22 @@ def objective_g_gradient(p: MarketParams, weights: np.ndarray, ra: RiskAversion)
     return p.mu / m + (1.0 - ra.gamma) * (sw * m - quad * p.mu) / m**3
 
 
-def approx_expected_utility(
-    p: MarketParams,
-    weights: np.ndarray,
-    ra: RiskAversion,
-    w0: float = 1.0,
-) -> float:
-    """Log-normal approximation of ``E[U(W)]`` at the given weights.
+def approx_expected_utility(p: MarketParams, weights: np.ndarray, ra: RiskAversion) -> float:
+    """Log-normal approximation of ``E[U(W)]`` at the given weights and unit initial wealth.
 
     Uses the closed-form moment of a log-normal variable,
     ``E[X^lam] = exp(alpha lam + beta^2 lam^2 / 2)`` for
     ``X ~ logN(alpha, beta^2)``, applied to the matched gross return:
 
-    ``w0^(1-gamma)/(1-gamma) * exp[(1-gamma) ln(R_f + w'mu)
-    + (1-gamma)^2/2 * w'sigma w / (R_f + w'mu)^2]``.
+    ``1/(1-gamma) * exp[(1-gamma) ln(R_f + w'mu)
+    + (1-gamma)^2/2 * w'sigma w / (R_f + w'mu)^2]``.  Initial wealth ``W0``
+    would only scale this by ``W0^(1-gamma) > 0``, moving no maximizer.
     """
-    require_positive("w0", w0)
     w, m = _weights_and_gross_mean(p, weights)
     lam = 1.0 - ra.gamma
     quad = float(w @ p.sigma @ w)
     exponent = lam * math.log(m) + 0.5 * lam * lam * quad / (m * m)
-    return w0**lam / lam * math.exp(exponent)
+    return 1.0 / lam * math.exp(exponent)
 
 
 def tangency(p: MarketParams) -> TangencyResult:

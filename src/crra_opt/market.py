@@ -7,7 +7,8 @@ gross return ``R_f = 1 + r_f``.  End-of-period wealth for weights ``w`` on
 the risky assets is ``W = W0 * (R_f + w' R)``.
 
 All containers are frozen and hold read-only arrays; every operation is a
-pure function, safe to share across threads.
+pure function, safe to share across threads.  The file formats end the
+module, with :func:`dumps_json`, which writes every JSON file of the package.
 """
 
 from __future__ import annotations
@@ -243,18 +244,46 @@ def require_admissible_gamma(gamma: float, bound: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# File formats: price CSV and params JSON
+# File formats: price CSV, params JSON and the JSON encoder
 # ---------------------------------------------------------------------------
+
+def dumps_json(obj) -> str:
+    """``obj`` as indented JSON (RFC 8259), with a final newline.
+
+    Floats are written as their shortest round-trip ``repr``, strings as
+    UTF-8 text with only the escapes JSON requires, and numpy arrays and
+    scalars as their ``tolist()``.  A NaN or infinite float, which JSON
+    cannot hold, raises ``ValueError``; any other type raises ``TypeError``.
+    """
+    return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False,
+                      default=_plain) + "\n"
+
+
+def _plain(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj)!r} as JSON")
+
+
+def write_text(path, text: str) -> None:
+    path = Path(path)
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
 
 def read_price_csv(path) -> PriceSeries:
     """Read a price history CSV with header ``date,<name1>,...,<namek>``.
 
     Dates are ISO-8601, prices use '.' as the decimal point, the file is
-    UTF-8.  Missing or unparsable cells are a hard error; no imputation.
+    UTF-8.  Missing or unparsable cells, and bytes that are not UTF-8, are
+    a hard error; no imputation.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise InvalidPriceSeries(f"{path}: not UTF-8 text ({exc})") from None
     rows = [r for r in rows if r]
     if not rows:
         raise InvalidPriceSeries(f"{path}: empty price file")
@@ -285,27 +314,22 @@ def read_price_csv(path) -> PriceSeries:
 
 
 def write_params_json(p: MarketParams, path) -> None:
-    """Write parameters as JSON with shortest round-trip float formatting."""
-    payload: dict = {
-        "mu": [float(x) for x in p.mu],
-        "sigma": [[float(x) for x in row] for row in p.sigma],
-        "r_f": float(p.r_f),
-    }
+    """Write parameters as :func:`dumps_json` does: shortest round-trip
+    floats, asset names as UTF-8."""
+    payload: dict = {"mu": p.mu, "sigma": p.sigma, "r_f": p.r_f}
     if p.asset_names is not None:
-        payload["asset_names"] = list(p.asset_names)
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        payload["asset_names"] = p.asset_names
+    write_text(path, dumps_json(payload))
 
 
 def read_params_json(path) -> MarketParams:
-    """Read parameters written by :func:`write_params_json`."""
+    """Read parameters written by :func:`write_params_json`; a file that
+    is not UTF-8 JSON raises :class:`InvalidParamsFile`."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidParamsFile(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise InvalidParamsFile(f"{path}: top-level JSON object expected")

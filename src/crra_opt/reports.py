@@ -2,24 +2,24 @@
 
 Every float in every file, JSON and CSV alike, is written as its shortest
 round-trip ``repr``: a fixed format, lossless for float64, so identical
-inputs produce byte-identical files.  The standard library's ``json``
-writes the JSON.  The ECDF files, most of a study's bytes, are written by
-up to one process per CPU (see :func:`write_ecdf_files`); their bytes do
-not depend on how many.
+inputs produce byte-identical files.  Every JSON file is written by
+:func:`~crra_opt.market.dumps_json`, which also writes the params file;
+it and :func:`~crra_opt.market.write_text` are imported here for the
+report writers and their callers.  The ECDF files, most of a study's
+bytes, are written by up to one process per CPU (see
+:func:`write_ecdf_files`); their bytes do not depend on how many.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import threading
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
+from .market import dumps_json, write_text
 from .simulation import METHODS, ComparisonReport, SummaryStats, fmt_gamma, worker_count
 
 # Summary statistics in output order: mean, sd, median, mad.
@@ -32,24 +32,6 @@ STATS = tuple(f.name for f in fields(SummaryStats))
 # (6,144 rows for 4 gammas) stays in one process; one with 12 gammas of
 # 4096-point ECDFs (295k rows) gets one process per CPU.
 MIN_SHARE_ROWS = 16_384
-
-
-def dumps_json(obj) -> str:
-    """``obj`` as indented JSON (RFC 8259), with a final newline.
-
-    Floats are written as their shortest round-trip ``repr``, strings as
-    is but for the escapes JSON requires, and numpy arrays and scalars as
-    their ``tolist()``.  A NaN or infinite float, which JSON cannot hold,
-    raises ``ValueError``; any other type raises ``TypeError``.
-    """
-    return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False,
-                      default=_plain) + "\n"
-
-
-def _plain(obj):
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj)!r} as JSON")
 
 
 def solver_report_dict(method: str, report) -> dict:
@@ -84,12 +66,6 @@ def comparison_report_dict(report: ComparisonReport) -> dict:
         "gammas": list(report.gammas),
         "results": results,
     }
-
-
-def write_text(path, text: str) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
 
 
 def write_comparison_csv(report: ComparisonReport, path) -> None:

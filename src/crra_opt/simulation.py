@@ -43,7 +43,6 @@ from .errors import (
     NonFiniteInput,
     ValidationError,
     require_int,
-    require_positive,
 )
 from .gradient import GdConfig, gd_solve
 from .market import MarketParams, RiskAversion, gamma_lower_bound, require_admissible_gamma
@@ -130,11 +129,9 @@ class ScenarioSet:
         (a float length-N array) if given, else in a new array."""
         return np.einsum("i,ij->j", weights, self.cols, out=out)
 
-    def wealth(self, weights: np.ndarray, gross_rf: float,
-               out: np.ndarray | None = None) -> np.ndarray:
-        """Gross portfolio return ``R_f + w'R_i`` of every scenario, in
-        ``out`` if given, else in a new array."""
-        wealth = self.excess(weights, out)
+    def wealth(self, weights: np.ndarray, gross_rf: float) -> np.ndarray:
+        """Gross portfolio return ``R_f + w'R_i`` of every scenario, in a new array."""
+        wealth = self.excess(weights)
         wealth += gross_rf
         return wealth
 
@@ -145,18 +142,14 @@ class ScenarioSet:
 
 @dataclass(frozen=True)
 class StrategyOutcome:
-    """Per-scenario wealth and utility for one (method, gamma, weights) cell.
-
-    Wealth is ``w0 * (R_f + w'R_i)``.  Utilities at non-positive wealth are
-    undefined and stored as NaN; they are counted in ``infeasible_count``
-    rather than silently dropped.  A positive wealth whose power
-    ``W^(1-gamma)`` overflows gives an infinite utility, which is kept here
-    without a numpy warning.
+    """Per-scenario wealth ``R_f + w'R_i`` (unit initial wealth) and utility
+    of one method's weights.  Utilities at non-positive wealth are undefined
+    and stored as NaN; they are counted in ``infeasible_count`` rather than
+    silently dropped.  A positive wealth whose power ``W^(1-gamma)``
+    overflows gives an infinite utility, kept here without a numpy warning.
     """
 
     method: str
-    gamma: float
-    weights: np.ndarray
     wealths: np.ndarray
     utilities: np.ndarray
     infeasible_count: int
@@ -238,15 +231,12 @@ def evaluate_strategy(
     ra: RiskAversion,
     gross_rf: float,
     method: str = "custom",
-    w0: float = 1.0,
 ) -> StrategyOutcome:
     """Realized wealth and utility of fixed weights on every scenario."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (scenarios.k,):
         raise DimensionMismatch(f"weights must have shape ({scenarios.k},), got {w.shape}")
-    require_positive("w0", w0)
     wealths = scenarios.wealth(w, gross_rf)
-    wealths *= w0
     feasible = wealths > 0.0
     infeasible_count = int(wealths.shape[0] - np.count_nonzero(feasible))
     if infeasible_count == wealths.shape[0]:
@@ -258,8 +248,7 @@ def evaluate_strategy(
         np.power(wealths, lam, out=utilities, where=feasible)
     utilities /= lam
     return StrategyOutcome(
-        method=method, gamma=ra.gamma, weights=w,
-        wealths=wealths, utilities=utilities, infeasible_count=infeasible_count,
+        method=method, wealths=wealths, utilities=utilities, infeasible_count=infeasible_count,
     )
 
 

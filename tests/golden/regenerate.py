@@ -1,16 +1,18 @@
 """Golden outputs of the CLI: run the cases of ``cases.json`` and record them.
 
-``cases.json`` holds the markets (mu, sigma, r_f) and one entry per CLI run:
-``compare`` on the three benchmark workload markets at N = 20,000 (the
-one-asset sweep keeps its 12 gammas and 4096 ECDF points), ``solve --method
-all`` on two markets, ``frontier``, and ``--help`` of the program and of each
-subcommand.  A run with a market writes the file its ``--out``/``--outdir``
-names; a run without one (``--help``) is recorded as its stdout, wrapped at
-``COLUMNS`` = 80.  ``manifest.json`` records the sha256 of every file these
-runs write, and the numpy version, Python version (argparse lays out the
-help) and machine they were recorded under; the three ``comparison.json``
-files and the help texts are also kept verbatim, so a moved digit or a
-changed help line shows as a readable diff.
+``cases.json`` holds the markets (mu, sigma, r_f), the price CSVs and one
+entry per CLI run: ``compare`` on the three benchmark workload markets at
+N = 20,000 (the one-asset sweep keeps its 12 gammas and 4096 ECDF points),
+``solve --method all`` on two markets, ``frontier``, ``estimate`` on a price
+CSV with one ASCII and one non-ASCII asset name, and ``--help`` of the
+program and of each subcommand.  A run with a market or a price CSV writes
+the file its ``--out``/``--outdir`` names; a run without one (``--help``) is
+recorded as its stdout, wrapped at ``COLUMNS`` = 80.  ``manifest.json``
+records the sha256 of every file these runs write, and the numpy version,
+Python version (argparse lays out the help) and machine they were recorded
+under; the three ``comparison.json`` files, the estimated params file and
+the help texts are also kept verbatim, so a moved digit or a changed help
+line shows as a readable diff.
 
 To rewrite the data, from the repository root:
 
@@ -47,6 +49,7 @@ MANIFEST = HERE / "manifest.json"
 VERBATIM = (
     *(f"compare/{market}/comparison.json"
       for market in ("paper_study", "gamma_sweep_1asset", "wide_market_k16")),
+    "estimate/two_assets.json",
     *(f"help/{command}.txt"
       for command in ("crra-opt", "estimate", "solve", "compare", "frontier")),
 )
@@ -79,6 +82,11 @@ def run_cases(workdir: Path) -> dict[str, bytes]:
         params[name] = workdir / "params" / f"{name}.json"
         params[name].parent.mkdir(parents=True, exist_ok=True)
         params[name].write_text(json.dumps(market), encoding="utf-8")
+    prices = {}
+    for name, text in cases["prices"].items():
+        prices[name] = workdir / "prices" / f"{name}.csv"
+        prices[name].parent.mkdir(parents=True, exist_ok=True)
+        prices[name].write_text(text, encoding="utf-8")
     outdir = workdir / "out"
     for run in cases["runs"]:
         out = outdir / run["out"]
@@ -87,10 +95,12 @@ def run_cases(workdir: Path) -> dict[str, bytes]:
         if "market" in run:
             out_flag = "--outdir" if argv[0] == "compare" else "--out"
             argv = [*argv, "--params", str(params[run["market"]]), out_flag, str(out)]
+        elif "prices" in run:
+            argv = [*argv, "--prices", str(prices[run["prices"]]), "--out", str(out)]
         code, stdout = run_cli(argv)
         if code != 0:
             raise RuntimeError(f"crra-opt {' '.join(argv)} exited {code}")
-        if "market" not in run:
+        if "market" not in run and "prices" not in run:
             out.write_bytes(stdout.encode("utf-8"))
     return {path.relative_to(outdir).as_posix(): path.read_bytes()
             for path in sorted(outdir.rglob("*")) if path.is_file()}

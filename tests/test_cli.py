@@ -420,6 +420,49 @@ def test_negative_value_reads_as_its_equals_form(tmp_path, benchmark_json, capsy
     assert capsys.readouterr().err == equals_err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, flags in {
+        "estimate": ("--prices", "--rf", "--out"),
+        "solve": ("--params", "--gamma", "--method", "--samples", "--seed", "--eta", "--tol",
+                  "--max-iter", "--taylor-tol", "--taylor-max-iter", "--out"),
+        "compare": ("--params", "--gammas", "--samples", "--seed", "--eta", "--tol",
+                    "--max-iter", "--taylor-tol", "--taylor-max-iter", "--ecdf-points",
+                    "--outdir"),
+        "frontier": ("--params", "--gamma-from", "--gamma-to", "--steps", "--out"),
+    }.items() for flag in flags],
+)
+def test_double_dash_value_is_usage_error(tmp_path, benchmark_json, prices_csv, capsys,
+                                          command, flag):
+    # argparse hands "--flag=--" the value [] without calling the flag's type.
+    args = {
+        "estimate": ["--prices", str(prices_csv), "--rf", "0", "--out", str(tmp_path / "p.json")],
+        "solve": ["--params", str(benchmark_json), "--gamma", "10"],
+        "compare": ["--params", str(benchmark_json), "--gammas", "10", "--samples", "500",
+                    "--seed", "9", "--outdir", str(tmp_path / "o")],
+        "frontier": ["--params", str(benchmark_json), "--gamma-from", "5", "--gamma-to", "50",
+                     "--out", str(tmp_path / "f.csv")],
+    }[command]
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *args, f"{flag}=--"])
+    assert excinfo.value.code == 2
+    assert f"crra-opt {command}: error: argument {flag}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, name, data", [
+    ("estimate", "latin1.csv", "date,Acme,Société\n2024-01-01,100,50\n".encode("latin-1")),
+    ("solve", "utf16.json", b"\xff\xfe" + '{"mu": [0.1]}'.encode("utf-16-le")),
+], ids=["latin1-prices", "utf16-params"])
+def test_input_file_not_utf8_is_validation_error(tmp_path, capsys, command, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    args = {"estimate": ["--prices", str(path), "--rf", "0", "--out", str(tmp_path / "p.json")],
+            "solve": ["--params", str(path), "--gamma", "10"]}[command]
+    assert main([command, *args]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {path}: not ")
+
+
 @pytest.mark.parametrize("tail", [["--gamma"], ["--gamma", "10", "--bogus", "-1"],
                                   ["--gamma", "10", "--eta", "-x"]],
                          ids=["missing-value", "unknown-flag", "non-numeric-value"])

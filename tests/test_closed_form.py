@@ -135,17 +135,13 @@ class TestObjectiveG:
 class TestApproxExpectedUtility:
     def test_risk_free_only(self, single_asset_params):
         ra = RiskAversion(5.0)
-        value = approx_expected_utility(single_asset_params, np.zeros(1), ra, w0=1.0)
+        value = approx_expected_utility(single_asset_params, np.zeros(1), ra)
         assert value == pytest.approx(1.0 / (1.0 - 5.0), rel=1e-15)
 
     def test_risk_free_gross_return(self):
         p = make_params([0.001], [[1e-4]], 0.0006)
-        value = approx_expected_utility(p, np.zeros(1), RiskAversion(5.0), w0=1.0)
+        value = approx_expected_utility(p, np.zeros(1), RiskAversion(5.0))
         assert value == pytest.approx(1.0006 ** (-4.0) / (-4.0), rel=1e-15)
-
-    def test_w0_must_be_positive(self, single_asset_params):
-        with pytest.raises(ValueError):
-            approx_expected_utility(single_asset_params, np.zeros(1), RiskAversion(5.0), w0=0.0)
 
     def test_monotone_transform_of_objective(self, benchmark_params):
         # Ranking candidate weights by G must match ranking by the utility.

@@ -12,8 +12,6 @@ from crra_opt import (
     RiskAversion,
     ScenarioSet,
     SingularSecondMoment,
-    ValidationError,
-    approx_expected_utility,
     evaluate_strategy,
     gd_solve,
 )
@@ -29,12 +27,9 @@ def _pair() -> ScenarioSet:
     (lambda p: ScenarioSet(np.zeros((0, 2)), seed=0), DimensionMismatch),
     (lambda p: ScenarioSet(np.array([[0.1, np.nan]]), seed=0), NonFiniteInput),
     (lambda p: evaluate_strategy(_pair(), np.zeros(3), RA, 1.0), DimensionMismatch),
-    (lambda p: evaluate_strategy(_pair(), np.zeros(2), RA, 1.0, w0=0.0), ValidationError),
-    (lambda p: approx_expected_utility(p, np.zeros(3), RA, w0=-1.0), ValidationError),
     (lambda p: gd_solve(ScenarioSet(np.zeros((50, 2)), seed=0), RA, 1.0),
      SingularSecondMoment),
-], ids=["returns-shape", "returns-non-finite", "weights-shape", "evaluate-w0",
-        "approx-w0", "no-positive-eigenvalue"])
+], ids=["returns-shape", "returns-non-finite", "weights-shape", "no-positive-eigenvalue"])
 def test_input_checks_raise_package_errors(benchmark_params, call, error):
     with pytest.raises(error) as excinfo:
         call(benchmark_params)

@@ -263,6 +263,13 @@ class TestPriceCsv:
         with pytest.raises(OSError):
             read_price_csv(tmp_path / "nope.csv")
 
+    def test_latin1_file_is_invalid_price_series(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("date,Acme,Société\n2024-01-01,100,50\n2024-01-08,101,49\n"
+                         "2024-01-15,103,51\n".encode("latin-1"))
+        with pytest.raises(InvalidPriceSeries, match="latin1.csv: not UTF-8"):
+            read_price_csv(path)
+
 
 class TestParamsJson:
     def test_bit_exact_round_trip(self, tmp_path, benchmark_params):
@@ -282,6 +289,21 @@ class TestParamsJson:
         np.testing.assert_array_equal(again.mu, p.mu)
         np.testing.assert_array_equal(again.sigma, p.sigma)
         assert again.r_f == p.r_f
+
+    def test_non_ascii_name_is_written_as_utf8(self, tmp_path):
+        p = make_params([0.001, 0.002], np.diag([1e-4, 2e-4]), 0.0006,
+                        asset_names=("Acme", "Société"))
+        path = tmp_path / "params.json"
+        write_params_json(p, path)
+        assert '"Société"'.encode("utf-8") in path.read_bytes()
+        assert read_params_json(path).asset_names == ("Acme", "Société")
+
+    def test_utf16_file_is_invalid_params_file(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + '{"mu": [0.1], "sigma": [[1.0]], "r_f": 0.0}'
+                         .encode("utf-16-le"))
+        with pytest.raises(InvalidParamsFile, match="utf16.json: not valid JSON"):
+            read_params_json(path)
 
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "params.json"

@@ -153,8 +153,6 @@ class TestScenarioSet:
         out = np.full(40, np.nan)
         assert scenarios.excess(w, out=out) is out
         assert np.array_equal(_bits(out), _bits(scenarios.excess(w)))
-        assert scenarios.wealth(w, 1.001, out=out) is out
-        assert np.array_equal(_bits(out), _bits(scenarios.wealth(w, 1.001)))
 
     def test_sets_compare_by_identity(self):
         a = ScenarioSet(returns=np.ones((3, 2)), seed=0)
@@ -190,12 +188,6 @@ class TestEvaluateStrategy:
         scenarios = ScenarioSet(returns=np.full((4, 1), -2.0), seed=0)
         with pytest.raises(AllScenariosInfeasible):
             evaluate_strategy(scenarios, np.ones(1), RiskAversion(3.0), 1.0)
-
-    def test_w0_scales_wealth(self):
-        scenarios = ScenarioSet(returns=np.array([[0.05]]), seed=0)
-        outcome = evaluate_strategy(scenarios, np.ones(1), RiskAversion(2.0), 1.0, w0=2.0)
-        assert outcome.wealths[0] == pytest.approx(2.1, rel=1e-15)
-        assert outcome.utilities[0] == pytest.approx(-1.0 / 2.1, rel=1e-15)
 
 
 class TestSummarize:
