@@ -7,9 +7,13 @@ solve      params JSON + gamma -> solver report JSON (one method or all)
 compare    full simulation study: long-form CSV, ECDF files, nested JSON
 frontier   gamma sweep of closed-form mean/variance plus the tangency row
 
-Exit codes: 0 success, 2 I/O or usage error, 3 validation error, 4 risk
-aversion below the admissibility bound (the bound is printed), 5 solver did
-not converge.  Identical invocations over identical files produce
+Exit codes follow the exception classes of :mod:`crra_opt.errors`: 0
+success, 2 I/O or usage error, 3 validation error, 4 gamma below the
+admissibility bound (the bound is printed), 5 any solver failure (not
+converged, no feasible step, non-finite iterate, no feasible scenario).
+``solve --method all`` and ``compare`` name each failed method or cell on
+stderr and exit 5 only if all failed.  Input files are UTF-8, a leading
+byte-order mark allowed.  Identical invocations over identical files produce
 byte-identical outputs.  Seeds are required for every stochastic command.
 """
 
@@ -24,14 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .closed_form import frontier_point, tangency
-from .errors import (
-    CrraOptError,
-    GammaBelowBound,
-    NotConverged,
-    StepIntoInfeasible,
-    ValidationError,
-    require_int,
-)
+from .errors import CrraOptError, GammaBelowBound, ValidationError, require_int
 from .gradient import GdConfig
 from .market import (
     RiskAversion,
@@ -58,7 +55,7 @@ EXIT_OK = 0
 EXIT_IO = 2
 EXIT_VALIDATION = 3
 EXIT_GAMMA_BOUND = 4
-EXIT_NOT_CONVERGED = 5
+EXIT_SOLVER_FAILED = 5
 
 # argparse reads "-1e3", "-inf" or "-5,10" after a flag as an unknown option
 # (exit 2), not as the value "--flag=-1e3" gives; each subcommand takes such
@@ -173,8 +170,7 @@ def cmd_solve(args) -> int:
         scenarios = simulate(params, args.samples, args.seed)
     # Under "all", as in compare, a method that fails is recorded and the
     # others still report; only a gamma below the bound stops the command.
-    payload: dict = {}
-    failed = []
+    payload, weights = {}, {}
     for m in methods:
         try:
             report = solve_method(m, params, scenarios, ra, gd_cfg, taylor_cfg)
@@ -182,14 +178,13 @@ def cmd_solve(args) -> int:
             if not every or isinstance(exc, GammaBelowBound):
                 raise
             payload[m] = {"error": str(exc), "method": m}
-            failed.append(m)
+            print(f"method {m} failed: {exc}", file=sys.stderr)
         else:
             payload[m] = solver_report_dict(m, report)
-    solved = [m for m in methods if m not in failed]
-    weights = {m: np.asarray(payload[m]["weights"]) for m in solved}
+            weights[m] = report.weights
     payload["weight_distance_inf"] = {
         f"{a}_{b}": float(np.max(np.abs(weights[a] - weights[b])))
-        for a, b in itertools.combinations(solved, 2)
+        for a, b in itertools.combinations(weights, 2)
     }
     text = dumps_json(payload if every else payload[args.method])
     if args.out is not None:
@@ -197,11 +192,9 @@ def cmd_solve(args) -> int:
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
-    for m in failed:
-        print(f"method {m} failed: {payload[m]['error']}", file=sys.stderr)
-    if not solved:
+    if not weights:
         print("every method failed", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+        return EXIT_SOLVER_FAILED
     return EXIT_OK
 
 
@@ -222,16 +215,15 @@ def cmd_compare(args) -> int:
     write_text(outdir / "comparison.json", dumps_json(comparison_report_dict(report)))
     write_ecdf_files(report, outdir)
     print(human_comparison_table(report))
-    failed = [key for key, cell in report.cells.items() if cell.failed]
-    if failed and len(failed) == len(report.cells):
-        print("every cell failed", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    for g, method in failed:
-        print(f"cell gamma={fmt_gamma(g)} method={method} failed: "
-              f"{report.cells[(g, method)].error}", file=sys.stderr)
     print(f"wrote {outdir / 'comparison.csv'}")
     print(f"wrote {outdir / 'comparison.json'}")
     print(f"wrote {len(report.ecdfs)} ECDF files to {outdir}")
+    failed = {key: cell.error for key, cell in report.cells.items() if cell.failed}
+    for (g, method), error in failed.items():
+        print(f"cell gamma={fmt_gamma(g)} method={method} failed: {error}", file=sys.stderr)
+    if len(failed) == len(report.cells):
+        print("every cell failed", file=sys.stderr)
+        return EXIT_SOLVER_FAILED
     return EXIT_OK
 
 
@@ -264,17 +256,18 @@ def main(argv=None) -> int:
     for name, value in vars(args).items():
         if isinstance(value, list):
             args.parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+    # The exception's class alone picks the exit code, most specific first.
     try:
         return args.func(args)
     except GammaBelowBound as exc:
         print(f"error: {exc} (bound = {exc.bound:.6f})", file=sys.stderr)
         return EXIT_GAMMA_BOUND
-    except (NotConverged, StepIntoInfeasible) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except CrraOptError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILED
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -88,7 +88,7 @@ class MarketParams:
     Raises
     ------
     NotPositiveDefinite, DimensionMismatch, NonFiniteInput, AsymmetricSigma,
-    InvalidRiskFreeRate
+    InvalidRiskFreeRate, ValidationError
     """
 
     mu: np.ndarray
@@ -124,6 +124,8 @@ class MarketParams:
         object.__setattr__(self, "mu", _readonly(mu))
         object.__setattr__(self, "sigma", _readonly(sigma))
         object.__setattr__(self, "chol_lower", _readonly(chol))
+        if isinstance(self.asset_names, str):
+            raise ValidationError(f"asset_names must be {k} names, not one string")
         if self.asset_names is not None:
             names = tuple(str(n) for n in self.asset_names)
             if len(names) != k:
@@ -275,11 +277,11 @@ def read_price_csv(path) -> PriceSeries:
     """Read a price history CSV with header ``date,<name1>,...,<namek>``.
 
     Dates are ISO-8601, prices use '.' as the decimal point, the file is
-    UTF-8.  Missing or unparsable cells, and bytes that are not UTF-8, are
-    a hard error; no imputation.
+    UTF-8 (a leading byte-order mark is skipped).  Missing or unparsable
+    cells, and bytes that are not UTF-8, are a hard error; no imputation.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         try:
             rows = list(csv.reader(fh))
         except UnicodeDecodeError as exc:
@@ -324,9 +326,9 @@ def write_params_json(p: MarketParams, path) -> None:
 
 def read_params_json(path) -> MarketParams:
     """Read parameters written by :func:`write_params_json`; a file that
-    is not UTF-8 JSON raises :class:`InvalidParamsFile`."""
+    is not UTF-8 JSON (a leading BOM is skipped) raises :class:`InvalidParamsFile`."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -491,7 +491,7 @@ def compare(
     the report is bit-identical whatever the number of threads.
     """
     n = require_int("n", n, 2)
-    ecdf_points = require_int("--ecdf-points", ecdf_points, 2)
+    ecdf_points = require_int("ecdf_points", ecdf_points, 2)
     gammas = tuple(float(g) for g in gammas)
     if not gammas:
         raise ValidationError("compare needs at least one gamma")

@@ -21,7 +21,9 @@ excess wealth ``w'R_i`` and the two sums of each update are the scenario
 set's own reductions; a solve allocates the two length-N arrays they work
 in once, and every update overwrites them.  Expectations are estimated on
 the same scenario set used by the other solvers, which removes
-cross-method sampling noise from comparisons.
+cross-method sampling noise from comparisons.  An update that overflows
+raises :class:`NonFiniteIterate` and no numpy warning, also where warnings
+are errors: the solver's own checks report the failure.
 """
 
 from __future__ import annotations
@@ -107,6 +109,7 @@ def _step(scenarios, factor, ra: RiskAversion, gross_rf: float, w: np.ndarray,
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def taylor_step(scenarios, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
     """One fixed-point update of the fourth-order expansion weights; at
     ``w = 0`` it gives the starting point ``(R_f / gamma) M2^-1 m1``."""
@@ -114,6 +117,7 @@ def taylor_step(scenarios, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> 
                  np.empty(scenarios.n), np.empty(scenarios.n))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def taylor_solve(
     scenarios,
     ra: RiskAversion,

@@ -15,9 +15,12 @@ import pytest
 import crra_opt
 from conftest import BENCHMARK_MU, BENCHMARK_RF, BENCHMARK_SIGMA
 from crra_opt import (
+    AllScenariosInfeasible,
+    CrraOptError,
     GdConfig,
     NonFiniteIterate,
     NotConverged,
+    StepIntoInfeasible,
     gamma_lower_bound,
     make_params,
     simulation,
@@ -36,6 +39,10 @@ PRICES_CSV = """date,one,two
 2024-01-29,104.5,50.0
 2024-02-05,106.0,52.0
 """
+
+
+class UnlistedSolverFailure(CrraOptError):
+    """A package error that the command line names nowhere."""
 
 
 @pytest.fixture
@@ -168,6 +175,42 @@ class TestSolve:
         assert payload["weight_distance_inf"] == {}
         assert payload["gd"] == {"error": "gd gave up", "method": "gd"}
 
+    @pytest.mark.parametrize("exc", [
+        NotConverged("taylor gave up", None),
+        StepIntoInfeasible("no feasible step"),
+        NonFiniteIterate("non-finite weights"),
+        AllScenariosInfeasible("no feasible scenario"),
+        UnlistedSolverFailure("a failure of a new kind"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_every_solver_failure_exits_5(self, benchmark_json, monkeypatch, capsys, exc):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setitem(simulation.METHODS, "taylor", fail)
+        code = main(["solve", "--params", str(benchmark_json), "--gamma", "10",
+                     "--method", "taylor", "--samples", "500", "--seed", "42"])
+        assert code == 5
+        assert capsys.readouterr() == ("", f"error: {exc}\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "taylor", "--gamma", "0.5", "--samples", "50"],
+         "fixed-point update produced non-finite weights: [nan]"),
+        (["--method", "gd", "--gamma", "6", "--samples", "200", "--eta", "1e20"],
+         "no feasible step after 60 halvings at iteration 0"),
+    ], ids=["taylor-overflow", "gd-no-feasible-step"])
+    def test_solver_failure_prints_only_its_error(self, tmp_path, capsys, flags, message):
+        params = tmp_path / "p.json"
+        params.write_text('{"mu": [0.1], "sigma": [[0.01]], "r_f": 0.0}', encoding="utf-8")
+        assert main(["solve", "--params", str(params), *flags, "--seed", "1"]) == 5
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_asset_names_as_one_string_is_validation_error(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        params.write_text('{"mu": [0.1, 0.2], "sigma": [[1.0, 0.0], [0.0, 1.0]], "r_f": 0.0,'
+                          ' "asset_names": "AB"}', encoding="utf-8")
+        assert main(["solve", "--params", str(params), "--gamma", "10"]) == 3
+        assert capsys.readouterr().err == "error: asset_names must be 2 names, not one string\n"
+
 
 class TestCompare:
     def test_gammas_below_bound_exit_4(self, tmp_path, benchmark_json):
@@ -197,6 +240,26 @@ class TestCompare:
         assert set(payload["results"]["5"]) == {"analytical", "taylor", "gd"}
         cell = payload["results"]["5"]["gd"]
         assert {"weights", "stats", "infeasible_count"} <= set(cell)
+
+    def test_every_failed_cell_is_listed(self, tmp_path, benchmark_json, monkeypatch, capsys):
+        def infeasible(*args, **kwargs):
+            raise AllScenariosInfeasible("no scenario keeps wealth positive")
+
+        monkeypatch.setattr(simulation, "evaluate_strategy", infeasible)
+        outdir = tmp_path / "o"
+        code = main(["compare", "--params", str(benchmark_json), "--gammas", "5,10",
+                     "--samples", "500", "--seed", "9", "--outdir", str(outdir)])
+        assert code == 5
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-3:] == [f"wrote {outdir / 'comparison.csv'}",
+                                         f"wrote {outdir / 'comparison.json'}",
+                                         f"wrote 0 ECDF files to {outdir}"]
+        assert err.splitlines() == [
+            f"cell gamma={g} method={m} failed: no scenario keeps wealth positive"
+            for g in ("5", "10") for m in simulation.METHODS
+        ] + ["every cell failed"]
+        payload = json.loads((outdir / "comparison.json").read_text(encoding="utf-8"))
+        assert payload["results"]["10"]["gd"] == {"error": "no scenario keeps wealth positive"}
 
     def test_byte_identical_reruns(self, tmp_path, benchmark_json):
         args = ["compare", "--params", str(benchmark_json), "--gammas", "5,10",
@@ -378,6 +441,7 @@ class TestCompare:
         ("solve", ["--taylor-tol", "inf"]),
         ("solve", ["--eta", "inf"]),
         ("compare", ["--tol", "inf"]),
+        ("compare", ["--gammas", "5,x"]),
     ],
 )
 def test_bad_numeric_flag_is_validation_error(tmp_path, benchmark_json, capsys, command, flags):
@@ -461,6 +525,22 @@ def test_input_file_not_utf8_is_validation_error(tmp_path, capsys, command, name
             "solve": ["--params", str(path), "--gamma", "10"]}[command]
     assert main([command, *args]) == 3
     assert capsys.readouterr().err.startswith(f"error: {path}: not ")
+
+
+@pytest.mark.parametrize("command", ["estimate", "solve"])
+def test_input_file_with_byte_order_mark_reads_as_without(tmp_path, benchmark_json, prices_csv,
+                                                          command):
+    source = {"estimate": prices_csv, "solve": benchmark_json}[command]
+    marked = tmp_path / f"marked{source.suffix}"
+    marked.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    outputs = []
+    for path in (source, marked):
+        out = tmp_path / f"{path.stem}.out"
+        args = {"estimate": ["--prices", str(path), "--rf", "0", "--out", str(out)],
+                "solve": ["--params", str(path), "--gamma", "10", "--out", str(out)]}[command]
+        assert main([command, *args]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("tail", [["--gamma"], ["--gamma", "10", "--bogus", "-1"],

@@ -16,6 +16,7 @@ from crra_opt import (
     NotConverged,
     RiskAversion,
     ScenarioSet,
+    StepIntoInfeasible,
     ValidationError,
     gamma_lower_bound,
     gd_solve,
@@ -212,6 +213,13 @@ class TestGdSolve:
         # The zero start's wealth is R_f in every scenario.
         with pytest.raises(NonPositiveWealthScenario):
             gd_solve(symmetric_pair, RiskAversion(2.0), 0.0)
+
+    def test_step_that_never_stays_feasible_is_step_into_infeasible(self):
+        # eta = 1e20 overshoots the wealth boundary by far more than 60
+        # halvings can take back; no numpy warning comes first.
+        scenarios = simulate(make_params([0.1], [[0.01]], 0.0), 200, 1)
+        with pytest.raises(StepIntoInfeasible, match="60 halvings at iteration 0"):
+            gd_solve(scenarios, RiskAversion(6.0), 1.0, GdConfig(eta=1e20))
 
     @pytest.mark.parametrize("c", [1e-2, 1.0, 1e2])
     def test_rescaled_returns_give_rescaled_weights(self, benchmark_params, c):

@@ -270,6 +270,25 @@ class TestPriceCsv:
         with pytest.raises(InvalidPriceSeries, match="latin1.csv: not UTF-8"):
             read_price_csv(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "date,one,two\n2024-01-01,100,50\n2024-01-08,101,49\n2024-01-15,103,51\n"
+        plain = read_price_csv(self._write(tmp_path, text))
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        marked = read_price_csv(path)
+        assert marked.asset_names == plain.asset_names == ("one", "two")
+        assert marked.dates == plain.dates
+        np.testing.assert_array_equal(marked.prices, plain.prices)
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "empty price file"),
+        ("date,one,two\n2024-01-01,100,50\n2024-01-08,101\n", ":3: expected 3 cells, got 2"),
+        ("date,one\n2024-01-01,100\n2024-01-08,1O1\n", ":3: bad price '1O1' for 'one'"),
+    ], ids=["empty", "short-row", "bad-price"])
+    def test_malformed_file_is_hard_error(self, tmp_path, text, match):
+        with pytest.raises(InvalidPriceSeries, match=match):
+            read_price_csv(self._write(tmp_path, text))
+
 
 class TestParamsJson:
     def test_bit_exact_round_trip(self, tmp_path, benchmark_params):
@@ -303,6 +322,27 @@ class TestParamsJson:
         path.write_bytes(b"\xff\xfe" + '{"mu": [0.1], "sigma": [[1.0]], "r_f": 0.0}'
                          .encode("utf-16-le"))
         with pytest.raises(InvalidParamsFile, match="utf16.json: not valid JSON"):
+            read_params_json(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, benchmark_params):
+        path = tmp_path / "params.json"
+        write_params_json(benchmark_params, path)
+        marked = tmp_path / "bom.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        again = read_params_json(marked)
+        np.testing.assert_array_equal(again.mu, benchmark_params.mu)
+        np.testing.assert_array_equal(again.sigma, benchmark_params.sigma)
+        assert again.r_f == benchmark_params.r_f
+        assert again.asset_names == benchmark_params.asset_names
+
+    @pytest.mark.parametrize("text, match", [
+        ("[0.1, [[1.0]], 0.0]", "top-level JSON object expected"),
+        ('{"mu": "abc", "sigma": [[1.0]], "r_f": 0.0}', "malformed parameter payload"),
+    ], ids=["top-level-array", "non-numeric-mu"])
+    def test_malformed_payload(self, tmp_path, text, match):
+        path = tmp_path / "params.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidParamsFile, match=match):
             read_params_json(path)
 
     def test_missing_keys(self, tmp_path):

@@ -369,6 +369,15 @@ class TestCompare:
         with pytest.raises(ValidationError, match="must be >= 2, got 1"):
             compare(benchmark_params, [10.0], n=500, seed=9, ecdf_points=1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n=1), "n must be >= 2, got 1"),
+        (dict(n=10, ecdf_points=1), "ecdf_points must be >= 2, got 1"),
+    ], ids=["n", "ecdf_points"])
+    def test_count_check_names_the_parameter(self, benchmark_params, kwargs, message):
+        with pytest.raises(ValidationError) as excinfo:
+            compare(benchmark_params, [5.0], seed=1, **kwargs)
+        assert str(excinfo.value) == message
+
     def test_repeated_gamma_labels_checked_before_the_draw(self, benchmark_params,
                                                            monkeypatch):
         # 5 and 5.0000001 share the label "5", which keys comparison.json

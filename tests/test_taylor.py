@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,13 @@ class TestStep:
             with pytest.raises(NonFiniteIterate):
                 taylor_step(scenarios, RiskAversion(5.0), 1.0006, np.array([1e110]))
 
+    def test_overflowing_update_warns_nothing(self):
+        scenarios = simulate(make_params([0.001], [[0.0005]], 0.0006), 1000, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIterate):
+                taylor_step(scenarios, RiskAversion(5.0), 1.0006, np.array([1e110]))
+
 
 class TestSolve:
     def test_symmetric_sample_converges_immediately(self, symmetric_pairs):
@@ -159,6 +168,15 @@ class TestSolve:
         report = excinfo.value.report
         assert (report.iterations, report.converged) == (1, False)
         assert report.stopping_residual > cfg.tol
+
+    def test_diverging_solve_is_a_non_finite_iterate_not_a_warning(self):
+        # At gamma = 0.5 the update grows like w^3: its length overflows
+        # before the update itself does, and neither overflow may warn.
+        scenarios = simulate(make_params([0.1], [[0.01]], 0.0), 50, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIterate, match=r"non-finite weights: \[nan\]"):
+                taylor_solve(scenarios, RiskAversion(0.5), 1.0)
 
     def test_non_contracting_update_is_not_converged(self):
         # On this sample the update cycles instead of contracting; the solve
