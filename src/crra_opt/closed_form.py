@@ -30,7 +30,7 @@ from .errors import (
 )
 from .market import MarketParams, RiskAversion, gamma_lower_bound, require_admissible_gamma
 
-D_CLAMP = 1e-14     # discriminant values with |D| < D_CLAMP are treated as 0
+D_CLAMP = 1e-14     # discriminant values below D_CLAMP, negative ones too, are treated as 0
 J_MIN = 1e-14       # below this, mu is considered degenerate
 
 
@@ -72,13 +72,13 @@ def _scale_root(J: float, gamma: float, gross_rf: float):
     avoids the catastrophic cancellation of the textbook form when J is
     small.
 
-    ``|D| < D_CLAMP`` is treated as an exact double root: when gamma sits at
-    the bound up to float rounding, D carries only rounding noise (~1e-18)
-    whose square root would otherwise contaminate c at ~1e-8 relative.
+    ``D < D_CLAMP`` is treated as an exact double root: after the bound test, a
+    negative D is rounding within ``BOUND_TOL`` of the bound, and a tiny positive
+    one rounding noise (~1e-18) whose square root would skew c at ~1e-8 relative.
     """
     a = (gamma - 1.0) / 2.0
     d = a * a - (gamma - 1.0) * J
-    if -D_CLAMP < d < D_CLAMP:
+    if d < D_CLAMP:
         d = 0.0
     return gross_rf / (a - J + math.sqrt(d)), d
 

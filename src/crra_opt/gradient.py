@@ -111,7 +111,7 @@ class GdReport:
 def _positive_wealth(scenarios, weights, gross_rf: float) -> np.ndarray:
     """Wealth ``R_f + w'R_i`` of every scenario; raises
     :class:`NonPositiveWealthScenario` naming the first one that is <= 0."""
-    wealth = scenarios.wealth(np.asarray(weights, dtype=float), gross_rf)
+    wealth = scenarios.wealth(weights, gross_rf)
     bad = wealth <= 0.0
     if bad.any():
         raise NonPositiveWealthScenario(int(np.argmax(bad)))

@@ -61,6 +61,16 @@ def cho_solve(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _asset_names(names, k: int) -> tuple[str, ...]:
+    """The names of k assets as a tuple of ``str``; one string, such as ``"AB"``, is refused."""
+    if isinstance(names, str):
+        raise ValidationError(f"asset_names must be {k} names, not one string")
+    names = tuple(str(n) for n in names)
+    if len(names) != k:
+        raise DimensionMismatch(f"{len(names)} names for {k} assets")
+    return names
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -124,13 +134,8 @@ class MarketParams:
         object.__setattr__(self, "mu", _readonly(mu))
         object.__setattr__(self, "sigma", _readonly(sigma))
         object.__setattr__(self, "chol_lower", _readonly(chol))
-        if isinstance(self.asset_names, str):
-            raise ValidationError(f"asset_names must be {k} names, not one string")
         if self.asset_names is not None:
-            names = tuple(str(n) for n in self.asset_names)
-            if len(names) != k:
-                raise DimensionMismatch(f"expected {k} asset names, got {len(names)}")
-            object.__setattr__(self, "asset_names", names)
+            object.__setattr__(self, "asset_names", _asset_names(self.asset_names, k))
 
     @property
     def k(self) -> int:
@@ -181,8 +186,7 @@ class PriceSeries:
             raise TooFewObservations(f"need at least 3 price rows, got {t}")
         if len(self.dates) != t:
             raise DimensionMismatch(f"{len(self.dates)} dates for {t} price rows")
-        if len(self.asset_names) != k:
-            raise DimensionMismatch(f"{len(self.asset_names)} names for {k} assets")
+        names = _asset_names(self.asset_names, k)
         if not np.isfinite(prices).all():
             raise NonFiniteInput("prices must be finite")
         if not (prices > 0.0).all():
@@ -192,7 +196,7 @@ class PriceSeries:
             raise InvalidPriceSeries("dates must be strictly increasing")
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "prices", _readonly(prices))
-        object.__setattr__(self, "asset_names", tuple(str(n) for n in self.asset_names))
+        object.__setattr__(self, "asset_names", names)
 
     @property
     def t(self) -> int:

@@ -125,9 +125,13 @@ class ScenarioSet:
         return self.cols.shape[0]
 
     def excess(self, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Portfolio excess return ``w'R_i`` of every scenario, in ``out``
-        (a float length-N array) if given, else in a new array."""
-        return np.einsum("i,ij->j", weights, self.cols, out=out)
+        """Portfolio excess return ``w'R_i`` of every scenario, in ``out`` if given
+        (a length-N float array); weights of shape other than ``(k,)`` raise
+        :class:`DimensionMismatch`, the one weights check on scenarios."""
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (self.k,):
+            raise DimensionMismatch(f"weights must have shape ({self.k},), got {w.shape}")
+        return np.einsum("i,ij->j", w, self.cols, out=out)
 
     def wealth(self, weights: np.ndarray, gross_rf: float) -> np.ndarray:
         """Gross portfolio return ``R_f + w'R_i`` of every scenario, in a new array."""
@@ -233,10 +237,7 @@ def evaluate_strategy(
     method: str = "custom",
 ) -> StrategyOutcome:
     """Realized wealth and utility of fixed weights on every scenario."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (scenarios.k,):
-        raise DimensionMismatch(f"weights must have shape ({scenarios.k},), got {w.shape}")
-    wealths = scenarios.wealth(w, gross_rf)
+    wealths = scenarios.wealth(weights, gross_rf)
     feasible = wealths > 0.0
     infeasible_count = int(wealths.shape[0] - np.count_nonzero(feasible))
     if infeasible_count == wealths.shape[0]:

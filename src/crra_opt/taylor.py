@@ -113,8 +113,8 @@ def _step(scenarios, factor, ra: RiskAversion, gross_rf: float, w: np.ndarray,
 def taylor_step(scenarios, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
     """One fixed-point update of the fourth-order expansion weights; at
     ``w = 0`` it gives the starting point ``(R_f / gamma) M2^-1 m1``."""
-    return _step(scenarios, _m2_factor(scenarios), ra, gross_rf, np.asarray(w, dtype=float),
-                 np.empty(scenarios.n), np.empty(scenarios.n))
+    return _step(scenarios, _m2_factor(scenarios), ra, gross_rf, w, np.empty(scenarios.n),
+                 np.empty(scenarios.n))
 
 
 @np.errstate(over="ignore", invalid="ignore")

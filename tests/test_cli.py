@@ -583,6 +583,21 @@ class TestFrontier:
         assert code == 4
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("solve", ["--gamma", "20.99999999999999"]),
+    ("frontier", ["--gamma-from", "20.99999999999999", "--gamma-to", "30", "--out", "f.csv"]),
+    ("compare", ["--gammas", "20.99999999999999,30", "--samples", "100", "--seed", "1",
+                 "--outdir", "out"]),
+])
+def test_gamma_admitted_just_below_the_bound_is_solved(tmp_path, monkeypatch, command, flags):
+    # J = 5: the bound 1 + 4J is 20.999999999999993 and admits this gamma,
+    # whose discriminant rounds negative.
+    params = tmp_path / "params.json"
+    write_params_json(make_params([0.22360679774997896], [[0.01]], 0.0), params)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--params", str(params), *flags]) == 0
+
+
 class TestHelp:
     @pytest.mark.parametrize("command", ["estimate", "solve", "compare", "frontier"])
     def test_help_lists_flags_with_defaults(self, command, capsys):

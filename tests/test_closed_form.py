@@ -77,6 +77,18 @@ class TestBoundCases:
         assert sol.expected_excess_return == pytest.approx(1.0, rel=1e-13)
         assert sol.D == 0.0
 
+    @pytest.mark.parametrize("j", [0.1, 1.0, 5.0, 25.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("below", [0.0, "ulp", 5e-13])
+    def test_gamma_admitted_below_the_bound_gives_the_double_root(self, j, below):
+        # The bound test admits gamma up to BOUND_TOL below 1 + 4J, where D
+        # rounds to a tiny or negative value: the double root, D = 0.
+        p = make_params([np.sqrt(0.01 * j)], [[0.01]], 0.0)
+        bound = gamma_lower_bound(p)
+        gamma = float(np.nextafter(bound, 0.0)) if below == "ulp" else bound - below
+        sol = solve_analytical(p, RiskAversion(gamma))
+        assert sol.D == 0.0
+        assert sol.c == p.gross_rf / ((gamma - 1.0) / 2.0 - sol.J)
+
     def test_below_bound_rejected_with_bound(self, benchmark_params):
         with pytest.raises(GammaBelowBound) as excinfo:
             solve_analytical(benchmark_params, RiskAversion(1.05))

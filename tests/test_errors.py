@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,10 @@ from crra_opt import (
     gd_solve,
     make_params,
     objective_g,
+    taylor_step,
+    v0,
+    v0_gradient,
+    v0_hessian,
 )
 
 RA = RiskAversion(5.0)
@@ -52,11 +57,28 @@ def _pair() -> ScenarioSet:
      "2 names for 1 assets"),
     (lambda p: PriceSeries(DATES, np.array([[1.0], [np.inf], [2.0]]), ("a",)), NonFiniteInput,
      "prices must be finite"),
+    (lambda p: PriceSeries(DATES, np.ones((3, 2)), "AB"), ValidationError,
+     "asset_names must be 2 names, not one string"),
 ], ids=["returns-shape", "returns-non-finite", "weights-shape", "no-positive-eigenvalue",
         "mu-2d", "asset-names-one-string", "closed-form-weights-shape", "prices-1d",
-        "dates-count", "names-count", "prices-non-finite"])
+        "dates-count", "names-count", "prices-non-finite", "prices-asset-names-one-string"])
 def test_input_checks_raise_package_errors(benchmark_params, call, error, match):
     with pytest.raises(error, match=match) as excinfo:
         call(benchmark_params)
     assert isinstance(excinfo.value, CrraOptError)
     assert isinstance(excinfo.value, ValueError)
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (2, 1)], ids=["k-1", "k+1", "column"])
+@pytest.mark.parametrize("call", [
+    lambda s, w: v0(s, w, RA, 1.0),
+    lambda s, w: v0_gradient(s, w, RA, 1.0),
+    lambda s, w: v0_hessian(s, w, RA, 1.0),
+    lambda s, w: taylor_step(s, RA, 1.0, w),
+    lambda s, w: evaluate_strategy(s, w, RA, 1.0),
+], ids=["v0", "v0_gradient", "v0_hessian", "taylor_step", "evaluate_strategy"])
+def test_every_sampled_function_checks_the_weights_shape(call, shape):
+    # The scenario set's one check gives every function the same error.
+    with pytest.raises(DimensionMismatch,
+                       match=re.escape(f"weights must have shape (2,), got {shape}")):
+        call(_pair(), np.zeros(shape))

@@ -265,6 +265,7 @@ def _same_stats(a: SummaryStats, b: SummaryStats) -> bool:
 @example(x=np.array([0.0, 0.0, 0.0, 5.0]))  # every deviation right of the median
 @example(x=np.array([2.0, 2.0, 2.0, 2.0, 9.0]))  # a run of ties at the median
 @example(x=np.array([-1.5, -1.5, -1.5, -1.5, 0.25, 3.0]))  # the median is the minimum
+@example(x=np.array([5e-324, 2e-323]))  # the MAD search asks for a deviation of rank -1
 def test_summarize_equals_the_np_median_formulas(x):
     assert _same_stats(summarize(x), _np_median_summary(x))
 
@@ -591,6 +592,12 @@ class TestConcurrentSolve:
         cpus = len(os.sched_getaffinity(0))
         assert simulation.worker_count(1) == 1
         assert simulation.worker_count(10_000) == cpus
+
+    @pytest.mark.parametrize("cpu_count, workers", [(3, 3), (None, 1)])
+    def test_worker_count_without_cpu_affinity(self, monkeypatch, cpu_count, workers):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert simulation.worker_count(8) == workers
 
     def test_bitwise_equal_for_any_worker_count(self, benchmark_params, monkeypatch):
         # More workers than CPUs and frequent thread switches: every cell
