@@ -34,8 +34,9 @@ distance to the optimum in every direction of ``M2``'s span; the Euclidean
 step closes only ``0.8 lambda_i / lambda_max`` of it along eigenvector
 ``i``.  An explicit ``eta`` is stable where the Euclidean step with the
 same ``eta`` is, since both take the same step along the stiffest
-direction.  Steps that would push some scenario wealth to zero or below
-are halved (up to 60 times) before failing, which preserves feasibility.
+direction.  A step that would push some scenario wealth to zero or below
+is halved (up to 60 times) before failing, which preserves feasibility:
+a candidate's one ``v0_gradient`` pass is also its feasibility test.
 
 Rescaling the returns, ``R -> cR``, maps the optimum to ``w / c``.  The
 zero start, the auto step (which scales as ``1 / c^2``) and the stopping
@@ -44,10 +45,6 @@ step count and the stop do not depend on the units of the returns.  On the
 paper's benchmark draw (N = 2e5) the ascent takes 10 steps per gamma.  gd
 uses nothing of the Taylor solver: the two are independent columns of the
 comparison.
-
-The wealth ``R_f + w'R_i`` and the gradient's mean over scenarios are the
-scenario set's own reductions (:class:`~crra_opt.simulation.ScenarioSet`),
-which fix their summation order without BLAS.
 """
 
 from __future__ import annotations
@@ -58,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    NonFiniteInput,
     NonPositiveWealthScenario,
     NotConverged,
     SingularSecondMoment,
@@ -108,33 +106,20 @@ class GdReport:
     converged: bool
 
 
-def _positive_wealth(scenarios, weights, gross_rf: float) -> np.ndarray:
-    """Wealth ``R_f + w'R_i`` of every scenario; raises
-    :class:`NonPositiveWealthScenario` naming the first one that is <= 0."""
-    wealth = scenarios.wealth(weights, gross_rf)
-    bad = wealth <= 0.0
-    if bad.any():
-        raise NonPositiveWealthScenario(int(np.argmax(bad)))
-    return wealth
-
-
-def _v0_from_wealth(wealth: np.ndarray, gamma: float) -> float:
-    return float(np.sum(wealth ** (1.0 - gamma))) / wealth.shape[0] / (1.0 - gamma)
-
-
 def v0(scenarios, weights, ra: RiskAversion, gross_rf: float) -> float:
-    """Sampled expected power utility at the given weights.
-
-    Raises :class:`NonPositiveWealthScenario` naming the first scenario with
-    ``R_f + w'R_i <= 0``.
-    """
-    return _v0_from_wealth(_positive_wealth(scenarios, weights, gross_rf), ra.gamma)
+    """Sampled expected power utility at the given weights; raises
+    :class:`NonPositiveWealthScenario` naming the first scenario with
+    ``R_f + w'R_i <= 0``, as :func:`v0_gradient` and :func:`v0_hessian` do."""
+    lam = 1.0 - ra.gamma
+    return float(scenarios.fold(weights, gross_rf, lambda x, block: np.sum(x ** lam),
+                                positive=True)) / lam
 
 
 def v0_gradient(scenarios, weights, ra: RiskAversion, gross_rf: float) -> np.ndarray:
     """Gradient ``(1/N) sum_i R_i (R_f + w'R_i)^(-gamma)``."""
-    wealth = _positive_wealth(scenarios, weights, gross_rf)
-    return scenarios.weighted_mean(wealth ** (-ra.gamma))
+    return scenarios.fold(weights, gross_rf,
+                          lambda x, block: np.einsum("ij,j->i", block, x ** (-ra.gamma)),
+                          positive=True)
 
 
 def v0_hessian(scenarios, weights, ra: RiskAversion, gross_rf: float) -> np.ndarray:
@@ -143,20 +128,17 @@ def v0_hessian(scenarios, weights, ra: RiskAversion, gross_rf: float) -> np.ndar
     Negative definite wherever wealth stays positive; exposed for concavity
     diagnostics.
     """
-    cols = scenarios.cols
-    k, n = cols.shape
-    wealth = _positive_wealth(scenarios, weights, gross_rf)
-    np.power(wealth, -(1.0 + ra.gamma), out=wealth)
-    # Row by row, the upper half only, through one length-N scratch buffer:
-    # a three-operand einsum runs its generic slow loop, and (cols * v)
-    # would hold a k x N temporary.
-    scaled = np.empty(n)
-    total = np.empty((k, k))
-    for i in range(k):
-        np.multiply(cols[i], wealth, out=scaled)
-        total[i, i:] = np.einsum("lj,j->l", cols[i:], scaled)
-        total[i + 1:, i] = total[i, i + 1:]
-    return -(ra.gamma / n) * total
+    def part(x, block):
+        np.power(x, -(1.0 + ra.gamma), out=x)
+        # Row by row, the upper half only: a three-operand einsum runs its
+        # generic slow loop, and (block * x) would hold a k x B temporary.
+        total = np.empty((block.shape[0],) * 2)
+        for i in range(block.shape[0]):
+            total[i, i:] = np.einsum("lj,j->l", block[i:], block[i] * x)
+            total[i + 1:, i] = total[i, i + 1:]
+        return total
+
+    return -ra.gamma * scenarios.fold(weights, gross_rf, part, positive=True)
 
 
 def suggest_eta(scenarios, ra: RiskAversion) -> float:
@@ -198,12 +180,11 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
     cfg = cfg or GdConfig()
     eta = cfg.eta if cfg.eta is not None else suggest_eta(scenarios, ra)
     w = np.zeros(scenarios.k)
-    wealth = _positive_wealth(scenarios, w, gross_rf)
+    grad = v0_gradient(scenarios, w, ra, gross_rf)
     vecs, scale, lam_max = _metric(scenarios.m2)
 
     steps = 0
     while True:
-        grad = scenarios.weighted_mean(wealth ** (-ra.gamma))
         # einsum, not BLAS, so the step cannot depend on BLAS threads.
         proj = np.einsum("ji,j->i", vecs, grad)
         coords = scale * proj
@@ -212,19 +193,18 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
             break
         step = eta * np.einsum("ij,j->i", vecs, coords)
         for _ in range(MAX_BACKTRACKS + 1):
-            cand = w + step
-            cand_wealth = scenarios.wealth(cand, gross_rf)
-            if cand_wealth.min() > 0.0:
+            try:
+                grad = v0_gradient(scenarios, w + step, ra, gross_rf)
                 break
-            step = 0.5 * step
+            except (NonPositiveWealthScenario, NonFiniteInput):  # or an overflowed step
+                step = 0.5 * step
         else:
             raise StepIntoInfeasible(
-                f"no feasible step after {MAX_BACKTRACKS} halvings at iteration {steps}"
-            )
-        w, wealth = cand, cand_wealth
+                f"no feasible step after {MAX_BACKTRACKS} halvings at iteration {steps}")
+        w = w + step
         steps += 1
     report = GdReport(weights=w, iterations=steps, stopping_residual=norm,
-                      objective=_v0_from_wealth(wealth, ra.gamma), converged=norm <= cfg.tol)
+                      objective=v0(scenarios, w, ra, gross_rf), converged=norm <= cfg.tol)
     if report.converged:
         return report
     raise NotConverged(

@@ -11,11 +11,11 @@ One scenario set is shared by every method and risk-aversion level inside
 a comparison run, which makes the per-method statistics directly
 comparable.
 
-:class:`ScenarioSet` owns the reductions over the N scenarios that the
-solvers and the evaluation share.  Every sum over scenarios in the package,
-these and the single-site ones (the draw, ``v0_hessian``), is one
-``np.einsum`` or ``np.sum`` over contiguous per-asset rows, never a BLAS
-product, so numpy alone fixes its summation order: draws, weights and
+Every sampled objective, gradient, Hessian and Taylor update is one
+:meth:`ScenarioSet.fold` over fixed blocks of ``_FOLD_BLOCK`` scenarios,
+so no solver holds a length-N array.  Every sum over scenarios is an
+``np.einsum`` or ``np.sum`` over per-asset rows, never a BLAS product, so
+numpy and the fixed blocks alone set its order: draws, weights and
 statistics are bit-identical under any BLAS thread count, and no BLAS
 thread pool competes with the solver threads of :func:`compare`.
 
@@ -41,6 +41,7 @@ from .errors import (
     CrraOptError,
     DimensionMismatch,
     NonFiniteInput,
+    NonPositiveWealthScenario,
     ValidationError,
     require_int,
 )
@@ -63,6 +64,10 @@ METHODS = {
 # MB, whatever N.
 _DRAW_BLOCK = 8192
 
+# Scenarios per block of :meth:`ScenarioSet.fold`: a pass holds a few
+# length-``_FOLD_BLOCK`` temporaries, whatever N.
+_FOLD_BLOCK = 32_768
+
 # Median-absolute-deviation scale for consistency with the standard
 # deviation under normality.
 MAD_SCALE = 1.4826
@@ -74,7 +79,7 @@ class ScenarioSet:
 
     The draws are held once, as the read-only C-contiguous ``(k, N)`` array
     ``cols``: row ``j`` holds asset ``j``'s return in every scenario, so each
-    length-N reduction reads one contiguous row per asset.  ``returns`` is
+    block of a :meth:`fold` reads one contiguous run per asset.  ``returns`` is
     the ``(N, k)`` view ``cols.T`` of the same buffer.  The read-only sample
     moments ``m1 = (1/N) sum_i R_i`` and ``M2 = m2 = (1/N) sum_i R_i R_i'``
     are computed once, on construction, and shared by every solver.  Sets
@@ -124,24 +129,41 @@ class ScenarioSet:
     def k(self) -> int:
         return self.cols.shape[0]
 
-    def excess(self, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Portfolio excess return ``w'R_i`` of every scenario, in ``out`` if given
-        (a length-N float array); weights of shape other than ``(k,)`` raise
-        :class:`DimensionMismatch`, the one weights check on scenarios."""
+    def _weights(self, weights) -> np.ndarray:
+        """``weights`` as a float array: the one weights check on scenarios,
+        :class:`DimensionMismatch` unless ``(k,)``, :class:`NonFiniteInput` unless finite."""
         w = np.asarray(weights, dtype=float)
         if w.shape != (self.k,):
             raise DimensionMismatch(f"weights must have shape ({self.k},), got {w.shape}")
-        return np.einsum("i,ij->j", w, self.cols, out=out)
+        if not np.isfinite(w).all():
+            raise NonFiniteInput("weights must be finite")
+        return w
 
     def wealth(self, weights: np.ndarray, gross_rf: float) -> np.ndarray:
         """Gross portfolio return ``R_f + w'R_i`` of every scenario, in a new array."""
-        wealth = self.excess(weights)
+        wealth = np.einsum("i,ij->j", self._weights(weights), self.cols)
         wealth += gross_rf
         return wealth
 
-    def weighted_mean(self, v: np.ndarray) -> np.ndarray:
-        """``(1/N) sum_i v_i R_i`` for one scalar ``v_i`` per scenario."""
-        return np.einsum("ij,j->i", self.cols, v) / self.n
+    def fold(self, weights: np.ndarray, shift: float, part, positive: bool = False):
+        """``(1/N) sum part(x, block)`` over blocks of ``_FOLD_BLOCK``
+        scenarios, in order: ``block`` is the ``(k, B)`` view of the block's
+        columns and ``x = shift + w'R_i`` on them, an array of its own that
+        ``part`` may overwrite.  With ``positive``, an ``x_i`` that is not
+        > 0 (NaN included) raises :class:`NonPositiveWealthScenario` naming
+        the first such scenario, before ``part`` sees its block."""
+        w = self._weights(weights)
+        total = 0.0
+        for start in range(0, self.n, _FOLD_BLOCK):
+            block = self.cols[:, start:start + _FOLD_BLOCK]
+            x = np.einsum("i,ij->j", w, block)
+            x += shift
+            if positive:
+                feasible = x > 0.0
+                if not feasible.all():
+                    raise NonPositiveWealthScenario(start + int(np.argmin(feasible)))
+            total = total + part(x, block)
+        return total / self.n
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,11 @@ The start, like every update, reads only the scenario set: there is no
 variant built on the population moments ``(mu, sigma)``.
 
 ``M2`` and ``m1`` are the scenario set's moments, shared with
-``suggest_eta``; ``M2`` is factored once per solve and reused.  The
-excess wealth ``w'R_i`` and the two sums of each update are the scenario
-set's own reductions; a solve allocates the two length-N arrays they work
-in once, and every update overwrites them.  Expectations are estimated on
-the same scenario set used by the other solvers, which removes
-cross-method sampling noise from comparisons.  An update that overflows
-raises :class:`NonFiniteIterate` and no numpy warning, also where warnings
-are errors: the solver's own checks report the failure.
+``suggest_eta``; ``M2`` is factored once per solve and reused.  Both sums
+of an update come from one :meth:`~crra_opt.simulation.ScenarioSet.fold`
+pass.  An update that overflows raises :class:`NonFiniteIterate` and no
+numpy warning, also where warnings are errors: the solver's own checks
+report the failure.
 """
 
 from __future__ import annotations
@@ -89,15 +86,18 @@ def _m2_factor(scenarios) -> np.ndarray:
     return factor
 
 
-def _step(scenarios, factor, ra: RiskAversion, gross_rf: float, w: np.ndarray,
-          x: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """One update; overwrites the length-N work arrays ``x`` and ``x2``."""
-    g = ra.gamma
-    scenarios.excess(w, out=x)
-    np.multiply(x, x, out=x2)
-    quad = scenarios.weighted_mean(x2)
+def _sums(x, block) -> np.ndarray:
+    """The block's ``sum_i (w'R_i)^2 R_i`` and ``sum_i (w'R_i)^3 R_i``, stacked."""
+    x2 = x * x
+    quad = np.einsum("ij,j->i", block, x2)
     x2 *= x
-    cube = scenarios.weighted_mean(x2)
+    return np.stack((quad, np.einsum("ij,j->i", block, x2)))
+
+
+def _step(scenarios, factor, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
+    """One update, from one pass over the scenarios."""
+    g = ra.gamma
+    quad, cube = scenarios.fold(w, 0.0, _sums)
     rhs = (
         gross_rf * scenarios.m1
         + (g * (g + 1.0) / (2.0 * gross_rf)) * quad
@@ -113,8 +113,7 @@ def _step(scenarios, factor, ra: RiskAversion, gross_rf: float, w: np.ndarray,
 def taylor_step(scenarios, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
     """One fixed-point update of the fourth-order expansion weights; at
     ``w = 0`` it gives the starting point ``(R_f / gamma) M2^-1 m1``."""
-    return _step(scenarios, _m2_factor(scenarios), ra, gross_rf, w, np.empty(scenarios.n),
-                 np.empty(scenarios.n))
+    return _step(scenarios, _m2_factor(scenarios), ra, gross_rf, w)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -133,10 +132,9 @@ def taylor_solve(
     """
     cfg = cfg or TaylorConfig()
     factor = _m2_factor(scenarios)
-    work = np.empty(scenarios.n), np.empty(scenarios.n)
-    w = _step(scenarios, factor, ra, gross_rf, np.zeros(scenarios.k), *work)
+    w = _step(scenarios, factor, ra, gross_rf, np.zeros(scenarios.k))
     for iteration in range(1, cfg.max_iter + 1):
-        update = _step(scenarios, factor, ra, gross_rf, w, *work) - w
+        update = _step(scenarios, factor, ra, gross_rf, w) - w
         delta = float(np.linalg.norm(update))
         w = w + update
         if delta <= cfg.tol:

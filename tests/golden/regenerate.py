@@ -2,17 +2,19 @@
 
 ``cases.json`` holds the markets (mu, sigma, r_f), the price CSVs and one
 entry per CLI run: ``compare`` on the three benchmark workload markets at
-N = 20,000 (the one-asset sweep keeps its 12 gammas and 4096 ECDF points),
-``solve --method all`` on two markets, ``frontier``, ``estimate`` on a price
-CSV with one ASCII and one non-ASCII asset name, and ``--help`` of the
-program and of each subcommand.  A run with a market or a price CSV writes
-the file its ``--out``/``--outdir`` names; a run without one (``--help``) is
-recorded as its stdout, wrapped at ``COLUMNS`` = 80.  ``manifest.json``
-records the sha256 of every file these runs write, and the numpy version,
-Python version (argparse lays out the help) and machine they were recorded
-under; the three ``comparison.json`` files, the estimated params file and
-the help texts are also kept verbatim, so a moved digit or a changed help
-line shows as a readable diff.
+N = 20,000 (the one-asset sweep keeps its 12 gammas and 4096 ECDF points)
+and once more on the paper's market at N = 65,541, where the solvers' sums
+run over three blocks of scenarios; ``solve --method all`` on two markets,
+``frontier``, ``estimate`` on a price CSV with one ASCII and one non-ASCII
+asset name, and ``--help`` of the program and of each subcommand.  A run
+with a market or a price CSV writes the file its ``--out``/``--outdir``
+names; a run without one (``--help``) is recorded as its stdout, wrapped
+at ``COLUMNS`` = 80.  ``manifest.json`` records the sha256 of every file
+these runs write, and the numpy version, Python version (argparse lays out
+the help) and machine they were recorded under; the four
+``comparison.json`` files, the estimated params file and the help texts
+are also kept verbatim, so a moved digit or a changed help line shows as a
+readable diff.
 
 To rewrite the data, from the repository root:
 
@@ -47,8 +49,8 @@ MANIFEST = HERE / "manifest.json"
 
 # Outputs kept verbatim next to the manifest.
 VERBATIM = (
-    *(f"compare/{market}/comparison.json"
-      for market in ("paper_study", "gamma_sweep_1asset", "wide_market_k16")),
+    *(f"compare/{case}/comparison.json"
+      for case in ("paper_study", "gamma_sweep_1asset", "wide_market_k16", "paper_study_n65541")),
     "estimate/two_assets.json",
     *(f"help/{command}.txt"
       for command in ("crra-opt", "estimate", "solve", "compare", "frontier")),

@@ -69,16 +69,27 @@ def test_input_checks_raise_package_errors(benchmark_params, call, error, match)
     assert isinstance(excinfo.value, ValueError)
 
 
-@pytest.mark.parametrize("shape", [(1,), (3,), (2, 1)], ids=["k-1", "k+1", "column"])
-@pytest.mark.parametrize("call", [
+SAMPLED_CALLS = pytest.mark.parametrize("call", [
     lambda s, w: v0(s, w, RA, 1.0),
     lambda s, w: v0_gradient(s, w, RA, 1.0),
     lambda s, w: v0_hessian(s, w, RA, 1.0),
     lambda s, w: taylor_step(s, RA, 1.0, w),
     lambda s, w: evaluate_strategy(s, w, RA, 1.0),
 ], ids=["v0", "v0_gradient", "v0_hessian", "taylor_step", "evaluate_strategy"])
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (2, 1)], ids=["k-1", "k+1", "column"])
+@SAMPLED_CALLS
 def test_every_sampled_function_checks_the_weights_shape(call, shape):
     # The scenario set's one check gives every function the same error.
     with pytest.raises(DimensionMismatch,
                        match=re.escape(f"weights must have shape (2,), got {shape}")):
         call(_pair(), np.zeros(shape))
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 0.0], [np.inf, 0.0]], ids=["nan", "inf"])
+@SAMPLED_CALLS
+def test_every_sampled_function_checks_the_weights_are_finite(call, weights):
+    # Not a NaN value, a count of infeasible draws or a zero utility.
+    with pytest.raises(NonFiniteInput, match="weights must be finite"):
+        call(_pair(), np.array(weights))

@@ -29,6 +29,7 @@ from crra_opt import (
     v0_gradient,
     v0_hessian,
 )
+from crra_opt.simulation import _FOLD_BLOCK
 
 
 @pytest.fixture
@@ -51,14 +52,16 @@ class TestV0:
         value = v0(symmetric_pair, np.ones(1), RiskAversion(2.0), 1.0)
         assert value == pytest.approx(-(1.0 / 1.1 + 1.0 / 0.9) / 2.0, rel=1e-15)
 
+    @pytest.mark.parametrize("first", [3, _FOLD_BLOCK + 3], ids=["first-block", "second-block"])
     @pytest.mark.parametrize("fn", [v0, v0_gradient, v0_hessian],
                              ids=["v0", "v0_gradient", "v0_hessian"])
-    def test_nonpositive_wealth_names_first_scenario(self, fn):
-        returns = np.array([[0.1], [0.2], [0.1], [-2.0], [-3.0]])
+    def test_nonpositive_wealth_names_first_scenario(self, fn, first):
+        returns = np.full((first + 5, 1), 0.1)
+        returns[first], returns[first + 1] = -2.0, -3.0
         scenarios = ScenarioSet(returns=returns, seed=0)
         with pytest.raises(NonPositiveWealthScenario) as excinfo:
             fn(scenarios, np.ones(1), RiskAversion(2.0), 1.0)
-        assert excinfo.value.index == 3
+        assert excinfo.value.index == first
 
 
 class TestV0Gradient:
@@ -118,8 +121,8 @@ class TestV0Hessian:
         assert np.max(np.abs(hess - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_peak_memory_holds_no_k_by_n_temporary(self):
-        # The wealth and one length-N scratch row: 2 N floats; a (cols * v)
-        # temporary would add k N of them.
+        # A few block-length rows at a time; a (cols * v) temporary would
+        # add k N floats.
         n, k = 100_000, 16
         scenarios = ScenarioSet(
             returns=np.random.default_rng(25).normal(0.002, 0.02, size=(n, k)), seed=0)
@@ -221,6 +224,17 @@ class TestGdSolve:
         with pytest.raises(StepIntoInfeasible, match="60 halvings at iteration 0"):
             gd_solve(scenarios, RiskAversion(6.0), 1.0, GdConfig(eta=1e20))
 
+    def test_overflowing_gradient_is_step_into_infeasible(self):
+        # The pinned first step lands at w = 3.1, where the crash draw's
+        # wealth 0.07 to the power -400 overflows: the next step is
+        # infinite, and no halving makes it finite.
+        scenarios = ScenarioSet(returns=[[0.1]] * 100 + [[-0.3]], seed=0)
+        ra = RiskAversion(400.0)
+        eta = 3.1 / v0_gradient(scenarios, np.zeros(1), ra, 1.0)[0]
+        with np.errstate(over="ignore"), pytest.raises(StepIntoInfeasible,
+                                                       match="halvings at iteration 1"):
+            gd_solve(scenarios, ra, 1.0, GdConfig(eta=eta))
+
     @pytest.mark.parametrize("c", [1e-2, 1.0, 1e2])
     def test_rescaled_returns_give_rescaled_weights(self, benchmark_params, c):
         # R -> cR maps the optimum to w / c; from the zero start the auto
@@ -260,6 +274,16 @@ class TestGdSolve:
         assert (k, round(ra.gamma, 1)) == (4, 63.4)
         scenarios = simulate(p, 2_000, 176)
         assert gd_solve(scenarios, ra, p.gross_rf, GdConfig(max_iter=1_000)).converged
+
+    @pytest.mark.xfail(strict=True, raises=NotConverged, reason=(
+        "gd converges in 1000 steps; it does not, see the CHANGES.md FOUND line 'solve --method "
+        "gd below gamma 1 grinds to the iteration cap': the M2 metric misfits the Hessian"))
+    def test_converges_when_gamma_is_below_one(self):
+        # Fifty draws from -0.171 to 0.312 at gamma = 0.5: the optimum,
+        # w = 5.8305, leaves the worst draw a wealth of 0.0023, where the
+        # Hessian is -2.63 against gamma M2 = 0.0085.
+        scenarios = simulate(make_params([0.1], [[0.01]], 0.0), 50, 1)
+        assert gd_solve(scenarios, RiskAversion(0.5), 1.0, GdConfig(max_iter=1_000)).converged
 
     def test_closed_form_overweights_on_large_j_market(self, single_asset_params):
         # The log-normal proxy behind the closed form scales positions by

@@ -35,12 +35,14 @@ from crra_opt import (
     make_params,
     simulate,
     summarize,
+    taylor_solve,
 )
 from crra_opt import simulation
 from crra_opt.reports import comparison_report_dict, human_comparison_table
 from crra_opt.simulation import MAD_SCALE, METHODS
 
 BLOCK = simulation._DRAW_BLOCK
+FOLD = simulation._FOLD_BLOCK
 
 
 def _bits(a) -> np.ndarray:
@@ -138,21 +140,46 @@ class TestScenarioSet:
         returns = np.random.default_rng(3).normal(0.01, 0.05, size=(40, 3))
         scenarios = ScenarioSet(returns=returns, seed=0)
         w = np.array([0.5, -0.2, 1.1])
-        v = np.random.default_rng(4).uniform(size=40)
-        np.testing.assert_allclose(scenarios.excess(w), returns @ w, rtol=1e-13)
-        np.testing.assert_allclose(scenarios.wealth(w, 1.001), 1.001 + returns @ w, rtol=1e-13)
-        np.testing.assert_allclose(scenarios.weighted_mean(v), v @ returns / 40, rtol=1e-13)
+        wealth = 1.001 + returns @ w
+        np.testing.assert_allclose(scenarios.wealth(w, 1.001), wealth, rtol=1e-13)
+        np.testing.assert_allclose(
+            scenarios.fold(w, 1.001, lambda x, block: np.einsum("ij,j->i", block, x ** -5.0)),
+            wealth ** -5.0 @ returns / 40, rtol=1e-13)
         np.testing.assert_allclose(scenarios.m1, returns.mean(axis=0), rtol=1e-13)
         np.testing.assert_allclose(scenarios.m2, returns.T @ returns / 40, rtol=1e-13)
         assert not scenarios.m1.flags.writeable and not scenarios.m2.flags.writeable
 
-    def test_reductions_write_into_out(self):
-        returns = np.random.default_rng(3).normal(0.01, 0.05, size=(40, 3))
-        scenarios = ScenarioSet(returns=returns, seed=0)
-        w = np.array([0.5, -0.2, 1.1])
-        out = np.full(40, np.nan)
-        assert scenarios.excess(w, out=out) is out
-        assert np.array_equal(_bits(out), _bits(scenarios.excess(w)))
+    @pytest.mark.parametrize("n", [FOLD - 1, FOLD, FOLD + 1, 3 * FOLD + 5])
+    def test_fold_matches_one_pass_of_numpy(self, n):
+        # One block sums in the order of one pass over all N scenarios, bit
+        # for bit; more blocks only regroup the sums.
+        scenarios = ScenarioSet(np.random.default_rng(n).normal(0.001, 0.02, (n, 3)), seed=0)
+        w, cols = np.array([0.5, -0.2, 1.1]), scenarios.cols
+        x = np.einsum("i,ij->j", w, cols) + 1.0006
+        expected = (np.einsum("ij,j->i", cols, x ** -5.0) / n, np.sum(x ** -4.0) / n)
+        folded = (
+            scenarios.fold(w, 1.0006, lambda x, block: np.einsum("ij,j->i", block, x ** -5.0)),
+            scenarios.fold(w, 1.0006, lambda x, block: np.sum(x ** -4.0), positive=True),
+        )
+        for got, want in zip(folded, expected):
+            if n <= FOLD:
+                assert np.array_equal(_bits(got), _bits(want))
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-13)
+        blocks = []
+        scenarios.fold(w, 0.0, lambda x, block: blocks.append(block) or 0.0)
+        assert max(block.shape[1] for block in blocks) <= FOLD
+        assert np.array_equal(np.concatenate(blocks, axis=1), cols)
+
+    @pytest.mark.parametrize("solve", [gd_solve, taylor_solve], ids=["gd", "taylor"])
+    def test_solvers_hold_no_length_n_array(self, benchmark_params, solve):
+        # A solve holds a few block-length arrays at a time; one length-N
+        # array would take 1.6 MB here.
+        scenarios = simulate(benchmark_params, 200_000, 11)
+        ra = RiskAversion(10.0)
+        solve(simulate(benchmark_params, 100, 11), ra, benchmark_params.gross_rf)
+        peak = _peak_bytes(lambda: solve(scenarios, ra, benchmark_params.gross_rf))
+        assert peak <= 4 * FOLD * 8
 
     def test_sets_compare_by_identity(self):
         a = ScenarioSet(returns=np.ones((3, 2)), seed=0)
@@ -599,7 +626,8 @@ class TestConcurrentSolve:
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         assert simulation.worker_count(8) == workers
 
-    def test_bitwise_equal_for_any_worker_count(self, benchmark_params, monkeypatch):
+    @pytest.mark.parametrize("n", [20_000, 2 * FOLD + 5])
+    def test_bitwise_equal_for_any_worker_count(self, benchmark_params, monkeypatch, n):
         # More workers than CPUs and frequent thread switches: every cell
         # must still be solved exactly once and land in its own slot.
         solved_cells = []
@@ -617,7 +645,7 @@ class TestConcurrentSolve:
             for workers in (1, 2, 5):
                 monkeypatch.setattr(simulation, "worker_count", lambda tasks, w=workers: w)
                 solved_cells.clear()
-                reports.append(compare(benchmark_params, self.GAMMAS, n=20_000, seed=21))
+                reports.append(compare(benchmark_params, self.GAMMAS, n=n, seed=21))
                 assert sorted(solved_cells) == sorted((g, m) for g in self.GAMMAS for m in METHODS)
         finally:
             sys.setswitchinterval(interval)
