@@ -22,13 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateMu,
-    DimensionMismatch,
-    NonPositiveGrossMean,
-    SingularDenominator,
-)
-from .market import MarketParams, RiskAversion, gamma_lower_bound, require_admissible_gamma
+from .errors import DegenerateMu, NonPositiveGrossMean, SingularDenominator
+from .market import (MarketParams, RiskAversion, as_weights, gamma_lower_bound,
+                     require_admissible_gamma)
 
 D_CLAMP = 1e-14     # discriminant values below D_CLAMP, negative ones too, are treated as 0
 J_MIN = 1e-14       # below this, mu is considered degenerate
@@ -182,10 +178,9 @@ def frontier_point(p: MarketParams, ra: RiskAversion) -> tuple[float, float]:
 
 
 def _weights_and_gross_mean(p: MarketParams, weights) -> tuple[np.ndarray, float]:
-    """The weights as a float array and ``m = R_f + w'mu``, which must be positive."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (p.k,):
-        raise DimensionMismatch(f"weights must have shape ({p.k},), got {w.shape}")
+    """The checked weights (:func:`~crra_opt.market.as_weights`) and
+    ``m = R_f + w'mu``, which must be positive."""
+    w = as_weights(weights, p.k)
     m = p.gross_rf + float(w @ p.mu)
     if m <= 0.0:
         raise NonPositiveGrossMean(f"R_f + w'mu = {m:.6g} must be positive")

@@ -16,15 +16,18 @@ gradient's norm in the same metric, ``sqrt(grad' M2^+ grad)``, falls to
 ``tol``; :class:`GdReport` gives that norm at the last iterate as
 ``stopping_residual``.  This is steepest ascent in the quadratic norm of
 ``M2``, stopped by the gradient's dual norm (Boyd & Vandenberghe, *Convex
-Optimization* 9.4.1), still a first-order method: ``M2`` is factored once
-per solve (``eigh``) and no Hessian is formed per step.  In ``M2``'s
+Optimization* 9.4.1), still a first-order method: the metric is the
+spectrum of ``M2`` that the scenario set computed once, and no Hessian is
+formed per step, so this module factors no matrix.  In ``M2``'s
 eigenbasis the gradient's coordinate ``i`` is scaled by
 ``lambda_max / lambda_i``.  Along the top eigenvector the step is the
 Euclidean ``eta * grad V0``, so ``eta`` keeps its units and its stable
 range; every other direction makes the same relative progress, so the step
-count no longer grows with the conditioning of ``M2``.  Directions with
-``lambda_i <= k * eps * lambda_max``, which a rank-deficient sample has,
-keep the Euclidean step, and the ascent converges along ``M2``'s span.
+count no longer grows with the conditioning of ``M2``.  Directions the set
+does not resolve (``lambda_i <= k * eps * lambda_max``, see
+:class:`~crra_opt.simulation.ScenarioSet`), which a rank-deficient sample
+has, keep the Euclidean step (Taylor refuses such a set), and the ascent
+converges along ``M2``'s span.
 With ``M2 = c I``, or at k = 1, the step is the Euclidean one.
 
 Stability: at ``w = 0`` with ``R_f = 1`` the Hessian is ``-gamma M2``,
@@ -147,26 +150,26 @@ def suggest_eta(scenarios, ra: RiskAversion) -> float:
     ``gamma M2``, with ``M2 = (1/N) sum_i R_i R_i'``, is the Hessian scale
     near the start of the ascent, so in :func:`gd_solve`'s metric this step
     is ``0.8 (gamma M2)^-1 grad V0``: stable, and orders of magnitude faster
-    than a unit-scale ``eta`` when returns have small variance.  ``M2`` is
-    the scenario set's cached ``m2``.
+    than a unit-scale ``eta`` when returns have small variance.
+    ``lambda_max`` is the last of the scenario set's cached ``m2_eigvals``.
     """
-    lam_max = float(np.linalg.eigvalsh(scenarios.m2)[-1])
+    lam_max = float(scenarios.m2_eigvals[-1])
     if lam_max <= 0.0:
         raise SingularSecondMoment("second-moment matrix has no positive eigenvalue")
     return 0.8 / (ra.gamma * lam_max)
 
 
-def _metric(m2: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenvectors ``V`` of ``M2``, the scale ``lambda_max / lambda_i`` of
-    each (1 where ``lambda_i <= k * eps * lambda_max``) and ``lambda_max``:
-    the step direction is ``V (scale * V'g)`` and the stopping norm
+def _metric(scenarios) -> tuple[np.ndarray, np.ndarray, float]:
+    """From the set's cached spectrum of ``M2``: the eigenvectors ``V``, the
+    scale ``lambda_max / lambda_i`` of each (1 where the set leaves the
+    direction unresolved) and ``lambda_max``.  The step direction is
+    ``V (scale * V'g)`` and the stopping norm
     ``sqrt(sum(scale * (V'g)^2) / lambda_max)``.  An all-zero ``M2``, whose
     scenarios give a zero gradient everywhere, takes ``lambda_max = 1``."""
-    lam, vecs = np.linalg.eigh(m2)
+    lam, resolved = scenarios.m2_eigvals, scenarios.m2_resolved
     scale = np.ones_like(lam)
-    resolved = lam > lam.shape[0] * np.finfo(float).eps * lam[-1]
     scale[resolved] = lam[-1] / lam[resolved]
-    return vecs, scale, float(lam[-1]) if lam[-1] > 0.0 else 1.0
+    return scenarios.m2_eigvecs, scale, float(lam[-1]) if lam[-1] > 0.0 else 1.0
 
 
 def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None = None) -> GdReport:
@@ -181,7 +184,7 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
     eta = cfg.eta if cfg.eta is not None else suggest_eta(scenarios, ra)
     w = np.zeros(scenarios.k)
     grad = v0_gradient(scenarios, w, ra, gross_rf)
-    vecs, scale, lam_max = _metric(scenarios.m2)
+    vecs, scale, lam_max = _metric(scenarios)
 
     steps = 0
     while True:

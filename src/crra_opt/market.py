@@ -71,6 +71,17 @@ def _asset_names(names, k: int) -> tuple[str, ...]:
     return names
 
 
+def as_weights(weights, k: int) -> np.ndarray:
+    """``weights`` as a float array: the one weights check of the package,
+    :class:`DimensionMismatch` unless ``(k,)``, :class:`NonFiniteInput` unless finite."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (k,):
+        raise DimensionMismatch(f"weights must have shape ({k},), got {w.shape}")
+    if not np.isfinite(w).all():
+        raise NonFiniteInput("weights must be finite")
+    return w
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)

@@ -9,7 +9,7 @@ is ever held; the generator's stream does not depend on how the draw is
 split into blocks, so the draws are bitwise those of one ``(N, k)`` draw.
 One scenario set is shared by every method and risk-aversion level inside
 a comparison run, which makes the per-method statistics directly
-comparable.
+comparable; it also factors its second moment M2 once, for both solvers.
 
 Every sampled objective, gradient, Hessian and Taylor update is one
 :meth:`ScenarioSet.fold` over fixed blocks of ``_FOLD_BLOCK`` scenarios,
@@ -46,7 +46,8 @@ from .errors import (
     require_int,
 )
 from .gradient import GdConfig, gd_solve
-from .market import MarketParams, RiskAversion, gamma_lower_bound, require_admissible_gamma
+from .market import (MarketParams, RiskAversion, as_weights, gamma_lower_bound,
+                     require_admissible_gamma)
 from .taylor import TaylorConfig, taylor_solve
 
 # Each method's solver, (p, scenarios, ra, gd_cfg, taylor_cfg) -> report, in
@@ -82,8 +83,12 @@ class ScenarioSet:
     block of a :meth:`fold` reads one contiguous run per asset.  ``returns`` is
     the ``(N, k)`` view ``cols.T`` of the same buffer.  The read-only sample
     moments ``m1 = (1/N) sum_i R_i`` and ``M2 = m2 = (1/N) sum_i R_i R_i'``
-    are computed once, on construction, and shared by every solver.  Sets
-    compare by identity.
+    are computed once, on construction, and shared by every solver, as is
+    M2's eigendecomposition, the package's one factorization of M2: the
+    ascending ``m2_eigvals``, the eigenvectors ``m2_eigvecs`` (columns) and
+    ``m2_resolved``, true where ``lambda_i > k * eps * lambda_max``, above
+    the rounding left in M2.  gd steps Euclidean along a direction that is
+    not resolved, and Taylor refuses the set.  Sets compare by identity.
     """
 
     returns: np.ndarray
@@ -91,6 +96,9 @@ class ScenarioSet:
     cols: np.ndarray = field(init=False, repr=False)
     m1: np.ndarray = field(init=False, repr=False)
     m2: np.ndarray = field(init=False, repr=False)
+    m2_eigvals: np.ndarray = field(init=False, repr=False)
+    m2_eigvecs: np.ndarray = field(init=False, repr=False)
+    m2_resolved: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # A private copy, so the set never aliases the caller's array.
@@ -107,16 +115,19 @@ class ScenarioSet:
         return scenarios
 
     def _own(self, cols: np.ndarray) -> None:
-        """Check ``cols``, compute the moments and freeze all three."""
+        """Check ``cols``, compute the moments and M2's spectrum and freeze them all."""
         if cols.ndim != 2 or 0 in cols.shape:
             raise DimensionMismatch("returns must be 2-D (N, k) with N >= 1 and k >= 1, "
                                     f"got shape {cols.shape[::-1]}")
         if not np.isfinite(cols).all():
             raise NonFiniteInput("scenario returns must be finite")
-        n = cols.shape[1]
+        k, n = cols.shape
         m1 = np.einsum("ij->i", cols) / n
         m2 = np.einsum("ij,lj->il", cols, cols) / n
-        for name, value in (("cols", cols), ("m1", m1), ("m2", m2)):
+        eigvals, eigvecs = np.linalg.eigh(m2)
+        resolved = eigvals > k * np.finfo(float).eps * eigvals[-1]
+        for name, value in (("cols", cols), ("m1", m1), ("m2", m2), ("m2_eigvals", eigvals),
+                            ("m2_eigvecs", eigvecs), ("m2_resolved", resolved)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "returns", cols.T)
@@ -129,19 +140,9 @@ class ScenarioSet:
     def k(self) -> int:
         return self.cols.shape[0]
 
-    def _weights(self, weights) -> np.ndarray:
-        """``weights`` as a float array: the one weights check on scenarios,
-        :class:`DimensionMismatch` unless ``(k,)``, :class:`NonFiniteInput` unless finite."""
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (self.k,):
-            raise DimensionMismatch(f"weights must have shape ({self.k},), got {w.shape}")
-        if not np.isfinite(w).all():
-            raise NonFiniteInput("weights must be finite")
-        return w
-
     def wealth(self, weights: np.ndarray, gross_rf: float) -> np.ndarray:
         """Gross portfolio return ``R_f + w'R_i`` of every scenario, in a new array."""
-        wealth = np.einsum("i,ij->j", self._weights(weights), self.cols)
+        wealth = np.einsum("i,ij->j", as_weights(weights, self.k), self.cols)
         wealth += gross_rf
         return wealth
 
@@ -152,7 +153,7 @@ class ScenarioSet:
         ``part`` may overwrite.  With ``positive``, an ``x_i`` that is not
         > 0 (NaN included) raises :class:`NonPositiveWealthScenario` naming
         the first such scenario, before ``part`` sees its block."""
-        w = self._weights(weights)
+        w = as_weights(weights, self.k)
         total = 0.0
         for start in range(0, self.n, _FOLD_BLOCK):
             block = self.cols[:, start:start + _FOLD_BLOCK]

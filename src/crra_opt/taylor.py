@@ -15,12 +15,14 @@ weights, and the last update's length is the report's ``stopping_residual``.
 The start, like every update, reads only the scenario set: there is no
 variant built on the population moments ``(mu, sigma)``.
 
-``M2`` and ``m1`` are the scenario set's moments, shared with
-``suggest_eta``; ``M2`` is factored once per solve and reused.  Both sums
-of an update come from one :meth:`~crra_opt.simulation.ScenarioSet.fold`
-pass.  An update that overflows raises :class:`NonFiniteIterate` and no
-numpy warning, also where warnings are errors: the solver's own checks
-report the failure.
+``M2`` and ``m1`` are the scenario set's moments, shared with gd.  Each
+update solves ``M2 x = rhs`` as ``V (V'rhs / lambda)`` in the eigenbasis
+that the set computed once, with ``np.einsum`` rather than BLAS; a set with
+a direction it does not resolve, one along which gd keeps the Euclidean
+step, raises :class:`SingularSecondMoment`.  Both sums of an update come
+from one :meth:`~crra_opt.simulation.ScenarioSet.fold` pass.  An update
+that overflows raises :class:`NonFiniteIterate` and no numpy warning, also
+where warnings are errors: the solver's own checks report the failure.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     require_int,
     require_positive,
 )
-from .market import RiskAversion, cho_solve
+from .market import RiskAversion
 
 
 @dataclass(frozen=True)
@@ -64,28 +66,6 @@ class TaylorReport:
     converged: bool
 
 
-def _m2_factor(scenarios) -> np.ndarray:
-    """Lower Cholesky factor of the scenario set's M2, for ``cho_solve``.
-
-    M2 counts as singular when the factorization fails or its smallest
-    squared pivot is at most ``k * eps * max(diag(M2))``: the size of the
-    rounding error left in a pivot, relative to the scale of M2.  A
-    rank-deficient sample then fails whatever its scale or row order,
-    instead of depending on whether rounding leaves a tiny positive pivot.
-    """
-    m2 = scenarios.m2
-    try:
-        factor = np.linalg.cholesky(m2)
-    except np.linalg.LinAlgError:
-        factor = None
-    k = m2.shape[0]
-    if factor is None or (
-        np.min(np.diag(factor)) ** 2 <= k * np.finfo(float).eps * np.max(np.diag(m2))
-    ):
-        raise SingularSecondMoment("sample second-moment matrix is not positive definite")
-    return factor
-
-
 def _sums(x, block) -> np.ndarray:
     """The block's ``sum_i (w'R_i)^2 R_i`` and ``sum_i (w'R_i)^3 R_i``, stacked."""
     x2 = x * x
@@ -94,8 +74,13 @@ def _sums(x, block) -> np.ndarray:
     return np.stack((quad, np.einsum("ij,j->i", block, x2)))
 
 
-def _step(scenarios, factor, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
-    """One update, from one pass over the scenarios."""
+@np.errstate(over="ignore", invalid="ignore")
+def taylor_step(scenarios, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
+    """One fixed-point update of the fourth-order expansion weights, from
+    one pass over the scenarios; at ``w = 0`` it gives the starting point
+    ``(R_f / gamma) M2^-1 m1``."""
+    if not scenarios.m2_resolved.all():
+        raise SingularSecondMoment("sample second-moment matrix is not positive definite")
     g = ra.gamma
     quad, cube = scenarios.fold(w, 0.0, _sums)
     rhs = (
@@ -103,17 +88,12 @@ def _step(scenarios, factor, ra: RiskAversion, gross_rf: float, w: np.ndarray) -
         + (g * (g + 1.0) / (2.0 * gross_rf)) * quad
         - (g * (g + 1.0) * (g + 2.0) / (6.0 * gross_rf**2)) * cube
     )
-    out = cho_solve(factor, rhs) / g
+    vecs = scenarios.m2_eigvecs
+    coords = np.einsum("ji,j->i", vecs, rhs) / scenarios.m2_eigvals
+    out = np.einsum("ij,j->i", vecs, coords) / g
     if not np.isfinite(out).all():
         raise NonFiniteIterate(f"fixed-point update produced non-finite weights: {out}")
     return out
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def taylor_step(scenarios, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
-    """One fixed-point update of the fourth-order expansion weights; at
-    ``w = 0`` it gives the starting point ``(R_f / gamma) M2^-1 m1``."""
-    return _step(scenarios, _m2_factor(scenarios), ra, gross_rf, w)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -131,10 +111,9 @@ def taylor_solve(
     update does not contract.
     """
     cfg = cfg or TaylorConfig()
-    factor = _m2_factor(scenarios)
-    w = _step(scenarios, factor, ra, gross_rf, np.zeros(scenarios.k))
+    w = taylor_step(scenarios, ra, gross_rf, np.zeros(scenarios.k))
     for iteration in range(1, cfg.max_iter + 1):
-        update = _step(scenarios, factor, ra, gross_rf, w) - w
+        update = taylor_step(scenarios, ra, gross_rf, w) - w
         delta = float(np.linalg.norm(update))
         w = w + update
         if delta <= cfg.tol:

@@ -24,6 +24,9 @@ Regenerate only in a change that means to move output digits or to change
 an output format, and name in its CHANGES.md entry the files that moved and
 the largest change per method; a format change shows, with a check that
 parses old and new, that every value is the same float64 (|delta| = 0).
+Before it rewrites the data, the script prints both: every manifest entry
+whose sha256 changed, and for each verbatim ``comparison.json`` the largest
+|delta| per method over every cell's weights and stats.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import sys
@@ -112,9 +116,47 @@ def sha256s(outputs: dict[str, bytes]) -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
 
 
+def _cell_values(cell: dict) -> list[float]:
+    return [*(cell.get("weights") or ()), *(cell.get("stats") or {}).values()]
+
+
+def largest_changes(old: bytes, new: bytes) -> dict[str, float]:
+    """The largest |delta| per method over every cell's weights and stats
+    between two ``comparison.json`` files; a cell whose values differ in
+    number (one of them failed, say) counts as inf."""
+    old_results, delta = json.loads(old)["results"], {}
+    for gamma, cells in json.loads(new)["results"].items():
+        for method, cell in cells.items():
+            a = _cell_values(old_results.get(gamma, {}).get(method, {}))
+            b = _cell_values(cell)
+            d = (max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+                 if len(a) == len(b) else math.inf)
+            delta[method] = max(delta.get(method, 0.0), d)
+    return delta
+
+
+def report_changes(outputs: dict[str, bytes]) -> None:
+    """Print what a rewrite of the data would move: each manifest entry whose
+    sha256 changed, appeared or went, and the :func:`largest_changes` of each
+    verbatim ``comparison.json``."""
+    old = json.loads(MANIFEST.read_text(encoding="utf-8"))["sha256"] if MANIFEST.exists() else {}
+    new = sha256s(outputs)
+    moved = [name for name in sorted(old.keys() | new.keys()) if old.get(name) != new.get(name)]
+    for name in moved:
+        print(f"moved: {name}" if name in old and name in new
+              else f"{'added' if name in new else 'removed'}: {name}")
+    print(f"{len(moved)} of {len(new)} manifest entries moved")
+    for name in VERBATIM:
+        if name.endswith("comparison.json") and (HERE / name).exists():
+            delta = largest_changes((HERE / name).read_bytes(), outputs[name])
+            print(f"max |delta| in {name}: "
+                  + ", ".join(f"{method} {d:.3g}" for method, d in delta.items()))
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         outputs = run_cases(Path(tmp))
+    report_changes(outputs)
     for name in VERBATIM:
         path = HERE / name
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -17,10 +17,12 @@ from crra_opt import (
     ScenarioSet,
     SingularSecondMoment,
     ValidationError,
+    approx_expected_utility,
     evaluate_strategy,
     gd_solve,
     make_params,
     objective_g,
+    objective_g_gradient,
     taylor_step,
     v0,
     v0_gradient,
@@ -93,3 +95,12 @@ def test_every_sampled_function_checks_the_weights_are_finite(call, weights):
     # Not a NaN value, a count of infeasible draws or a zero utility.
     with pytest.raises(NonFiniteInput, match="weights must be finite"):
         call(_pair(), np.array(weights))
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 0.0], [np.inf, 0.0]], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", [objective_g, objective_g_gradient, approx_expected_utility])
+def test_every_closed_form_function_checks_the_weights_are_finite(call, weights):
+    # The same check as on scenarios, not a NaN value or a numpy warning.
+    p = make_params([0.05, 0.03], np.diag([0.04, 0.02]), 0.01)
+    with pytest.raises(NonFiniteInput, match="weights must be finite"):
+        call(p, np.array(weights), RA)

@@ -10,6 +10,7 @@ because the bytes depend on numpy's summation and sort kernels.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -34,3 +35,15 @@ def test_outputs_match_golden_data(outputs):
     for name in golden.VERBATIM:
         assert outputs[name].decode() == (golden.HERE / name).read_text(encoding="utf-8")
     assert golden.sha256s(outputs) == manifest["sha256"]
+
+
+def test_largest_changes_reads_every_weight_and_stat_per_method():
+    def comparison(taylor_weights, gd_stats) -> bytes:
+        cells = {"taylor": {"weights": taylor_weights, "stats": {"mean": -0.25, "sd": 0.02}},
+                 "gd": {"weights": [0.1, 0.2], "stats": gd_stats, "error": None}}
+        return json.dumps({"results": {"5": cells}}).encode()
+
+    old = comparison([0.5, 1.5], {"mean": -0.25, "sd": 0.02})
+    assert golden.largest_changes(old, old) == {"taylor": 0.0, "gd": 0.0}
+    moved = golden.largest_changes(old, comparison([0.5, 1.75], None))
+    assert moved == {"taylor": 0.25, "gd": math.inf}

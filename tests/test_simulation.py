@@ -34,8 +34,10 @@ from crra_opt import (
     gd_solve,
     make_params,
     simulate,
+    suggest_eta,
     summarize,
     taylor_solve,
+    taylor_step,
 )
 from crra_opt import simulation
 from crra_opt.reports import comparison_report_dict, human_comparison_table
@@ -180,6 +182,38 @@ class TestScenarioSet:
         solve(simulate(benchmark_params, 100, 11), ra, benchmark_params.gross_rf)
         peak = _peak_bytes(lambda: solve(scenarios, ra, benchmark_params.gross_rf))
         assert peak <= 4 * FOLD * 8
+
+    def test_spectrum_of_m2_is_cached_read_only(self):
+        returns = np.random.default_rng(4).normal(0.01, 0.05, size=(60, 3))
+        scenarios = ScenarioSet(returns=returns, seed=0)
+        lam, vecs = scenarios.m2_eigvals, scenarios.m2_eigvecs
+        np.testing.assert_allclose(lam, np.linalg.eigvalsh(scenarios.m2), rtol=1e-12)
+        np.testing.assert_allclose(np.einsum("ij,j,lj->il", vecs, lam, vecs), scenarios.m2,
+                                   rtol=1e-12)
+        assert scenarios.m2_resolved.dtype == bool and scenarios.m2_resolved.all()
+        assert not any(a.flags.writeable
+                       for a in (lam, vecs, scenarios.m2_resolved))
+
+    def test_m2_is_factored_once_per_set(self, benchmark_params, monkeypatch):
+        # Every solver reads the set's cached spectrum: with the factorizations
+        # unavailable after the draw, each returns bitwise the same answer.
+        scenarios = simulate(benchmark_params, 5_000, 12)
+        ra, gross_rf = RiskAversion(10.0), benchmark_params.gross_rf
+        calls = {
+            "suggest_eta": lambda: suggest_eta(scenarios, ra),
+            "gd_solve": lambda: gd_solve(scenarios, ra, gross_rf).weights,
+            "taylor_step": lambda: taylor_step(scenarios, ra, gross_rf, np.full(3, 0.1)),
+            "taylor_solve": lambda: taylor_solve(scenarios, ra, gross_rf).weights,
+        }
+        expected = {name: call() for name, call in calls.items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("M2 was factored again")
+
+        for name in ("eigh", "eigvalsh", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for name, call in calls.items():
+            assert np.array_equal(_bits(call()), _bits(expected[name])), name
 
     def test_sets_compare_by_identity(self):
         a = ScenarioSet(returns=np.ones((3, 2)), seed=0)

@@ -24,6 +24,7 @@ from crra_opt import (
     taylor_solve,
     taylor_step,
 )
+from crra_opt.gradient import _metric
 
 # Frozen from the independent oracle: the fixed point of the exact-moment
 # update for the k=1 market (mu=0.05, var=0.01, R_f=1, gamma=10) using
@@ -32,6 +33,18 @@ POPULATION_FIXPOINT_K1_G10 = 0.4753040906498136
 # ... and the fixed point computed by a standalone implementation on the
 # sampled instance simulate(k=1 market, n=200000, seed=777).
 SAMPLE_FIXPOINT_K1_G10 = 0.4735363441670723
+
+
+def _rank_one() -> np.ndarray:
+    """401 multiples of one direction in three assets: M2 has rank one."""
+    return np.outer(np.linspace(-1.0, 3.0, 401), [0.013, -0.0071, 0.0029])
+
+
+def _near_rank_one(delta: float = 5e-12) -> np.ndarray:
+    """400 draws of ``(r, 2r + delta z)``: M2's second eigenvalue shrinks like ``delta^2``."""
+    r = np.random.default_rng(5).normal(0.01, 0.05, 400)
+    z = np.random.default_rng(6).normal(0.0, 1.0, 400)
+    return np.column_stack([r, 2.0 * r + delta * z])
 
 
 @pytest.fixture
@@ -63,18 +76,41 @@ class TestInitialPoint:
             taylor_step(scenarios, RiskAversion(5.0), 1.0, np.zeros(2))
 
     @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
-    @pytest.mark.parametrize("order_seed", [0, 1, 2])
-    def test_rank_one_sample_is_singular_at_any_scale_and_row_order(self, scale, order_seed):
-        # Every row is a multiple of one direction, so M2 has rank one; the
-        # rounding left in its second pivot depends on the scale and on the
-        # order in which the rows are summed.
-        rng = np.random.default_rng(order_seed)
-        multiples = np.linspace(-1.0, 3.0, 401)
-        direction = np.array([0.013, -0.0071, 0.0029])
-        returns = scale * np.outer(rng.permutation(multiples), direction)
-        scenarios = ScenarioSet(returns=returns, seed=0)
+    @pytest.mark.parametrize("order_seed", [None, 0, 1, 2])
+    @pytest.mark.parametrize("sample", [_rank_one, _near_rank_one],
+                             ids=["rank_one", "near_rank_one"])
+    def test_rank_one_sample_is_singular_at_any_scale_and_row_order(self, sample, scale,
+                                                                    order_seed):
+        # M2 has rank one, or its second eigenvalue lies below the rounding
+        # left in it; that rounding depends on the scale and on the order in
+        # which the rows are summed (None keeps the drawn order).
+        returns = sample()
+        if order_seed is not None:
+            returns = returns[np.random.default_rng(order_seed).permutation(len(returns))]
+        scenarios = ScenarioSet(returns=scale * returns, seed=0)
         with pytest.raises(SingularSecondMoment):
-            taylor_step(scenarios, RiskAversion(5.0), 1.0, np.zeros(3))
+            taylor_step(scenarios, RiskAversion(5.0), 1.0, np.zeros(scenarios.k))
+
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+    def test_singular_exactly_where_gd_steps_euclidean(self, scale):
+        # Taylor refuses a set exactly when gd's metric leaves a direction of
+        # M2 unresolved (Euclidean), and, as the second column nears twice
+        # the first, once it refuses it refuses every closer one.
+        refused = []
+        for delta in (1e-6, 1e-7, 3e-8, 1e-8, 3e-9, 1e-9, 1e-10):
+            scenarios = ScenarioSet(returns=scale * _near_rank_one(delta), seed=0)
+            metric = _metric(scenarios)[1]
+            lam = np.linalg.eigvalsh(scenarios.m2)
+            euclidean = bool(np.any((metric == 1.0) & (lam < lam[-1])))
+            try:
+                taylor_step(scenarios, RiskAversion(5.0), 1.0, np.zeros(2))
+            except SingularSecondMoment:
+                refused.append(True)
+            else:
+                refused.append(False)
+            assert refused[-1] == euclidean, delta
+        assert refused == sorted(refused)
+        assert (refused[0], refused[-1]) == (False, True)
 
 
 class TestStep:
