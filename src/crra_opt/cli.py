@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .closed_form import frontier_point, tangency
+from .closed_form import solve_analytical, tangency
 from .errors import CrraOptError, GammaBelowBound, ValidationError, require_int
 from .gradient import GdConfig
 from .market import (
@@ -237,8 +237,8 @@ def cmd_frontier(args) -> int:
     lines = ["gamma,mean_excess,variance,tangency"]
     for g in grid:
         g = float(g)
-        mean, variance = frontier_point(params, RiskAversion(g))
-        lines.append(f"{g!r},{mean!r},{variance!r},false")
+        sol = solve_analytical(params, RiskAversion(g))
+        lines.append(f"{g!r},{sol.expected_excess_return!r},{sol.variance!r},false")
     tgc = tangency(params)
     mean = float(tgc.weights @ params.mu)
     variance = float(tgc.weights @ params.sigma @ tgc.weights)

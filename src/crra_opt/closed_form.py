@@ -9,10 +9,10 @@ scalar quadratic first-order condition
     (R_f + c J)^2 + (1 - gamma) c R_f = 0,      J = mu' sigma^-1 mu,
 
 whose admissible solution exists for ``gamma >= 1 + 4 J`` and yields
-weights ``w* = c sigma^-1 mu``.  This module implements that solution and
-its companion quantities: the reduced objective ``G``, the approximate
-expected utility, the frontier point of ``w*`` and the fully-risky
-(tangency) portfolio.
+weights ``w* = c sigma^-1 mu``.  This module implements that solution,
+whose mean and variance trace the frontier, and its companion quantities:
+the reduced objective ``G``, the approximate expected utility and the
+tangency portfolio, all from the market's one ``sigma^-1 mu``.
 """
 
 from __future__ import annotations
@@ -34,8 +34,10 @@ J_MIN = 1e-14       # below this, mu is considered degenerate
 class ClosedFormSolution:
     """Closed-form weights ``c * sigma^-1 mu`` plus diagnostics.
 
-    ``foc_residual`` is ``(R_f + cJ)^2 + (1-gamma) c R_f`` evaluated at the
-    returned scale; it is zero up to rounding for any valid solution.
+    ``(expected_excess_return, variance)`` is the frontier point, on the
+    parabola ``mean^2 = J * variance``.  ``foc_residual`` is
+    ``(R_f + cJ)^2 + (1-gamma) c R_f`` at the returned scale; it is zero up
+    to rounding for any valid solution.
     """
 
     weights: np.ndarray
@@ -93,19 +95,17 @@ def solve_analytical(p: MarketParams, ra: RiskAversion) -> ClosedFormSolution:
     DegenerateMu
         If ``J <= J_MIN`` (the weight scale divides by J).
     """
-    sol = p.solve_sigma(p.mu)
-    J = float(p.mu @ sol)
-    if J <= J_MIN:
-        raise DegenerateMu(f"mu' sigma^-1 mu = {J:.3e} is numerically zero")
+    if p.J <= J_MIN:
+        raise DegenerateMu(f"mu' sigma^-1 mu = {p.J:.3e} is numerically zero")
     gamma = ra.gamma
     require_admissible_gamma(gamma, gamma_lower_bound(p))
-    c, d = _scale_root(J, gamma, p.gross_rf)
-    weights = c * sol
+    c, d = _scale_root(p.J, gamma, p.gross_rf)
+    weights = c * p.sigma_inv_mu
     mean = float(weights @ p.mu)
     variance = float(weights @ p.sigma @ weights)
-    foc = (p.gross_rf + c * J) ** 2 + (1.0 - gamma) * c * p.gross_rf
+    foc = (p.gross_rf + c * p.J) ** 2 + (1.0 - gamma) * c * p.gross_rf
     return ClosedFormSolution(
-        weights=weights, c=c, J=J, D=d, gamma=gamma,
+        weights=weights, c=c, J=p.J, D=d, gamma=gamma,
         expected_excess_return=mean, variance=variance, foc_residual=float(foc),
     )
 
@@ -158,23 +158,11 @@ def tangency(p: MarketParams) -> TangencyResult:
     the risk-free asset; whenever ``s > 0`` it satisfies
     ``gamma_tgc >= 1 + 4J``.
     """
-    sol = p.solve_sigma(p.mu)
-    s = float(sol.sum())
+    s = float(p.sigma_inv_mu.sum())
     if abs(s) <= 1e-14:
         raise SingularDenominator(f"1' sigma^-1 mu = {s:.3e} is numerically zero")
-    J = float(p.mu @ sol)
-    gamma_tgc = (J / s + p.gross_rf) ** 2 * s / p.gross_rf + 1.0
-    return TangencyResult(weights=sol / s, gamma_tgc=gamma_tgc)
-
-
-def frontier_point(p: MarketParams, ra: RiskAversion) -> tuple[float, float]:
-    """Expected excess return and variance of the closed-form portfolio.
-
-    The pair traces a parabola: ``(w*'mu)^2 = J * (w*'sigma w*)`` exactly,
-    and both coordinates decrease strictly in gamma.
-    """
-    sol = solve_analytical(p, ra)
-    return sol.expected_excess_return, sol.variance
+    gamma_tgc = (p.J / s + p.gross_rf) ** 2 * s / p.gross_rf + 1.0
+    return TangencyResult(weights=p.sigma_inv_mu / s, gamma_tgc=gamma_tgc)
 
 
 def _weights_and_gross_mean(p: MarketParams, weights) -> tuple[np.ndarray, float]:

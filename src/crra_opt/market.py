@@ -105,11 +105,18 @@ class MarketParams:
         Per-period net risk-free rate; the gross return is ``1 + r_f > 0``.
     asset_names : tuple of str, optional
         Labels carried through estimation and serialization.
+    chol_lower, sigma_inv_mu : ndarray
+        Lower Cholesky factor ``L`` of ``sigma``, and ``sigma^-1 mu`` solved
+        once with it; every closed-form quantity reads the latter.
+    J : float
+        ``mu' sigma^-1 mu``.
 
     Raises
     ------
-    NotPositiveDefinite, DimensionMismatch, NonFiniteInput, AsymmetricSigma,
-    InvalidRiskFreeRate, ValidationError
+    NotPositiveDefinite
+        If ``sigma`` has no Cholesky factor or ``sigma^-1 mu`` is not finite.
+    DimensionMismatch, NonFiniteInput, AsymmetricSigma, InvalidRiskFreeRate,
+    ValidationError
     """
 
     mu: np.ndarray
@@ -117,6 +124,8 @@ class MarketParams:
     r_f: float
     asset_names: tuple[str, ...] | None = None
     chol_lower: np.ndarray = field(init=False, repr=False, compare=False)
+    sigma_inv_mu: np.ndarray = field(init=False, repr=False, compare=False)
+    J: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "r_f", float(self.r_f))
@@ -140,11 +149,17 @@ class MarketParams:
             chol = np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError:
             raise NotPositiveDefinite("sigma has no Cholesky factorization") from None
+        with np.errstate(all="ignore"):
+            sigma_inv_mu = cho_solve(chol, mu)
+            J = float(mu @ sigma_inv_mu)
+        if not np.isfinite(J):  # nor is J when an entry of sigma^-1 mu is not finite
+            raise NotPositiveDefinite("sigma^-1 mu is not finite: sigma is near singular along mu")
         if not 1.0 + self.r_f > 0.0:
             raise InvalidRiskFreeRate(f"gross risk-free return 1 + {self.r_f} is not positive")
-        object.__setattr__(self, "mu", _readonly(mu))
-        object.__setattr__(self, "sigma", _readonly(sigma))
-        object.__setattr__(self, "chol_lower", _readonly(chol))
+        for name, value in (("mu", mu), ("sigma", sigma), ("chol_lower", chol),
+                            ("sigma_inv_mu", sigma_inv_mu)):
+            object.__setattr__(self, name, _readonly(value))
+        object.__setattr__(self, "J", J)
         if self.asset_names is not None:
             object.__setattr__(self, "asset_names", _asset_names(self.asset_names, k))
 
@@ -156,10 +171,6 @@ class MarketParams:
     def gross_rf(self) -> float:
         """Gross risk-free return 1 + r_f."""
         return 1.0 + self.r_f
-
-    def solve_sigma(self, b: np.ndarray) -> np.ndarray:
-        """Return ``sigma^-1 b`` via the cached Cholesky factor (no inverse)."""
-        return cho_solve(self.chol_lower, b)
 
 
 @dataclass(frozen=True)
@@ -243,11 +254,8 @@ def estimate_params(series: PriceSeries, r_f: float) -> MarketParams:
 
 
 def gamma_lower_bound(p: MarketParams) -> float:
-    """Smallest admissible risk aversion, ``1 + 4 mu' sigma^-1 mu``.
-
-    Computed with a Cholesky solve; never forms ``sigma^-1`` explicitly.
-    """
-    return 1.0 + 4.0 * float(p.mu @ p.solve_sigma(p.mu))
+    """Smallest admissible risk aversion, ``1 + 4J`` with the market's ``J = mu' sigma^-1 mu``."""
+    return 1.0 + 4.0 * p.J
 
 
 def require_admissible_gamma(gamma: float, bound: float) -> None:

@@ -115,7 +115,7 @@ class ScenarioSet:
         return scenarios
 
     def _own(self, cols: np.ndarray) -> None:
-        """Check ``cols``, compute the moments and M2's spectrum and freeze them all."""
+        """Check ``cols`` and its moments, compute M2's spectrum and freeze them all."""
         if cols.ndim != 2 or 0 in cols.shape:
             raise DimensionMismatch("returns must be 2-D (N, k) with N >= 1 and k >= 1, "
                                     f"got shape {cols.shape[::-1]}")
@@ -124,6 +124,8 @@ class ScenarioSet:
         k, n = cols.shape
         m1 = np.einsum("ij->i", cols) / n
         m2 = np.einsum("ij,lj->il", cols, cols) / n
+        if not np.isfinite(m2).all():  # then neither does m1 overflow
+            raise NonFiniteInput("the sample second moment M2 of the returns overflows")
         eigvals, eigvecs = np.linalg.eigh(m2)
         resolved = eigvals > k * np.finfo(float).eps * eigvals[-1]
         for name, value in (("cols", cols), ("m1", m1), ("m2", m2), ("m2_eigvals", eigvals),

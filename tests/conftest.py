@@ -6,11 +6,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from crra_opt import MarketParams, make_params
 from crra_opt.closed_form import _scale_root
 
 pytest_plugins = ["pytester"]
+
+# A failing property prints its exact @reproduce_failure reproducer; every
+# other setting keeps hypothesis's default.
+settings.register_profile("crra_opt", print_blob=True)
+settings.load_profile("crra_opt")
 
 # Three-asset weekly benchmark market used throughout: excess-return moments
 # estimated from DAX / Nasdaq futures / Russell 2000 futures weekly prices,

@@ -178,7 +178,7 @@ def test_criterion_4_algebraic_identities():
     start = time.perf_counter()
     for _ in range(1000):
         p = _random_market(rng)
-        direction = p.solve_sigma(p.mu)
+        direction = p.sigma_inv_mu
         j = float(p.mu @ direction)
         bound = 1.0 + 4.0 * j
         u1 = float(rng.uniform(0.0, 25.0))
@@ -208,7 +208,7 @@ def test_criterion_5_remark_and_tangency(bench):
     markets = [bench] + [_random_market(rng) for _ in range(200)]
     checked_roundtrip = 0
     for p in markets:
-        direction = p.solve_sigma(p.mu)
+        direction = p.sigma_inv_mu
         j = float(p.mu @ direction)
         bound = 1.0 + 4.0 * j
         sol = solve_analytical(p, RiskAversion(bound))

@@ -584,6 +584,40 @@ class TestFrontier:
 
 
 @pytest.mark.parametrize("command, flags", [
+    ("solve", ["--gamma", "5"]),
+    ("solve", ["--gamma", "5", "--method", "all", "--samples", "100", "--seed", "1"]),
+    ("solve", ["--gamma", "5", "--method", "gd", "--samples", "100", "--seed", "1"]),
+    ("solve", ["--gamma", "5", "--method", "taylor", "--samples", "100", "--seed", "1"]),
+    ("frontier", ["--gamma-from", "5", "--gamma-to", "10", "--out", "f.csv"]),
+    ("compare", ["--gammas", "5,10", "--samples", "100", "--seed", "1", "--outdir", "out"]),
+], ids=["solve", "solve-all", "solve-gd", "solve-taylor", "frontier", "compare"])
+def test_market_whose_sigma_inv_mu_overflows_is_refused(tmp_path, monkeypatch, capsys,
+                                                         command, flags):
+    # Asset 1 earns 1% with a variance of 1e-320, an arbitrage: sigma has a
+    # Cholesky factor, but sigma^-1 mu = [inf, 1] has no finite bound 1 + 4J.
+    params = tmp_path / "params.json"
+    params.write_text('{"mu": [0.01, 0.01], "sigma": [[1e-320, 0], [0, 0.01]], "r_f": 0.0}',
+                      encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--params", str(params), *flags]) == 3
+    err = capsys.readouterr().err
+    assert "bound = inf" not in err and "RuntimeWarning" not in err
+    assert err == "error: sigma^-1 mu is not finite: sigma is near singular along mu\n"
+
+
+@pytest.mark.parametrize("method", ["gd", "taylor"])
+def test_scenarios_whose_m2_overflows_are_refused(tmp_path, capsys, method):
+    # Each draw is finite, near 1e160, but its square is not.
+    params = tmp_path / "params.json"
+    params.write_text('{"mu": [1e160, 1e160], "sigma": [[1e300, 0], [0, 1e300]], "r_f": 0.0}',
+                      encoding="utf-8")
+    assert main(["solve", "--params", str(params), "--method", method, "--gamma", "5",
+                 "--samples", "100", "--seed", "1"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: the sample second moment M2 of the returns overflows\n")
+
+
+@pytest.mark.parametrize("command, flags", [
     ("solve", ["--gamma", "20.99999999999999"]),
     ("frontier", ["--gamma-from", "20.99999999999999", "--gamma-to", "30", "--out", "f.csv"]),
     ("compare", ["--gammas", "20.99999999999999,30", "--samples", "100", "--seed", "1",

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import BENCHMARK_BOUND, scale_roots
+from crra_opt import cli, market
 from crra_opt import (
     DegenerateMu,
     GammaBelowBound,
@@ -13,13 +16,14 @@ from crra_opt import (
     RiskAversion,
     SingularDenominator,
     approx_expected_utility,
-    frontier_point,
+    compare,
     gamma_lower_bound,
     make_params,
     objective_g,
     objective_g_gradient,
     solve_analytical,
     tangency,
+    write_params_json,
 )
 
 # Frozen from the independent oracle for the k=1 market (mu=0.05, var=0.01,
@@ -62,7 +66,8 @@ class TestSingleAssetOracle:
         assert g_minus > g_plus
 
     def test_frontier_point(self, single_asset_params):
-        mean, variance = frontier_point(single_asset_params, RiskAversion(10.0))
+        sol = solve_analytical(single_asset_params, RiskAversion(10.0))
+        mean, variance = sol.expected_excess_return, sol.variance
         assert mean == pytest.approx(K1_FRONTIER[0], rel=1e-12)
         assert variance == pytest.approx(K1_FRONTIER[1], rel=1e-12)
         assert mean**2 == pytest.approx(0.25 * variance, rel=1e-12)
@@ -187,7 +192,7 @@ class TestTangency:
         checked = 0
         while checked < 40:
             p = make_random_params(rng)
-            s = float(np.sum(p.solve_sigma(p.mu)))
+            s = float(np.sum(p.sigma_inv_mu))
             if s <= 0.0:
                 continue
             result = tangency(p)
@@ -216,15 +221,15 @@ class TestClosedFormProperties:
             )
             assert p.gross_rf + sol.expected_excess_return > 0.0
             # weights are a positive multiple of sigma^-1 mu
-            direction = p.solve_sigma(p.mu)
+            direction = p.sigma_inv_mu
             np.testing.assert_allclose(sol.weights, sol.c * direction, rtol=1e-10)
             assert sol.c > 0.0
 
     def test_mean_and_variance_decrease_in_gamma(self, single_asset_params):
         gammas = np.linspace(2.0, 30.0, 57)
-        points = [frontier_point(single_asset_params, RiskAversion(float(g))) for g in gammas]
-        means = np.array([pt[0] for pt in points])
-        variances = np.array([pt[1] for pt in points])
+        sols = [solve_analytical(single_asset_params, RiskAversion(float(g))) for g in gammas]
+        means = np.array([sol.expected_excess_return for sol in sols])
+        variances = np.array([sol.variance for sol in sols])
         assert np.all(np.diff(means) < 0.0)
         assert np.all(np.diff(variances) < 0.0)
 
@@ -239,7 +244,7 @@ class TestClosedFormProperties:
         rng = np.random.default_rng(100)
         for _ in range(100):
             p = make_random_params(rng)
-            sol = p.solve_sigma(p.mu)
+            sol = p.sigma_inv_mu
             j = float(p.mu @ sol)
             bound = 1.0 + 4.0 * j
             gamma = bound + float(rng.uniform(1e-6, 30.0))
@@ -248,3 +253,40 @@ class TestClosedFormProperties:
             g_minus = objective_g(p, c_minus * sol, ra)
             g_plus = objective_g(p, c_plus * sol, ra)
             assert g_minus >= g_plus - 1e-12
+
+
+def _bits(x):
+    """``x`` as a comparable value that tells apart any two bit patterns."""
+    if dataclasses.is_dataclass(x):
+        return tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (list, tuple)):
+        return tuple(_bits(v) for v in x)
+    return float(x).hex() if isinstance(x, float) else x
+
+
+def test_sigma_inv_mu_is_solved_once_per_market(benchmark_params, tmp_path, monkeypatch):
+    # With the market's one solve done, every closed-form answer reads its
+    # sigma^-1 mu: taking the solver away changes no bit of any of them.
+    p, gammas = benchmark_params, [5.0, 20.0]
+    params = tmp_path / "params.json"
+    write_params_json(p, params)
+
+    def answers():
+        cells = compare(p, gammas, n=200, seed=1).cells
+        out = tmp_path / "frontier.csv"
+        assert cli.main(["frontier", "--params", str(params), "--gamma-from", "2",
+                         "--gamma-to", "20", "--steps", "7", "--out", str(out)]) == 0
+        return _bits([gamma_lower_bound(p), solve_analytical(p, RiskAversion(5.0)),
+                      tangency(p), [cells[g, "analytical"] for g in gammas],
+                      out.read_bytes()])
+
+    unpatched = answers()
+
+    def no_solve(*args):
+        raise AssertionError("cho_solve called after the market was built")
+
+    monkeypatch.setattr(market, "cho_solve", no_solve)
+    monkeypatch.setattr(cli, "read_params_json", lambda path: p)
+    assert answers() == unpatched

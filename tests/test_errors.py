@@ -12,6 +12,7 @@ from crra_opt import (
     CrraOptError,
     DimensionMismatch,
     NonFiniteInput,
+    NotPositiveDefinite,
     PriceSeries,
     RiskAversion,
     ScenarioSet,
@@ -41,6 +42,8 @@ def _pair() -> ScenarioSet:
     (lambda p: ScenarioSet(np.zeros((0, 2)), seed=0), DimensionMismatch, "returns must be 2-D"),
     (lambda p: ScenarioSet(np.array([[0.1, np.nan]]), seed=0), NonFiniteInput,
      "returns must be finite"),
+    (lambda p: ScenarioSet(np.full((2, 2), 1e160), seed=0), NonFiniteInput,
+     "second moment M2 of the returns overflows"),
     (lambda p: evaluate_strategy(_pair(), np.zeros(3), RA, 1.0), DimensionMismatch,
      r"weights must have shape \(2,\)"),
     (lambda p: gd_solve(ScenarioSet(np.zeros((50, 2)), seed=0), RA, 1.0),
@@ -49,6 +52,8 @@ def _pair() -> ScenarioSet:
      "mu must be a non-empty vector"),
     (lambda p: make_params([0.1, 0.2], np.eye(2), 0.0, asset_names="AB"), ValidationError,
      "asset_names must be 2 names, not one string"),
+    (lambda p: make_params([0.01, 0.01], [[1e-320, 0.0], [0.0, 0.01]], 0.0),
+     NotPositiveDefinite, r"sigma\^-1 mu is not finite"),
     (lambda p: objective_g(p, np.zeros(2), RA), DimensionMismatch,
      r"weights must have shape \(3,\)"),
     (lambda p: PriceSeries(DATES, np.array([100.0, 101.0, 102.0]), ("a",)), DimensionMismatch,
@@ -61,9 +66,10 @@ def _pair() -> ScenarioSet:
      "prices must be finite"),
     (lambda p: PriceSeries(DATES, np.ones((3, 2)), "AB"), ValidationError,
      "asset_names must be 2 names, not one string"),
-], ids=["returns-shape", "returns-non-finite", "weights-shape", "no-positive-eigenvalue",
-        "mu-2d", "asset-names-one-string", "closed-form-weights-shape", "prices-1d",
-        "dates-count", "names-count", "prices-non-finite", "prices-asset-names-one-string"])
+], ids=["returns-shape", "returns-non-finite", "m2-overflow", "weights-shape",
+        "no-positive-eigenvalue", "mu-2d", "asset-names-one-string", "sigma-inv-mu-overflow",
+        "closed-form-weights-shape", "prices-1d", "dates-count", "names-count",
+        "prices-non-finite", "prices-asset-names-one-string"])
 def test_input_checks_raise_package_errors(benchmark_params, call, error, match):
     with pytest.raises(error, match=match) as excinfo:
         call(benchmark_params)

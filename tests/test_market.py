@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -165,6 +166,16 @@ class TestGammaLowerBound:
             a = rng.normal(size=(p.k, p.k)) + np.eye(p.k) * 2.0
             q = make_params(a @ p.mu, a @ p.sigma @ a.T, p.r_f)
             assert gamma_lower_bound(q) == pytest.approx(bound, rel=1e-7)
+
+
+class TestSigmaInvMu:
+    def test_solved_once_and_frozen(self, benchmark_params):
+        p = benchmark_params
+        np.testing.assert_allclose(p.sigma_inv_mu, np.linalg.solve(p.sigma, p.mu), rtol=1e-12)
+        assert p.J == float(p.mu @ p.sigma_inv_mu)
+        assert not p.sigma_inv_mu.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.J = 0.0
 
 
 class TestChoSolve:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -31,3 +32,10 @@ def test_failing_property_does_not_abort_the_session(pytester):
     )
     result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
     result.assert_outcomes(failed=1, passed=1)
+
+
+def test_hypothesis_prints_a_reproducer_and_changes_nothing_else():
+    # The suite's profile turns on print_blob alone: examples, seeds,
+    # max_examples and deadlines stay hypothesis's defaults.
+    assert settings().print_blob is True
+    assert repr(settings()) == repr(settings(settings.get_profile("default"), print_blob=True))

@@ -515,7 +515,7 @@ class TestCompare:
         # with sigma^-1 mu even though the scales differ widely.
         bound = gamma_lower_bound(benchmark_params)
         report = compare(benchmark_params, [bound], n=200_000, seed=6)
-        direction = benchmark_params.solve_sigma(benchmark_params.mu)
+        direction = benchmark_params.sigma_inv_mu
         direction = direction / np.linalg.norm(direction)
         for method in METHODS:
             cell = report.cells[(bound, method)]
