@@ -156,12 +156,20 @@ def tangency(p: MarketParams) -> TangencyResult:
     ``gamma_tgc = (J / s + R_f)^2 * s / R_f + 1`` with ``s = 1' sigma^-1 mu``
     is the risk aversion at which the closed-form solution invests nothing in
     the risk-free asset; whenever ``s > 0`` it satisfies
-    ``gamma_tgc >= 1 + 4J``.
+    ``gamma_tgc >= 1 + 4J``.  ``s`` is refused as zero, by
+    :class:`SingularDenominator`, when ``|s| <= k * eps * sum |sigma^-1 mu|``,
+    the rounding its sum can carry, so the test does not depend on the
+    units of the returns.
     """
     s = float(p.sigma_inv_mu.sum())
-    if abs(s) <= 1e-14:
+    if abs(s) <= p.k * np.finfo(float).eps * float(np.abs(p.sigma_inv_mu).sum()):
         raise SingularDenominator(f"1' sigma^-1 mu = {s:.3e} is numerically zero")
-    gamma_tgc = (p.J / s + p.gross_rf) ** 2 * s / p.gross_rf + 1.0
+    a = p.J / s + p.gross_rf
+    try:
+        a2s = a**2 * s
+    except OverflowError:  # a^2 alone overflows, where a^2 s need not
+        a2s = a * (a * s)
+    gamma_tgc = a2s / p.gross_rf + 1.0
     return TangencyResult(weights=p.sigma_inv_mu / s, gamma_tgc=gamma_tgc)
 
 

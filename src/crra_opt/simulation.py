@@ -19,6 +19,10 @@ numpy and the fixed blocks alone set its order: draws, weights and
 statistics are bit-identical under any BLAS thread count, and no BLAS
 thread pool competes with the solver threads of :func:`compare`.
 
+Each gamma of :func:`compare` evaluates its cells in one length-N buffer
+(:func:`_evaluate_cell`): a cell writes its wealths and utilities there in
+place and sorts once, so it holds no second length-N float array.
+
 The solvers sit in one table, :data:`METHODS`, in output order.
 :func:`solve_method` looks a method up there; it is the one call that
 :func:`compare` and the CLI's ``solve`` make.  The iterative methods'
@@ -68,6 +72,10 @@ _DRAW_BLOCK = 8192
 # Scenarios per block of :meth:`ScenarioSet.fold`: a pass holds a few
 # length-``_FOLD_BLOCK`` temporaries, whatever N.
 _FOLD_BLOCK = 32_768
+
+# Values moved per block by :func:`_finite_front`: its temporaries stay
+# about 130 kB, whatever N.
+_MOVE_BLOCK = 8192
 
 # Median-absolute-deviation scale for consistency with the standard
 # deviation under normality.
@@ -142,9 +150,11 @@ class ScenarioSet:
     def k(self) -> int:
         return self.cols.shape[0]
 
-    def wealth(self, weights: np.ndarray, gross_rf: float) -> np.ndarray:
-        """Gross portfolio return ``R_f + w'R_i`` of every scenario, in a new array."""
-        wealth = np.einsum("i,ij->j", as_weights(weights, self.k), self.cols)
+    def wealth(self, weights: np.ndarray, gross_rf: float,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """Gross portfolio return ``R_f + w'R_i`` of every scenario, in
+        ``out`` (a float length-N array) if given, else in a new array."""
+        wealth = np.einsum("i,ij->j", as_weights(weights, self.k), self.cols, out=out)
         wealth += gross_rf
         return wealth
 
@@ -263,19 +273,29 @@ def evaluate_strategy(
 ) -> StrategyOutcome:
     """Realized wealth and utility of fixed weights on every scenario."""
     wealths = scenarios.wealth(weights, gross_rf)
-    feasible = wealths > 0.0
-    infeasible_count = int(wealths.shape[0] - np.count_nonzero(feasible))
-    if infeasible_count == wealths.shape[0]:
-        raise AllScenariosInfeasible("every scenario yields non-positive wealth")
-    lam = 1.0 - ra.gamma
-    utilities = np.full(wealths.shape[0], np.nan)
-    # An overflow is an infinite utility, which compare counts.
-    with np.errstate(over="ignore"):
-        np.power(wealths, lam, out=utilities, where=feasible)
-    utilities /= lam
+    utilities = wealths.copy()
+    infeasible_count = _utilities(utilities, 1.0 - ra.gamma)
     return StrategyOutcome(
         method=method, wealths=wealths, utilities=utilities, infeasible_count=infeasible_count,
     )
+
+
+def _utilities(x: np.ndarray, lam: float) -> int:
+    """Turn the wealths ``x`` into the utilities ``W^lam / lam`` in place,
+    NaN where ``W <= 0``, and return how many draws that is; if it is every
+    draw, raise :class:`AllScenariosInfeasible`.  A power that overflows is
+    an infinite utility, which :func:`compare` counts, and no numpy warning.
+    """
+    feasible = x > 0.0
+    infeasible = x.shape[0] - int(np.count_nonzero(feasible))
+    if infeasible == x.shape[0]:
+        raise AllScenariosInfeasible("every scenario yields non-positive wealth")
+    with np.errstate(over="ignore"):
+        np.power(x, lam, out=x, where=feasible)
+    if infeasible:
+        x[np.logical_not(feasible, out=feasible)] = np.nan
+    x /= lam
+    return infeasible
 
 
 def _sample(values, min_size: int, what: str) -> np.ndarray:
@@ -395,38 +415,79 @@ def solve_method(method: str, p: MarketParams, scenarios: ScenarioSet | None, ra
     return METHODS[method](p, scenarios, ra, gd_cfg, taylor_cfg)
 
 
-def _evaluate_cell(scenarios, weights, ra, gross_rf, method, ecdf_points) -> tuple:
-    """The :class:`CellResult` of fixed weights and its wealth and utility
-    ECDF tables, equal to what :func:`summarize` and :func:`ecdf` give.
+def _finite_front(x: np.ndarray) -> np.ndarray:
+    """Move the finite values of ``x`` to its front, in order, and return
+    that prefix, a view of ``x``, a block of ``_MOVE_BLOCK`` values at a time."""
+    m = 0
+    for start in range(0, x.shape[0], _MOVE_BLOCK):
+        block = x[start:start + _MOVE_BLOCK]
+        finite = np.isfinite(block)
+        kept = block if finite.all() else block[finite]
+        if kept is not block or m < start:
+            x[m:m + kept.shape[0]] = kept
+        m += kept.shape[0]
+    return x[:m]
 
-    The outcome's arrays are private to the call, so each is sorted in
-    place and read for its ECDF; the wealths are then released, and the
-    sorted utilities give the statistics of :func:`_summary_of_sorted`.
-    A function of its own, so the cell's length-N arrays are freed before
-    the next cell is solved.
+
+def _sd_in_place(x: np.ndarray) -> float:
+    """``x.std(ddof=1)`` bit for bit, by the arithmetic of numpy's own
+    ``_var``, without its length-N temporary: the size >= 2 sample ``x`` is
+    overwritten by its squared deviations."""
+    n = x.shape[0]
+    mean = np.add.reduce(x, keepdims=True)
+    mean /= n
+    np.subtract(x, mean, out=x)
+    np.square(x, out=x)
+    return float(np.sqrt(np.add.reduce(x) / (n - 1)))
+
+
+def _evaluate_cell(scenarios, weights, ra, gross_rf, ecdf_points, buf) -> tuple:
+    """The :class:`CellResult` of fixed weights and its wealth and utility
+    ECDF tables, equal to what :func:`summarize` and :func:`ecdf` give,
+    worked out in ``buf``, a float array of length N that the call
+    overwrites.
+
+    1. The utilities, in draw order (:func:`_utilities`, as in
+       :func:`evaluate_strategy`), count the infeasible and the non-finite
+       draws; the finite ones, moved to the front in order, give the mean
+       and, in place, the sd.
+    2. The wealths, written again and sorted once, give the wealth ECDF.
+    3. The utilities of the sorted positive wealths, taken in place, are
+       ascending, because U increases in W.  A finite wealth has a
+       non-finite utility only where ``W^(1-gamma)`` overflows, at gamma >
+       1 and the smallest wealths, so those lead as ``-inf`` and are
+       trimmed.  An O(N) check that the utilities ascend and that the trim
+       drops as many draws as step 1 counted guards this; should it fail,
+       the draw-order utilities are filtered and sorted instead.  They give
+       the utility ECDF and :func:`_summary_of_sorted`.
+
+    The peak is the buffer and a length-N mask, with no second float array.
     """
-    outcome = evaluate_strategy(scenarios, weights, ra, gross_rf, method=method)
-    infeasible = outcome.infeasible_count
-    wealths, utilities = outcome.wealths, outcome.utilities
-    del outcome
-    wealths.sort()
-    wealth_table = _ecdf_of_sorted(wealths, ecdf_points)
-    del wealths
-    kept = np.isfinite(utilities)
-    dropped = utilities.shape[0] - int(np.count_nonzero(kept))
-    if dropped:
-        utilities = utilities[kept]
-    del kept
+    lam = 1.0 - ra.gamma
+    infeasible = _utilities(scenarios.wealth(weights, gross_rf, out=buf), lam)
+    finite = _finite_front(buf)
+    nonfinite = buf.shape[0] - finite.shape[0] - infeasible
+    mean = sd = None
+    if finite.shape[0] >= 2:  # else _sample fails the cell, after the wealth ECDF
+        mean, sd = float(np.mean(finite)), _sd_in_place(finite)
+    scenarios.wealth(weights, gross_rf, out=buf).sort()
+    wealth_table = _ecdf_of_sorted(buf, ecdf_points)
+    # The wealths are finite here, so the infeasible ones lead.
+    utilities = buf[infeasible:]
+    _utilities(utilities, lam)
+    lo = int(np.searchsorted(utilities, -np.inf, side="right"))
+    if lo == nonfinite and (utilities[1:] >= utilities[:-1]).all():
+        utilities = utilities[lo:]
+    else:
+        _utilities(scenarios.wealth(weights, gross_rf, out=buf), lam)
+        utilities = _finite_front(buf)
+        utilities.sort()
     utilities = _sample(utilities, 2, "summarize")
-    # The mean and sd come before the sort: their sums depend on the order.
-    mean, sd = float(utilities.mean()), float(utilities.std(ddof=1))
-    utilities.sort()
-    utility_table = _ecdf_of_sorted(utilities, ecdf_points)
     cell = CellResult(
         weights=weights, stats=_summary_of_sorted(utilities, mean, sd),
-        infeasible_count=infeasible, nonfinite_count=dropped - infeasible,
+        infeasible_count=infeasible, nonfinite_count=nonfinite,
     )
-    return cell, wealth_table, utility_table
+    return cell, wealth_table, _ecdf_of_sorted(utilities, ecdf_points)
 
 
 def _compare_gamma(p, scenarios, ra, gd_cfg, taylor_cfg, ecdf_points) -> tuple[dict, dict]:
@@ -434,16 +495,18 @@ def _compare_gamma(p, scenarios, ra, gd_cfg, taylor_cfg, ecdf_points) -> tuple[d
 
     Each method is solved and its weights evaluated; a :class:`CrraOptError`
     at either step becomes its cell's error, with the weights kept if the
-    solve got that far.  Any other exception propagates.
+    solve got that far.  Any other exception propagates.  One length-N
+    buffer serves the evaluation of every method (:func:`_evaluate_cell`).
     """
     g = ra.gamma
     cells, ecdfs = {}, {}
+    buf = np.empty(scenarios.n)
     for method in METHODS:
         weights = None
         try:
             weights = solve_method(method, p, scenarios, ra, gd_cfg, taylor_cfg).weights
             cell, wealth_table, utility_table = _evaluate_cell(
-                scenarios, weights, ra, p.gross_rf, method, ecdf_points
+                scenarios, weights, ra, p.gross_rf, ecdf_points, buf
             )
         except CrraOptError as exc:
             cells[(g, method)] = CellResult(

@@ -10,8 +10,10 @@ the resulting first-order condition gives the update
 where ``M2 = (1/N) sum R_i R_i'`` and ``m1 = (1/N) sum R_i`` are sample
 moments of the shared scenario set.  The zero-weight instance of the update,
 ``taylor_step`` at ``w = 0``, is the standard starting point
-``(R_f/gamma) M2^-1 m1``; iterating to a fixed point yields the benchmark
-weights, and the last update's length is the report's ``stopping_residual``.
+``(R_f/gamma) M2^-1 m1``, which :func:`taylor_solve` reads straight from
+``m1`` without a pass over the scenarios; iterating to a fixed point
+yields the benchmark weights, and the last update's length is the
+report's ``stopping_residual``.
 The start, like every update, reads only the scenario set: there is no
 variant built on the population moments ``(mu, sigma)``.
 
@@ -74,20 +76,12 @@ def _sums(x, block) -> np.ndarray:
     return np.stack((quad, np.einsum("ij,j->i", block, x2)))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def taylor_step(scenarios, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
-    """One fixed-point update of the fourth-order expansion weights, from
-    one pass over the scenarios; at ``w = 0`` it gives the starting point
-    ``(R_f / gamma) M2^-1 m1``."""
+def _m2_solve(scenarios, rhs: np.ndarray, g: float) -> np.ndarray:
+    """``M2^-1 rhs / g`` in the set's eigenbasis.  A set with a direction it
+    does not resolve raises :class:`SingularSecondMoment`, and a non-finite
+    answer :class:`NonFiniteIterate`."""
     if not scenarios.m2_resolved.all():
         raise SingularSecondMoment("sample second-moment matrix is not positive definite")
-    g = ra.gamma
-    quad, cube = scenarios.fold(w, 0.0, _sums)
-    rhs = (
-        gross_rf * scenarios.m1
-        + (g * (g + 1.0) / (2.0 * gross_rf)) * quad
-        - (g * (g + 1.0) * (g + 2.0) / (6.0 * gross_rf**2)) * cube
-    )
     vecs = scenarios.m2_eigvecs
     coords = np.einsum("ji,j->i", vecs, rhs) / scenarios.m2_eigvals
     out = np.einsum("ij,j->i", vecs, coords) / g
@@ -97,13 +91,29 @@ def taylor_step(scenarios, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> 
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def taylor_step(scenarios, ra: RiskAversion, gross_rf: float, w: np.ndarray) -> np.ndarray:
+    """One fixed-point update of the fourth-order expansion weights, from
+    one pass over the scenarios; at ``w = 0`` it gives the starting point
+    ``(R_f / gamma) M2^-1 m1``."""
+    g = ra.gamma
+    quad, cube = scenarios.fold(w, 0.0, _sums)
+    rhs = (
+        gross_rf * scenarios.m1
+        + (g * (g + 1.0) / (2.0 * gross_rf)) * quad
+        - (g * (g + 1.0) * (g + 2.0) / (6.0 * gross_rf**2)) * cube
+    )
+    return _m2_solve(scenarios, rhs, g)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def taylor_solve(
     scenarios,
     ra: RiskAversion,
     gross_rf: float,
     cfg: TaylorConfig | None = None,
 ) -> TaylorReport:
-    """Iterate the fixed-point update from the sample starting point.
+    """Iterate the fixed-point update from the sample starting point
+    ``(R_f / gamma) M2^-1 m1``, which needs no pass over the scenarios.
 
     Stops, converged, once an undamped update ``||w(i+1) - w(i)||`` is at
     most ``cfg.tol``.  Raises :class:`NotConverged` with the partial report
@@ -111,7 +121,7 @@ def taylor_solve(
     update does not contract.
     """
     cfg = cfg or TaylorConfig()
-    w = taylor_step(scenarios, ra, gross_rf, np.zeros(scenarios.k))
+    w = _m2_solve(scenarios, gross_rf * scenarios.m1, ra.gamma)
     for iteration in range(1, cfg.max_iter + 1):
         update = taylor_step(scenarios, ra, gross_rf, w) - w
         delta = float(np.linalg.norm(update))

@@ -245,7 +245,7 @@ class TestCompare:
         def infeasible(*args, **kwargs):
             raise AllScenariosInfeasible("no scenario keeps wealth positive")
 
-        monkeypatch.setattr(simulation, "evaluate_strategy", infeasible)
+        monkeypatch.setattr(simulation, "_utilities", infeasible)
         outdir = tmp_path / "o"
         code = main(["compare", "--params", str(benchmark_json), "--gammas", "5,10",
                      "--samples", "500", "--seed", "9", "--outdir", str(outdir)])
@@ -575,6 +575,20 @@ class TestFrontier:
         tangency_rows = [r for r in rows if r[3] == "true"]
         assert len(tangency_rows) == 1
         assert float(tangency_rows[0][0]) == pytest.approx(tangency(p).gamma_tgc, rel=1e-12)
+
+    def test_tangency_row_of_a_market_in_large_units(self, tmp_path):
+        # 1' sigma^-1 mu = 2e-140 is small only by the units; the tangency
+        # weights are [0.5, 0.5], so its mean is 1e160 and its variance 5e299.
+        params = tmp_path / "params.json"
+        params.write_text('{"mu": [1e160, 1e160], "sigma": [[1e300, 0], [0, 1e300]], '
+                          '"r_f": 0.0}', encoding="utf-8")
+        out = tmp_path / "frontier.csv"
+        code = main(["frontier", "--params", str(params), "--gamma-from", "1e21",
+                     "--gamma-to", "2e21", "--steps", "3", "--out", str(out)])
+        assert code == 0
+        last = out.read_text(encoding="utf-8").splitlines()[-1].split(",")
+        assert last[1:] == [repr(1e160), repr(5e299), "true"]
+        assert float(last[0]) == pytest.approx(2e180, rel=1e-15)
 
     def test_range_below_bound_exit_4(self, tmp_path, benchmark_json):
         code = main(["frontier", "--params", str(benchmark_json),

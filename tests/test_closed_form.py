@@ -201,9 +201,19 @@ class TestTangency:
             checked += 1
 
     def test_singular_denominator(self):
-        p = make_params([0.01, -0.01], np.eye(2) * 1e-4, 0.0)
-        with pytest.raises(SingularDenominator):
-            tangency(p)
+        # Returns scaled by a scale mu by a and sigma by a^2.
+        for scale in (1e-4, 1.0, 1e4):
+            p = make_params([0.01 * scale, -0.01 * scale], np.eye(2) * 1e-4 * scale**2, 0.0)
+            with pytest.raises(SingularDenominator):
+                tangency(p)
+
+    def test_denominator_test_is_scale_free(self):
+        # 1' sigma^-1 mu = 2e-140 here, all of it signal: the weights are
+        # exactly [0.5, 0.5], and gamma_tgc = 2e180 though its a^2 overflows.
+        p = make_params([1e160, 1e160], [[1e300, 0.0], [0.0, 1e300]], 0.0)
+        result = tangency(p)
+        np.testing.assert_array_equal(result.weights, [0.5, 0.5])
+        assert result.gamma_tgc == pytest.approx(2e180, rel=1e-15)
 
 
 class TestClosedFormProperties:

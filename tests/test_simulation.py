@@ -144,6 +144,9 @@ class TestScenarioSet:
         w = np.array([0.5, -0.2, 1.1])
         wealth = 1.001 + returns @ w
         np.testing.assert_allclose(scenarios.wealth(w, 1.001), wealth, rtol=1e-13)
+        buf = np.empty(40)
+        assert scenarios.wealth(w, 1.001, out=buf) is buf
+        assert np.array_equal(_bits(buf), _bits(scenarios.wealth(w, 1.001)))
         np.testing.assert_allclose(
             scenarios.fold(w, 1.001, lambda x, block: np.einsum("ij,j->i", block, x ** -5.0)),
             wealth ** -5.0 @ returns / 40, rtol=1e-13)
@@ -385,28 +388,121 @@ class TestEvaluateCell:
         returns[::50] = -1.5
         return p, ScenarioSet(returns=returns, seed=12)
 
+    @staticmethod
+    def _public_route(scenarios, w, ra, gross_rf, ecdf_points):
+        """The cell and its wealth and utility tables by the public functions."""
+        outcome = evaluate_strategy(scenarios, w, ra, gross_rf, method="gd")
+        finite = outcome.utilities[np.isfinite(outcome.utilities)]
+        infeasible = outcome.infeasible_count
+        cell = simulation.CellResult(
+            weights=w, stats=summarize(finite), infeasible_count=infeasible,
+            nonfinite_count=scenarios.n - finite.shape[0] - infeasible)
+        return cell, ecdf(outcome.wealths, ecdf_points), ecdf(finite, ecdf_points)
+
+    @staticmethod
+    def _assert_same(result, expected):
+        (cell, *tables), (want, *want_tables) = result, expected
+        assert cell.infeasible_count == want.infeasible_count
+        assert cell.nonfinite_count == want.nonfinite_count
+        assert _same_stats(cell.stats, want.stats)
+        for table, want_table in zip(tables, want_tables):
+            assert np.array_equal(_bits(table), _bits(want_table))
+
     @pytest.mark.parametrize("n", [4_001, 4_000])
     @pytest.mark.parametrize("gamma", [3.0, 30.0])
     def test_equals_summarize_and_ecdf(self, make_random_params, n, gamma):
         p, scenarios = self._set_with_infeasible_draws(make_random_params, n)
         w, ra = np.full(3, 1.0 / 3.0), RiskAversion(gamma)
-        outcome = evaluate_strategy(scenarios, w, ra, p.gross_rf, method="gd")
-        finite = outcome.utilities[np.isfinite(outcome.utilities)]
-        cell, wealth_table, utility_table = simulation._evaluate_cell(
-            scenarios, w, ra, p.gross_rf, "gd", 64)
-        assert cell.infeasible_count == outcome.infeasible_count > 0
-        assert _same_stats(cell.stats, summarize(finite))
-        assert np.array_equal(_bits(wealth_table), _bits(ecdf(outcome.wealths, 64)))
-        assert np.array_equal(_bits(utility_table), _bits(ecdf(finite, 64)))
+        public = self._public_route(scenarios, w, ra, p.gross_rf, 64)
+        assert public[0].infeasible_count > 0
+        result = simulation._evaluate_cell(scenarios, w, ra, p.gross_rf, 64, np.empty(n))
+        self._assert_same(result, public)
+
+    def test_overflowing_utilities_are_trimmed(self):
+        # At gamma = 30 a wealth below ~1e-11 overflows W^(1-gamma): those
+        # draws lead the sorted utilities as -inf, after the infeasible ones.
+        wealth = np.exp(np.random.default_rng(3).normal(0.0, 1.0, 3_001))
+        wealth[::10] = 1e-12
+        wealth[5::20] = -0.5
+        scenarios = ScenarioSet(returns=(wealth - 1.0)[:, None], seed=0)
+        ra = RiskAversion(30.0)
+        public = self._public_route(scenarios, np.ones(1), ra, 1.0, 32)
+        assert (public[0].infeasible_count, public[0].nonfinite_count) == (150, 301)
+        result = simulation._evaluate_cell(scenarios, np.ones(1), ra, 1.0, 32, np.empty(3_001))
+        self._assert_same(result, public)
+
+    def test_reused_buffer_equals_a_fresh_one(self, make_random_params):
+        # compare hands one buffer to the three cells of a gamma in turn.
+        n = 5_003
+        p, scenarios = self._set_with_infeasible_draws(make_random_params, n)
+        buf = np.full(n, np.nan)
+        for w, g in [(np.ones(3), 5.0), (np.full(3, 0.2), 30.0), (np.zeros(3), 2.0)]:
+            args = (scenarios, w, RiskAversion(g), p.gross_rf, 64)
+            self._assert_same(simulation._evaluate_cell(*args, buf),
+                              simulation._evaluate_cell(*args, np.empty(n)))
+
+    def test_utilities_that_do_not_ascend_are_sorted(self, make_random_params, monkeypatch):
+        # Should the utilities of the sorted wealths not ascend, the cell
+        # filters and sorts the draw-order utilities instead.
+        n = 4_000
+        p, scenarios = self._set_with_infeasible_draws(make_random_params, n)
+        w, ra = np.full(3, 1.0 / 3.0), RiskAversion(5.0)
+        public = self._public_route(scenarios, w, ra, p.gross_rf, 64)
+        real_utilities, calls = simulation._utilities, []
+
+        def swapped_on_sorted(x, lam):
+            infeasible = real_utilities(x, lam)
+            calls.append(x.shape[0])
+            if len(calls) == 2:  # the utilities of the sorted wealths
+                x[[10, 20]] = x[[20, 10]]
+            return infeasible
+
+        monkeypatch.setattr(simulation, "_utilities", swapped_on_sorted)
+        result = simulation._evaluate_cell(scenarios, w, ra, p.gross_rf, 64, np.empty(n))
+        assert calls == [n, n - public[0].infeasible_count, n]
+        self._assert_same(result, public)
+
+    def test_overflowing_top_wealth_fails_as_its_ecdf_does(self):
+        # At gamma = 0.5 the top wealth, 1e160 * 1e150, overflows to +inf,
+        # and so does its utility; the wealth ECDF refuses the cell first.
+        returns = np.array([[1e-160], [-2e-160], [3e-160], [1e150], [0.0]])
+        scenarios = ScenarioSet(returns=returns, seed=0)
+        w, ra = np.array([1e160]), RiskAversion(0.5)
+        outcome = evaluate_strategy(scenarios, w, ra, 1.0)
+        assert outcome.utilities[3] == np.inf and outcome.infeasible_count == 1
+        with pytest.raises(ValidationError, match="ecdf needs finite values"):
+            ecdf(outcome.wealths, 8)
+        with pytest.raises(ValidationError, match="ecdf needs finite values"):
+            simulation._evaluate_cell(scenarios, w, ra, 1.0, 8, np.empty(5))
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    @pytest.mark.parametrize("dropped", [[], [0], [3, 5], [-1], slice(None, None, 7)],
+                             ids=["none", "first", "two", "last", "every-7th"])
+    def test_finite_front_keeps_the_finite_values_in_order(self, dropped, value):
+        # Across blocks: a block with nothing to drop still moves up after
+        # one that dropped a value.
+        x = np.random.default_rng(2).normal(size=3 * simulation._MOVE_BLOCK + 5)
+        x[dropped] = value
+        expected = x[np.isfinite(x)]
+        front = simulation._finite_front(x)
+        assert np.shares_memory(front, x)
+        assert np.array_equal(_bits(front), _bits(expected))
+
+    def test_sd_in_place_equals_numpy(self):
+        rng = np.random.default_rng(8)
+        for x in (rng.normal(-3.0, 1e-3, 100_001), rng.lognormal(0.0, 3.0, 7), [1.0, 2.0]):
+            x = np.asarray(x, dtype=float)
+            expected = x.std(ddof=1)
+            assert _bits(simulation._sd_in_place(x.copy())) == _bits(expected)
 
     def test_peak_memory(self, make_random_params):
-        # The wealths, then the utilities and one temporary: the public
-        # summarize/ecdf route also holds a filtered and a sorted copy.
+        # The buffer and one length-N mask; the public summarize/ecdf route
+        # also holds the utilities, a filtered and a sorted copy.
         n = 100_000
         p, scenarios = self._set_with_infeasible_draws(make_random_params, n)
-        args = (scenarios, np.ones(3), RiskAversion(5.0), p.gross_rf, "gd", 256)
-        simulation._evaluate_cell(*args)
-        assert _peak_bytes(lambda: simulation._evaluate_cell(*args)) <= 2.5 * n * 8
+        args = (scenarios, np.ones(3), RiskAversion(5.0), p.gross_rf, 256)
+        simulation._evaluate_cell(*args, np.empty(n))
+        assert _peak_bytes(lambda: simulation._evaluate_cell(*args, np.empty(n))) <= 1.25 * n * 8
 
 
 class TestCompare:
@@ -743,15 +839,27 @@ class TestConcurrentSolve:
     def test_evaluation_error_in_helper_keeps_its_cell_weights(
         self, benchmark_params, monkeypatch
     ):
+        # The cell's utilities come from simulation._utilities, which sees
+        # neither the method nor the gamma: each worker notes the method it
+        # solved last, and asks whether it is the helper once, at gd.
         in_helper = self._two_workers(monkeypatch)
-        real_evaluate = simulation.evaluate_strategy
+        real_solve, real_utilities = simulation.solve_method, simulation._utilities
+        local = threading.local()
 
-        def evaluate(scenarios, weights, ra, gross_rf, method):
-            if method == "gd" and in_helper():
-                raise AllScenariosInfeasible(f"helper failed at gamma={ra.gamma:g}")
-            return real_evaluate(scenarios, weights, ra, gross_rf, method=method)
+        def solve(method, *args):
+            local.method = method
+            return real_solve(method, *args)
 
-        monkeypatch.setattr(simulation, "evaluate_strategy", evaluate)
+        def utilities(x, lam):
+            if local.method == "gd":
+                if not hasattr(local, "helper"):
+                    local.helper = in_helper()
+                if local.helper:
+                    raise AllScenariosInfeasible(f"helper failed at gamma={1.0 - lam:g}")
+            return real_utilities(x, lam)
+
+        monkeypatch.setattr(simulation, "solve_method", solve)
+        monkeypatch.setattr(simulation, "_utilities", utilities)
         report = compare(benchmark_params, (5.0, 10.0), n=5_000, seed=22)
         failed = [key for key, cell in report.cells.items() if cell.failed]
         assert len(failed) == 1

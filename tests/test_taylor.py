@@ -24,6 +24,7 @@ from crra_opt import (
     taylor_solve,
     taylor_step,
 )
+from crra_opt import taylor as taylor_mod
 from crra_opt.gradient import _metric
 
 # Frozen from the independent oracle: the fixed point of the exact-moment
@@ -69,11 +70,30 @@ class TestInitialPoint:
         w = taylor_step(symmetric_pairs, RiskAversion(4.0), 1.0, np.zeros(2))
         np.testing.assert_array_equal(w, np.zeros(2))
 
+    @pytest.mark.parametrize("gamma", [1.5, 5.0, 20.0, 80.0])
+    def test_solve_starts_without_a_scenario_pass(self, benchmark_params, monkeypatch, gamma):
+        # taylor_solve reads its start from m1; it equals the update at zero
+        # bit for bit, and every fold pass is one update.
+        scenarios = simulate(benchmark_params, 5_000, 3)
+        ra = RiskAversion(gamma)
+        start = taylor_step(scenarios, ra, benchmark_params.gross_rf, np.zeros(3))
+        steps, folds = [], []
+        real_m2_solve, real_fold = taylor_mod._m2_solve, ScenarioSet.fold
+        monkeypatch.setattr(taylor_mod, "_m2_solve",
+                            lambda *args: steps.append(real_m2_solve(*args)) or steps[-1])
+        monkeypatch.setattr(ScenarioSet, "fold",
+                            lambda *args, **kw: folds.append(1) or real_fold(*args, **kw))
+        report = taylor_solve(scenarios, ra, benchmark_params.gross_rf)
+        assert np.array_equal(steps[0].view(np.uint64), start.view(np.uint64))
+        assert len(folds) == report.iterations == len(steps) - 1
+
     def test_rank_one_sample_is_singular(self):
         returns = np.tile(np.array([[0.02, 0.01]]), (50, 1))
         scenarios = ScenarioSet(returns=returns, seed=0)
         with pytest.raises(SingularSecondMoment):
             taylor_step(scenarios, RiskAversion(5.0), 1.0, np.zeros(2))
+        with pytest.raises(SingularSecondMoment):
+            taylor_solve(scenarios, RiskAversion(5.0), 1.0)
 
     @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
     @pytest.mark.parametrize("order_seed", [None, 0, 1, 2])
