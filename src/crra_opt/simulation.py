@@ -20,8 +20,11 @@ statistics are bit-identical under any BLAS thread count, and no BLAS
 thread pool competes with the solver threads of :func:`compare`.
 
 Each gamma of :func:`compare` evaluates its cells in one length-N buffer
-(:func:`_evaluate_cell`): a cell writes its wealths and utilities there in
-place and sorts once, so it holds no second length-N float array.
+(:func:`_evaluate_cell`): a cell writes its wealths there once, sorts them
+once and turns them into utilities in place, so it holds no second
+length-N float array.  Every statistic, in :func:`summarize` as in a cell,
+is read from the sorted sample (:func:`_summary_of_sorted`), so it does not
+depend on the order of the values.
 
 The solvers sit in one table, :data:`METHODS`, in output order.
 :func:`solve_method` looks a method up there; it is the one call that
@@ -35,7 +38,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -72,10 +75,6 @@ _DRAW_BLOCK = 8192
 # Scenarios per block of :meth:`ScenarioSet.fold`: a pass holds a few
 # length-``_FOLD_BLOCK`` temporaries, whatever N.
 _FOLD_BLOCK = 32_768
-
-# Values moved per block by :func:`_finite_front`: its temporaries stay
-# about 130 kB, whatever N.
-_MOVE_BLOCK = 8192
 
 # Median-absolute-deviation scale for consistency with the standard
 # deviation under normality.
@@ -282,19 +281,25 @@ def evaluate_strategy(
 
 def _utilities(x: np.ndarray, lam: float) -> int:
     """Turn the wealths ``x`` into the utilities ``W^lam / lam`` in place,
-    NaN where ``W <= 0``, and return how many draws that is; if it is every
-    draw, raise :class:`AllScenariosInfeasible`.  A power that overflows is
-    an infinite utility, which :func:`compare` counts, and no numpy warning.
+    NaN where ``W <= 0``, and return how many draws that is (see
+    :func:`_some_feasible`).  A power that overflows is an infinite
+    utility, which :func:`compare` counts, and no numpy warning.
     """
     feasible = x > 0.0
-    infeasible = x.shape[0] - int(np.count_nonzero(feasible))
-    if infeasible == x.shape[0]:
-        raise AllScenariosInfeasible("every scenario yields non-positive wealth")
+    infeasible = _some_feasible(x.shape[0] - int(np.count_nonzero(feasible)), x.shape[0])
     with np.errstate(over="ignore"):
         np.power(x, lam, out=x, where=feasible)
     if infeasible:
         x[np.logical_not(feasible, out=feasible)] = np.nan
     x /= lam
+    return infeasible
+
+
+def _some_feasible(infeasible: int, n: int) -> int:
+    """``infeasible``, the number of the ``n`` draws with ``W <= 0``, unless
+    it is every draw: then raise :class:`AllScenariosInfeasible`."""
+    if infeasible == n:
+        raise AllScenariosInfeasible("every scenario yields non-positive wealth")
     return infeasible
 
 
@@ -315,9 +320,10 @@ def _middle(s: np.ndarray) -> float:
     return float((s[h - 1] + s[h]) / 2)
 
 
-def _summary_of_sorted(s: np.ndarray, mean: float, sd: float) -> SummaryStats:
-    """Summary of the ascending sample ``s`` of size n >= 2, given its mean
-    and sd; ``s`` is only read.
+def _summary_of_sorted(s: np.ndarray) -> SummaryStats:
+    """Summary of the ascending finite sample ``s`` of size n >= 2, which
+    the call overwrites.  Every statistic reads ``s`` in ascending order, so
+    none depends on the order the values came in.
 
     The median is read from ``s``.  Its absolute deviations form two
     ascending runs, ``med - s[h-1], ..., med - s[0]`` left of ``h = n // 2``
@@ -327,6 +333,8 @@ def _summary_of_sorted(s: np.ndarray, mean: float, sd: float) -> SummaryStats:
     middle one or two order statistics of the two runs together; a binary
     search for how many of the ``h`` smallest deviations come from the left
     run finds them in O(log n) deviations, each computed as ``|s_i - med|``.
+    Then ``np.mean(s)`` gives the mean and, last, :func:`_sd_in_place` the
+    sd, numpy's ``std(ddof=1)`` of ``s`` bit for bit.
     """
     n = s.shape[0]
     h = n // 2
@@ -355,7 +363,20 @@ def _summary_of_sorted(s: np.ndarray, mean: float, sd: float) -> SummaryStats:
     else:
         lower = left(lo - 1) if lo > 0 else -np.inf
         mad = float((max(lower, right(h - 1 - lo)) + upper) / 2)
-    return SummaryStats(mean=mean, sd=sd, median=med, mad=MAD_SCALE * mad)
+    mean = float(np.mean(s))
+    return SummaryStats(mean=mean, sd=_sd_in_place(s), median=med, mad=MAD_SCALE * mad)
+
+
+def _sd_in_place(x: np.ndarray) -> float:
+    """``x.std(ddof=1)`` bit for bit, by the arithmetic of numpy's own
+    ``_var``, without its length-N temporary: the size >= 2 sample ``x`` is
+    overwritten by its squared deviations."""
+    n = x.shape[0]
+    mean = np.add.reduce(x, keepdims=True)
+    mean /= n
+    np.subtract(x, mean, out=x)
+    np.square(x, out=x)
+    return float(np.sqrt(np.add.reduce(x) / (n - 1)))
 
 
 def _ecdf_of_sorted(s: np.ndarray, grid_points: int) -> np.ndarray:
@@ -371,17 +392,18 @@ def summarize(values) -> SummaryStats:
     """Mean, sd (n-1 denominator), median, and scaled MAD of a sample.
 
     The sample must be 1-D, of size >= 2 and finite; anything else raises
-    :class:`ValidationError`.  The median averages the two middle order
-    statistics for even sizes and is read from one sorted copy; the MAD is
-    ``MAD_SCALE * median(|x - median(x)|)``, read from the same sorted copy
-    (see :func:`_summary_of_sorted`), so it estimates the standard deviation
-    under normality.
+    :class:`ValidationError`.  Every statistic is read from one sorted copy
+    (see :func:`_summary_of_sorted`), so none depends on the order of the
+    values: the mean and sd are numpy's ``mean`` and ``std(ddof=1)`` of
+    that copy, the median averages the two middle order statistics for even
+    sizes, and the MAD is ``MAD_SCALE * median(|x - median(x)|)``, so it
+    estimates the standard deviation under normality.  A statistic that
+    overflows is returned as it comes, infinite.
     """
     x = _sample(values, 2, "summarize")
     if not np.isfinite(x).all():
         raise ValidationError("summarize needs finite values")
-    mean, sd = float(x.mean()), float(x.std(ddof=1))
-    return _summary_of_sorted(np.sort(x), mean, sd)
+    return _summary_of_sorted(np.sort(x))
 
 
 def ecdf(values, grid_points: int) -> np.ndarray:
@@ -415,79 +437,46 @@ def solve_method(method: str, p: MarketParams, scenarios: ScenarioSet | None, ra
     return METHODS[method](p, scenarios, ra, gd_cfg, taylor_cfg)
 
 
-def _finite_front(x: np.ndarray) -> np.ndarray:
-    """Move the finite values of ``x`` to its front, in order, and return
-    that prefix, a view of ``x``, a block of ``_MOVE_BLOCK`` values at a time."""
-    m = 0
-    for start in range(0, x.shape[0], _MOVE_BLOCK):
-        block = x[start:start + _MOVE_BLOCK]
-        finite = np.isfinite(block)
-        kept = block if finite.all() else block[finite]
-        if kept is not block or m < start:
-            x[m:m + kept.shape[0]] = kept
-        m += kept.shape[0]
-    return x[:m]
-
-
-def _sd_in_place(x: np.ndarray) -> float:
-    """``x.std(ddof=1)`` bit for bit, by the arithmetic of numpy's own
-    ``_var``, without its length-N temporary: the size >= 2 sample ``x`` is
-    overwritten by its squared deviations."""
-    n = x.shape[0]
-    mean = np.add.reduce(x, keepdims=True)
-    mean /= n
-    np.subtract(x, mean, out=x)
-    np.square(x, out=x)
-    return float(np.sqrt(np.add.reduce(x) / (n - 1)))
-
-
 def _evaluate_cell(scenarios, weights, ra, gross_rf, ecdf_points, buf) -> tuple:
     """The :class:`CellResult` of fixed weights and its wealth and utility
     ECDF tables, equal to what :func:`summarize` and :func:`ecdf` give,
     worked out in ``buf``, a float array of length N that the call
     overwrites.
 
-    1. The utilities, in draw order (:func:`_utilities`, as in
-       :func:`evaluate_strategy`), count the infeasible and the non-finite
-       draws; the finite ones, moved to the front in order, give the mean
-       and, in place, the sd.
-    2. The wealths, written again and sorted once, give the wealth ECDF.
-    3. The utilities of the sorted positive wealths, taken in place, are
-       ascending, because U increases in W.  A finite wealth has a
-       non-finite utility only where ``W^(1-gamma)`` overflows, at gamma >
-       1 and the smallest wealths, so those lead as ``-inf`` and are
-       trimmed.  An O(N) check that the utilities ascend and that the trim
-       drops as many draws as step 1 counted guards this; should it fail,
-       the draw-order utilities are filtered and sorted instead.  They give
-       the utility ECDF and :func:`_summary_of_sorted`.
+    The wealths, written once and sorted once, give the wealth ECDF; the
+    leading ``W <= 0`` draws are the infeasible ones.  The rest turn into
+    utilities in place (:func:`_utilities`, as in
+    :func:`evaluate_strategy`).  They ascend, because U increases in W;
+    should rounding break that, they are sorted.  A finite positive wealth
+    has a non-finite utility only where ``W^(1-gamma)`` overflows, so those
+    draws sit at the ends, where two binary searches trim and count them.
+    The finite utilities give the utility ECDF and then every statistic
+    (:func:`_summary_of_sorted`), so the cell does not depend on the order
+    of the draws.  A statistic that overflows fails the cell with a
+    :class:`ValidationError` that names it, and no numpy warning.
 
     The peak is the buffer and a length-N mask, with no second float array.
     """
-    lam = 1.0 - ra.gamma
-    infeasible = _utilities(scenarios.wealth(weights, gross_rf, out=buf), lam)
-    finite = _finite_front(buf)
-    nonfinite = buf.shape[0] - finite.shape[0] - infeasible
-    mean = sd = None
-    if finite.shape[0] >= 2:  # else _sample fails the cell, after the wealth ECDF
-        mean, sd = float(np.mean(finite)), _sd_in_place(finite)
     scenarios.wealth(weights, gross_rf, out=buf).sort()
+    infeasible = _some_feasible(int(np.searchsorted(buf, 0.0, side="right")), buf.shape[0])
     wealth_table = _ecdf_of_sorted(buf, ecdf_points)
-    # The wealths are finite here, so the infeasible ones lead.
     utilities = buf[infeasible:]
-    _utilities(utilities, lam)
-    lo = int(np.searchsorted(utilities, -np.inf, side="right"))
-    if lo == nonfinite and (utilities[1:] >= utilities[:-1]).all():
-        utilities = utilities[lo:]
-    else:
-        _utilities(scenarios.wealth(weights, gross_rf, out=buf), lam)
-        utilities = _finite_front(buf)
+    _utilities(utilities, 1.0 - ra.gamma)
+    if not (utilities[1:] >= utilities[:-1]).all():
         utilities.sort()
-    utilities = _sample(utilities, 2, "summarize")
-    cell = CellResult(
-        weights=weights, stats=_summary_of_sorted(utilities, mean, sd),
-        infeasible_count=infeasible, nonfinite_count=nonfinite,
-    )
-    return cell, wealth_table, _ecdf_of_sorted(utilities, ecdf_points)
+    lo = int(np.searchsorted(utilities, -np.inf, side="right"))
+    hi = int(np.searchsorted(utilities, np.inf, side="left"))
+    nonfinite = lo + utilities.shape[0] - hi
+    utilities = _sample(utilities[lo:hi], 2, "summarize")
+    utility_table = _ecdf_of_sorted(utilities, ecdf_points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = _summary_of_sorted(utilities)
+    for stat in fields(stats):
+        if not np.isfinite(getattr(stats, stat.name)):
+            raise ValidationError(f"the utility {stat.name} overflows the float range")
+    cell = CellResult(weights=weights, stats=stats, infeasible_count=infeasible,
+                      nonfinite_count=nonfinite)
+    return cell, wealth_table, utility_table
 
 
 def _compare_gamma(p, scenarios, ra, gd_cfg, taylor_cfg, ecdf_points) -> tuple[dict, dict]:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -349,6 +350,38 @@ class TestCompare:
         with (outdir / "comparison.csv").open(encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         assert ["10", "taylor", "error", message] in rows
+
+    def test_overflowing_statistic_is_an_error_cell(self, tmp_path, monkeypatch, capsys):
+        # The first draw leaves wealth 1e-10 at w = 1: at gamma = 20 its
+        # utility, about -5e188, squares past the float range, so the sd of
+        # every gamma = 20 cell overflows; the gamma = 5 cells are finite.
+        returns = np.random.default_rng(4).normal(0.001, 0.02, (500, 1))
+        returns[0] = 1e-10 - 1.0006
+        scenarios = crra_opt.ScenarioSet(returns=returns, seed=0)
+        monkeypatch.setattr(simulation, "simulate", lambda p, n, seed: scenarios)
+        solved = SimpleNamespace(weights=np.ones(1))
+        monkeypatch.setattr(simulation, "solve_method", lambda *args: solved)
+        params = tmp_path / "params.json"
+        write_params_json(make_params([0.001], [[0.0005]], 0.0006), params)
+        outdir = tmp_path / "study"
+        assert main(["compare", "--params", str(params), "--gammas", "5,20",
+                     "--samples", "500", "--seed", "0", "--outdir", str(outdir)]) == 0
+        message = "the utility sd overflows the float range"
+        assert capsys.readouterr().err.splitlines() == [
+            f"cell gamma=20 method={m} failed: {message}" for m in simulation.METHODS]
+
+        def refuse(constant):
+            raise AssertionError(f"non-strict JSON constant {constant}")
+
+        payload = json.loads((outdir / "comparison.json").read_text(encoding="utf-8"),
+                             parse_constant=refuse)
+        with (outdir / "comparison.csv").open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        for method in simulation.METHODS:
+            assert payload["results"]["20"][method] == {"error": message}
+            assert "stats" in payload["results"]["5"][method]
+            assert ["20", method, "error", message] in rows
+        assert len(list(outdir.glob("ecdf_*.csv"))) == 2 * len(simulation.METHODS)
 
     def test_gd_cell_matches_solve(self, tmp_path, benchmark_json):
         common = ["--params", str(benchmark_json), "--samples", "5000", "--seed", "9"]

@@ -40,7 +40,7 @@ from crra_opt import (
     taylor_step,
 )
 from crra_opt import simulation
-from crra_opt.reports import comparison_report_dict, human_comparison_table
+from crra_opt.reports import comparison_report_dict, dumps_json, human_comparison_table
 from crra_opt.simulation import MAD_SCALE, METHODS
 
 BLOCK = simulation._DRAW_BLOCK
@@ -307,10 +307,11 @@ def _tied_samples(draw):
 
 
 def _np_median_summary(x) -> SummaryStats:
-    """The statistics by numpy's ``np.median`` formulas."""
-    med = float(np.median(x))
+    """The statistics by numpy's ``np.median`` formulas, with the mean and
+    sd of the sorted sample."""
+    med, ascending = float(np.median(x)), np.sort(x)
     return SummaryStats(
-        mean=float(x.mean()), sd=float(x.std(ddof=1)), median=med,
+        mean=float(ascending.mean()), sd=float(ascending.std(ddof=1)), median=med,
         mad=MAD_SCALE * float(np.median(np.abs(x - med))),
     )
 
@@ -332,6 +333,15 @@ def _same_stats(a: SummaryStats, b: SummaryStats) -> bool:
 @example(x=np.array([5e-324, 2e-323]))  # the MAD search asks for a deviation of rank -1
 def test_summarize_equals_the_np_median_formulas(x):
     assert _same_stats(summarize(x), _np_median_summary(x))
+
+
+@pytest.mark.parametrize("n", [2, 7, 9, 130, 4_001, 100_000])
+def test_summarize_does_not_depend_on_the_order_of_the_values(n):
+    # Sizes on both sides of numpy's pairwise-sum blocks (8 and 128).
+    rng = np.random.default_rng(n)
+    x = rng.lognormal(0.0, 2.0, n) - rng.lognormal(0.0, 2.0, n)
+    for _ in range(3):
+        assert _same_stats(summarize(rng.permutation(x)), summarize(x))
 
 
 def test_summarize_equals_the_np_median_formulas_on_normal_samples():
@@ -441,25 +451,37 @@ class TestEvaluateCell:
             self._assert_same(simulation._evaluate_cell(*args, buf),
                               simulation._evaluate_cell(*args, np.empty(n)))
 
+    @pytest.mark.parametrize("n", [4_001, 4_000])
+    @pytest.mark.parametrize("gamma", [3.0, 30.0])
+    def test_does_not_depend_on_the_order_of_the_draws(self, make_random_params, n, gamma):
+        p, scenarios = self._set_with_infeasible_draws(make_random_params, n)
+        rng = np.random.default_rng(n)
+        for w in (np.full(3, 1.0 / 3.0), rng.normal(size=3)):
+            args = (w, RiskAversion(gamma), p.gross_rf, 64)
+            result = simulation._evaluate_cell(scenarios, *args, np.empty(n))
+            for _ in range(3):
+                permuted = ScenarioSet(returns=rng.permutation(scenarios.returns), seed=12)
+                self._assert_same(simulation._evaluate_cell(permuted, *args, np.empty(n)),
+                                  result)
+
     def test_utilities_that_do_not_ascend_are_sorted(self, make_random_params, monkeypatch):
         # Should the utilities of the sorted wealths not ascend, the cell
-        # filters and sorts the draw-order utilities instead.
+        # sorts them.
         n = 4_000
         p, scenarios = self._set_with_infeasible_draws(make_random_params, n)
         w, ra = np.full(3, 1.0 / 3.0), RiskAversion(5.0)
         public = self._public_route(scenarios, w, ra, p.gross_rf, 64)
         real_utilities, calls = simulation._utilities, []
 
-        def swapped_on_sorted(x, lam):
+        def swapped(x, lam):
             infeasible = real_utilities(x, lam)
             calls.append(x.shape[0])
-            if len(calls) == 2:  # the utilities of the sorted wealths
-                x[[10, 20]] = x[[20, 10]]
+            x[[10, 20]] = x[[20, 10]]
             return infeasible
 
-        monkeypatch.setattr(simulation, "_utilities", swapped_on_sorted)
+        monkeypatch.setattr(simulation, "_utilities", swapped)
         result = simulation._evaluate_cell(scenarios, w, ra, p.gross_rf, 64, np.empty(n))
-        assert calls == [n, n - public[0].infeasible_count, n]
+        assert calls == [n - public[0].infeasible_count]
         self._assert_same(result, public)
 
     def test_overflowing_top_wealth_fails_as_its_ecdf_does(self):
@@ -474,19 +496,6 @@ class TestEvaluateCell:
             ecdf(outcome.wealths, 8)
         with pytest.raises(ValidationError, match="ecdf needs finite values"):
             simulation._evaluate_cell(scenarios, w, ra, 1.0, 8, np.empty(5))
-
-    @pytest.mark.parametrize("value", [np.nan, -np.inf])
-    @pytest.mark.parametrize("dropped", [[], [0], [3, 5], [-1], slice(None, None, 7)],
-                             ids=["none", "first", "two", "last", "every-7th"])
-    def test_finite_front_keeps_the_finite_values_in_order(self, dropped, value):
-        # Across blocks: a block with nothing to drop still moves up after
-        # one that dropped a value.
-        x = np.random.default_rng(2).normal(size=3 * simulation._MOVE_BLOCK + 5)
-        x[dropped] = value
-        expected = x[np.isfinite(x)]
-        front = simulation._finite_front(x)
-        assert np.shares_memory(front, x)
-        assert np.array_equal(_bits(front), _bits(expected))
 
     def test_sd_in_place_equals_numpy(self):
         rng = np.random.default_rng(8)
@@ -621,14 +630,14 @@ class TestCompare:
             assert np.isfinite(cell.stats.mean)
 
     @staticmethod
-    def _compare_on(monkeypatch, returns) -> simulation.ComparisonReport:
-        """compare at gamma = 200 and R_f = 1.0006 on fixed one-asset
+    def _compare_on(monkeypatch, returns, gammas=(200.0,)) -> simulation.ComparisonReport:
+        """compare at ``gammas`` and R_f = 1.0006 on fixed one-asset
         ``returns``, with w = 1 from every solver."""
         scenarios = ScenarioSet(returns=returns, seed=0)
         monkeypatch.setattr(simulation, "simulate", lambda p, n, seed: scenarios)
         solved = SimpleNamespace(weights=np.ones(1))
         monkeypatch.setattr(simulation, "solve_method", lambda *args: solved)
-        return compare(make_params([0.001], [[0.0005]], 0.0006), [200.0],
+        return compare(make_params([0.001], [[0.0005]], 0.0006), gammas,
                        n=len(returns), seed=0)
 
     def test_overflowing_utility_is_counted_not_dropped(self, monkeypatch):
@@ -656,6 +665,23 @@ class TestCompare:
         lines = human_comparison_table(report).splitlines()
         row = lines.index("infeasible".ljust(10) + "1".rjust(16) * 3)
         assert lines[row + 1] == "nonfinite".ljust(10) + "1".rjust(16) * 3
+
+    @pytest.mark.parametrize("wealth, count, gamma, stat", [
+        (1e-10, 1, 20.0, "sd"),  # a utility of -5e188 squares past the float range
+        (1.5e308 ** (-1 / 199), 300, 200.0, "mean"),  # 300 utilities of -7.5e305 add up past it
+    ])
+    def test_overflowing_statistic_fails_its_cell(self, monkeypatch, wealth, count, gamma, stat):
+        # The gamma = 5 cells stay finite; the overflowing ones fail, named,
+        # with no numpy warning, and the JSON of the report stays strict.
+        returns = np.random.default_rng(4).normal(0.001, 0.02, (500, 1))
+        returns[:count] = wealth - 1.0006
+        report = self._compare_on(monkeypatch, returns, (5.0, gamma))
+        for method in METHODS:
+            assert report.cells[(gamma, method)].error == (
+                f"the utility {stat} overflows the float range")
+            assert np.isfinite(dataclasses.astuple(report.cells[(5.0, method)].stats)).all()
+        assert len(report.ecdfs) == 2 * len(METHODS)
+        dumps_json(comparison_report_dict(report))
 
     def test_too_few_finite_utilities_fail_the_cell(self, monkeypatch):
         # One of two draws overflows: one finite utility is too few for the
