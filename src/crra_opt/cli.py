@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--params", required=True, type=Path, help="params JSON path")
     slv.add_argument("--gamma", required=True, type=float, help="relative risk aversion")
     slv.add_argument("--method", choices=(*METHODS, "all"),
-                     default="analytical", help="solver to run (default: analytical)")
+                     default="analytical", help="solver to run (default: %(default)s)")
     slv.add_argument("--samples", type=int, default=None,
                      help="scenario count for gd/taylor (required for those methods)")
     slv.add_argument("--seed", type=int, default=None,
@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--seed", required=True, type=int, help="scenario seed")
     _add_solver_flags(cmp_)
     cmp_.add_argument("--ecdf-points", type=int, default=256,
-                      help="grid points per ECDF table (default: 256)")
+                      help="grid points per ECDF table (default: %(default)s)")
     cmp_.add_argument("--outdir", required=True, type=Path,
                       help="directory for comparison.csv, comparison.json and ECDF files")
     cmp_.set_defaults(func=cmd_compare)
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     fro.add_argument("--params", required=True, type=Path, help="params JSON path")
     fro.add_argument("--gamma-from", required=True, type=float, help="sweep start")
     fro.add_argument("--gamma-to", required=True, type=float, help="sweep end")
-    fro.add_argument("--steps", type=int, default=50, help="grid size (default: 50)")
+    fro.add_argument("--steps", type=int, default=50, help="grid size (default: %(default)s)")
     fro.add_argument("--out", required=True, type=Path, help="frontier CSV path")
     fro.set_defaults(func=cmd_frontier)
     for cmd in sub.choices.values():

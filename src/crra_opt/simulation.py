@@ -21,10 +21,13 @@ thread pool competes with the solver threads of :func:`compare`.
 
 Each gamma of :func:`compare` evaluates its cells in one length-N buffer
 (:func:`_evaluate_cell`): a cell writes its wealths there once, sorts them
-once and turns them into utilities in place, so it holds no second
-length-N float array.  Every statistic, in :func:`summarize` as in a cell,
-is read from the sorted sample (:func:`_summary_of_sorted`), so it does not
-depend on the order of the values.
+once, counts its ``W <= 0`` draws at the front and turns the rest into
+utilities in place, so it holds no second length-N float array.  The one
+utility kernel, :func:`_utilities`, leaves feasibility to its callers;
+only :func:`evaluate_strategy`'s draw-ordered output holds NaN.  Every
+statistic, in :func:`summarize` as in a cell, is read from the sorted
+sample (:func:`_summary_of_sorted`), so it does not depend on the order of
+the values.
 
 The solvers sit in one table, :data:`METHODS`, in output order.
 :func:`solve_method` looks a method up there; it is the one call that
@@ -270,29 +273,25 @@ def evaluate_strategy(
     gross_rf: float,
     method: str = "custom",
 ) -> StrategyOutcome:
-    """Realized wealth and utility of fixed weights on every scenario."""
+    """Realized wealth and utility of fixed weights on every scenario, in
+    draw order; a draw with ``W <= 0`` is counted and has utility NaN."""
     wealths = scenarios.wealth(weights, gross_rf)
-    utilities = wealths.copy()
-    infeasible_count = _utilities(utilities, 1.0 - ra.gamma)
-    return StrategyOutcome(
-        method=method, wealths=wealths, utilities=utilities, infeasible_count=infeasible_count,
-    )
+    feasible = wealths > 0.0
+    infeasible = _some_feasible(feasible.size - int(np.count_nonzero(feasible)), feasible.size)
+    utilities = np.where(feasible, wealths, np.nan)
+    _utilities(utilities, 1.0 - ra.gamma)
+    return StrategyOutcome(method=method, wealths=wealths, utilities=utilities,
+                           infeasible_count=infeasible)
 
 
-def _utilities(x: np.ndarray, lam: float) -> int:
-    """Turn the wealths ``x`` into the utilities ``W^lam / lam`` in place,
-    NaN where ``W <= 0``, and return how many draws that is (see
-    :func:`_some_feasible`).  A power that overflows is an infinite
-    utility, which :func:`compare` counts, and no numpy warning.
-    """
-    feasible = x > 0.0
-    infeasible = _some_feasible(x.shape[0] - int(np.count_nonzero(feasible)), x.shape[0])
+def _utilities(x: np.ndarray, lam: float) -> None:
+    """Turn the wealths ``x`` into the utilities ``W^lam / lam`` in place.
+    Each caller counts its own ``W <= 0`` draws and hands over positive
+    wealths or NaN, which stays NaN.  A power that overflows is an infinite
+    utility, which :func:`compare` counts, and no numpy warning."""
     with np.errstate(over="ignore"):
-        np.power(x, lam, out=x, where=feasible)
-    if infeasible:
-        x[np.logical_not(feasible, out=feasible)] = np.nan
+        np.power(x, lam, out=x)
     x /= lam
-    return infeasible
 
 
 def _some_feasible(infeasible: int, n: int) -> int:
@@ -444,9 +443,9 @@ def _evaluate_cell(scenarios, weights, ra, gross_rf, ecdf_points, buf) -> tuple:
     overwrites.
 
     The wealths, written once and sorted once, give the wealth ECDF; the
-    leading ``W <= 0`` draws are the infeasible ones.  The rest turn into
-    utilities in place (:func:`_utilities`, as in
-    :func:`evaluate_strategy`).  They ascend, because U increases in W;
+    leading ``W <= 0`` draws are the infeasible ones, counted by one binary
+    search; only the rest reach the utility kernel :func:`_utilities`, in
+    place, so no NaN is written.  They ascend, because U increases in W;
     should rounding break that, they are sorted.  A finite positive wealth
     has a non-finite utility only where ``W^(1-gamma)`` overflows, so those
     draws sit at the ends, where two binary searches trim and count them.

@@ -609,6 +609,14 @@ class TestFrontier:
         assert len(tangency_rows) == 1
         assert float(tangency_rows[0][0]) == pytest.approx(tangency(p).gamma_tgc, rel=1e-12)
 
+    def test_steps_default_to_50(self, tmp_path, benchmark_json):
+        out = tmp_path / "frontier.csv"
+        code = main(["frontier", "--params", str(benchmark_json),
+                     "--gamma-from", "2", "--gamma-to", "20", "--out", str(out)])
+        assert code == 0
+        flags = [line.split(",")[3] for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert flags == ["false"] * 50 + ["true"]
+
     def test_tangency_row_of_a_market_in_large_units(self, tmp_path):
         # 1' sigma^-1 mu = 2e-140 is small only by the units; the tangency
         # weights are [0.5, 0.5], so its mean is 1e160 and its variance 5e299.

@@ -138,7 +138,7 @@ class TestV0Hessian:
 
 class TestGdSolve:
     def test_starts_at_optimum_takes_zero_iterations(self, symmetric_pair):
-        report = gd_solve(symmetric_pair, RiskAversion(2.0), 1.0, GdConfig())
+        report = gd_solve(symmetric_pair, RiskAversion(2.0), 1.0, GdConfig(max_iter=1))
         assert report.converged
         assert report.iterations == 0
         assert report.weights[0] == 0.0
@@ -149,7 +149,7 @@ class TestGdSolve:
         ra = RiskAversion(10.0)
         gross_rf = 1.0
         report = gd_solve(scenarios, ra, gross_rf,
-                          GdConfig(eta=suggest_eta(scenarios, ra), tol=1e-10))
+                          GdConfig(eta=suggest_eta(scenarios, ra), tol=1e-10, max_iter=100))
         lo, hi = 0.0, 1.5
         phi = (np.sqrt(5.0) - 1.0) / 2.0
         c1, c2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
@@ -196,7 +196,7 @@ class TestGdSolve:
     def test_zero_sample_is_stationary_at_the_start(self):
         # M2 = 0: the metric is Euclidean and the gradient zero everywhere.
         scenarios = ScenarioSet(returns=np.zeros((7, 2)), seed=0)
-        report = gd_solve(scenarios, RiskAversion(5.0), 1.0, GdConfig(eta=0.1))
+        report = gd_solve(scenarios, RiskAversion(5.0), 1.0, GdConfig(eta=0.1, max_iter=1))
         assert (report.converged, report.iterations, report.stopping_residual) == (
             True, 0, 0.0)
 
@@ -204,9 +204,9 @@ class TestGdSolve:
         # The second asset is twice the first, so M2 has rank one: gd moves
         # only along (1, 2) and solves the one-asset problem in w1 + 2 w2.
         r = np.random.default_rng(32).normal(0.01, 0.05, size=400)
-        ra = RiskAversion(5.0)
-        pair = gd_solve(ScenarioSet(returns=np.column_stack([r, 2.0 * r]), seed=0), ra, 1.0)
-        single = gd_solve(ScenarioSet(returns=r[:, None], seed=0), ra, 1.0)
+        ra, cfg = RiskAversion(5.0), GdConfig(max_iter=50)
+        pair = gd_solve(ScenarioSet(returns=np.column_stack([r, 2.0 * r]), seed=0), ra, 1.0, cfg)
+        single = gd_solve(ScenarioSet(returns=r[:, None], seed=0), ra, 1.0, cfg)
         assert pair.converged and pair.iterations == single.iterations
         assert pair.weights[1] == pytest.approx(2.0 * pair.weights[0], rel=1e-12)
         assert pair.weights[0] + 2.0 * pair.weights[1] == pytest.approx(single.weights[0],
@@ -241,9 +241,9 @@ class TestGdSolve:
         # step and the stopping norm make every iterate w(i) / c as well.
         scenarios = simulate(benchmark_params, 20_000, 33)
         ra = RiskAversion(10.0)
-        gross_rf = benchmark_params.gross_rf
-        unit = gd_solve(scenarios, ra, gross_rf)
-        scaled = gd_solve(ScenarioSet(returns=c * scenarios.returns, seed=0), ra, gross_rf)
+        gross_rf, cfg = benchmark_params.gross_rf, GdConfig(max_iter=40)
+        unit = gd_solve(scenarios, ra, gross_rf, cfg)
+        scaled = gd_solve(ScenarioSet(returns=c * scenarios.returns, seed=0), ra, gross_rf, cfg)
         assert (scaled.converged, scaled.iterations) == (unit.converged, unit.iterations)
         np.testing.assert_allclose(c * scaled.weights, unit.weights, rtol=1e-10, atol=0.0)
 
@@ -292,7 +292,7 @@ class TestGdSolve:
         scenarios = simulate(single_asset_params, 100_000, 915)
         ra = RiskAversion(10.0)
         report = gd_solve(scenarios, ra, 1.0,
-                          GdConfig(eta=suggest_eta(scenarios, ra)))
+                          GdConfig(eta=suggest_eta(scenarios, ra), max_iter=70))
         w_closed = solve_analytical(single_asset_params, ra).weights
         assert report.weights[0] < w_closed[0]
         assert report.weights[0] == pytest.approx(
@@ -305,7 +305,7 @@ class TestGdSolve:
         p = make_random_params(np.random.default_rng(3), k=16)
         scenarios = simulate(p, 20_000, 7)
         ra = RiskAversion(2.0 * max(gamma_lower_bound(p), 2.0))
-        report = gd_solve(scenarios, ra, p.gross_rf, GdConfig())
+        report = gd_solve(scenarios, ra, p.gross_rf, GdConfig(max_iter=100))
         assert report.converged
         assert report.iterations <= 40
 
@@ -317,17 +317,18 @@ class TestGdSolve:
         scenarios = ScenarioSet(returns=0.05 * np.linalg.solve(chol, z.T).T, seed=0)
         ra = RiskAversion(5.0)
         eta = suggest_eta(scenarios, ra)
-        # gd's stopping norm, sqrt(g' M2^-1 g).
+        # gd's stopping norm, sqrt(g' M2^-1 g); the path takes 15 steps.
         m2_inv = np.linalg.inv(scenarios.m2)
         path = [np.zeros(4)]
-        while (math.sqrt((grad := v0_gradient(scenarios, path[-1], ra, 1.0)) @ m2_inv @ grad)
-               > GdConfig.tol):
+        while len(path) <= 60 and (math.sqrt(
+                (grad := v0_gradient(scenarios, path[-1], ra, 1.0)) @ m2_inv @ grad)
+                > GdConfig.tol):
             step = eta * grad
             while scenarios.wealth(path[-1] + step, 1.0).min() <= 0.0:
                 step = 0.5 * step
             path.append(path[-1] + step)
-        assert len(path) > 10
-        report = gd_solve(scenarios, ra, 1.0)
+        assert 10 < len(path) <= 60
+        report = gd_solve(scenarios, ra, 1.0, GdConfig(max_iter=60))
         assert report.iterations == len(path) - 1
         for budget in range(1, len(path)):
             try:
@@ -342,7 +343,7 @@ class TestGdSolve:
         ra = RiskAversion(10.0)
         gross_rf = benchmark_params.gross_rf
         report = gd_solve(scenarios, ra, gross_rf,
-                          GdConfig(eta=suggest_eta(scenarios, ra)))
+                          GdConfig(eta=suggest_eta(scenarios, ra), max_iter=40))
         w_closed = solve_analytical(benchmark_params, ra).weights
         w_taylor = taylor_solve(scenarios, ra, gross_rf).weights
         assert report.objective >= v0(scenarios, w_closed, ra, gross_rf) - 1e-6
@@ -416,9 +417,9 @@ class TestSuggestEta:
     def test_eta_none_takes_suggested_step(self, benchmark_params):
         scenarios = simulate(benchmark_params, 20_000, 9)
         ra = RiskAversion(10.0)
-        auto = gd_solve(scenarios, ra, benchmark_params.gross_rf, GdConfig(eta=None))
+        auto = gd_solve(scenarios, ra, benchmark_params.gross_rf, GdConfig(eta=None, max_iter=40))
         pinned = gd_solve(scenarios, ra, benchmark_params.gross_rf,
-                          GdConfig(eta=suggest_eta(scenarios, ra)))
+                          GdConfig(eta=suggest_eta(scenarios, ra), max_iter=40))
         np.testing.assert_array_equal(auto.weights, pinned.weights)
         assert auto.iterations == pinned.iterations
 

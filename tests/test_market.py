@@ -134,6 +134,12 @@ class TestPriceSeries:
         with pytest.raises(InvalidPriceSeries):
             _series([100.0, -1.0, 102.0])
 
+    def test_price_check_edges(self):
+        # The smallest positive double is a price; zero is not.
+        assert _series([100.0, 5e-324, 102.0]).prices[1, 0] == 5e-324
+        with pytest.raises(InvalidPriceSeries, match="strictly positive"):
+            _series([100.0, 0.0, 102.0])
+
     def test_dates_must_increase(self):
         with pytest.raises(InvalidPriceSeries):
             PriceSeries(

@@ -691,6 +691,31 @@ class TestCompare:
             assert "size >= 2" in report.cells[(200.0, method)].error
         assert not report.ecdfs
 
+    def test_a_wealth_of_exactly_zero_is_infeasible(self, monkeypatch):
+        # 1.0006 - 1.0006 is 0.0 exactly: the cell's count of its sorted
+        # wealths and evaluate_strategy's mask both take W <= 0.
+        returns = [[-1.0006], [0.01], [0.02]]
+        outcome = evaluate_strategy(ScenarioSet(returns=returns, seed=0), [1.0],
+                                    RiskAversion(5.0), 1.0006)
+        assert outcome.wealths[0] == 0.0 and np.isnan(outcome.utilities[0])
+        assert outcome.infeasible_count == 1
+        report = self._compare_on(monkeypatch, returns, (5.0,))
+        for method in METHODS:
+            cell = report.cells[(5.0, method)]
+            assert (cell.infeasible_count, cell.nonfinite_count) == (1, 0)
+            assert cell.stats == summarize(outcome.utilities[1:])
+
+    def test_no_positive_wealth_fails_every_cell(self, monkeypatch):
+        returns = [[-1.0006], [-1.5], [-1.0007]]
+        with pytest.raises(AllScenariosInfeasible, match="every scenario yields non-positive"):
+            evaluate_strategy(ScenarioSet(returns=returns, seed=0), [1.0],
+                              RiskAversion(5.0), 1.0006)
+        report = self._compare_on(monkeypatch, returns, (5.0, 200.0))
+        assert len(report.cells) == 2 * len(METHODS)
+        for cell in report.cells.values():
+            assert cell.error == "every scenario yields non-positive wealth"
+        assert not report.ecdfs
+
     def test_risk_ordering_on_benchmark_market(self, benchmark_params):
         report = compare(benchmark_params, [5.0, 15.0], n=150_000, seed=13)
         for g in (5.0, 15.0):
