@@ -10,10 +10,10 @@ frontier   gamma sweep of closed-form mean/variance plus the tangency row
 Exit codes follow the exception classes of :mod:`crra_opt.errors`: 0
 success, 2 I/O or usage error, 3 validation error, 4 gamma below the
 admissibility bound (the bound is printed), 5 any solver failure (not
-converged, no feasible step, non-finite iterate, no feasible scenario).
-``solve --method all`` and ``compare`` name each failed method or cell on
-stderr and exit 5 only if all failed.  Input files are UTF-8, a leading
-byte-order mark allowed.  Identical invocations over identical files produce
+converged, no feasible step, non-finite iterate, no feasible scenario, no
+maximizer).  ``solve --method all`` and ``compare`` name each failed method
+or cell on stderr and exit 5 only if all failed.  Input files are UTF-8, a
+leading byte-order mark allowed.  Identical invocations over identical files produce
 byte-identical outputs.  Seeds are required for every stochastic command.
 """
 

@@ -103,6 +103,10 @@ class StepIntoInfeasible(CrraOptError):
     """Backtracking could not find a step keeping all wealths positive."""
 
 
+class NoMaximizer(CrraOptError):
+    """The sampled utility rises without end along some weight direction."""
+
+
 class NotConverged(CrraOptError):
     """Iteration budget exhausted before the stopping rule was met.
 

@@ -58,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    NoMaximizer,
     NonFiniteInput,
     NonPositiveWealthScenario,
     NotConverged,
@@ -178,9 +179,18 @@ def gd_solve(scenarios, ra: RiskAversion, gross_rf: float, cfg: GdConfig | None 
     Returns a converged :class:`GdReport`; raises :class:`NotConverged`,
     with the partial report attached, if ``max_iter`` steps do not bring
     the stopping norm to ``tol``, and :class:`StepIntoInfeasible` if step
-    halving cannot keep every scenario wealth positive.
+    halving cannot keep every scenario wealth positive.  Before the first
+    step it raises :class:`NoMaximizer` for one asset whose excess returns
+    all have one sign, not all zero: every wealth then rises with the
+    weight in that direction, and so does V0, without end.
     """
     cfg = cfg or GdConfig()
+    if scenarios.k == 1:
+        lo, hi = float(np.min(scenarios.cols)), float(np.max(scenarios.cols))
+        if (lo >= 0.0 and hi > 0.0) or (hi <= 0.0 and lo < 0.0):
+            sign, way = (">=", "rises") if lo >= 0.0 else ("<=", "falls")
+            raise NoMaximizer(f"no maximizer: every excess return is {sign} 0, not all "
+                              f"zero, so the sampled utility keeps rising as the weight {way}")
     eta = cfg.eta if cfg.eta is not None else suggest_eta(scenarios, ra)
     w = np.zeros(scenarios.k)
     grad = v0_gradient(scenarios, w, ra, gross_rf)

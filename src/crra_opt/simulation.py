@@ -4,8 +4,9 @@ Scenario draws are ``R_i = mu + L z_i`` with ``L`` the lower Cholesky factor
 of sigma and ``z_i`` i.i.d. standard normal from a PCG64 generator, so a
 ``(params, n, seed)`` triple always reproduces the same scenario set on a
 given build.  :func:`simulate` draws ``_DRAW_BLOCK`` scenarios at a time
-straight into the set's ``(k, N)`` array, so no ``(N, k)`` copy of the set
-is ever held; the generator's stream does not depend on how the draw is
+and writes each block's ``mu + L z_i`` straight into the set's ``(k, N)``
+array, so neither an ``(N, k)`` copy of the set nor a transformed block is
+ever held; the generator's stream does not depend on how the draw is
 split into blocks, so the draws are bitwise those of one ``(N, k)`` draw.
 One scenario set is shared by every method and risk-aversion level inside
 a comparison run, which makes the per-method statistics directly
@@ -19,9 +20,11 @@ numpy and the fixed blocks alone set its order: draws, weights and
 statistics are bit-identical under any BLAS thread count, and no BLAS
 thread pool competes with the solver threads of :func:`compare`.
 
-Each gamma of :func:`compare` evaluates its cells in one length-N buffer
-(:func:`_evaluate_cell`): a cell writes its wealths there once, sorts them
-once, counts its ``W <= 0`` draws at the front and turns the rest into
+The workers of :func:`compare` solve without a length-N array and share
+one length-N evaluation buffer per two workers (:func:`_compare_gammas`):
+whichever worker holds a free buffer evaluates the solved gammas.  A cell
+(:func:`_evaluate_cell`) writes its wealths there once, sorts them once,
+counts its ``W <= 0`` draws at the front and turns the rest into
 utilities in place, so it holds no second length-N float array.  The one
 utility kernel, :func:`_utilities`, leaves feasibility to its callers;
 only :func:`evaluate_strategy`'s draw-ordered output holds NaN.  Every
@@ -39,7 +42,9 @@ which holds exactly when ``stopping_residual <= tol``.
 from __future__ import annotations
 
 import os
+import queue
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -261,8 +266,9 @@ def simulate(p: MarketParams, n: int, seed: int) -> ScenarioSet:
     cols = np.empty((p.k, n))
     for start in range(0, n, _DRAW_BLOCK):
         z = rng.standard_normal((min(_DRAW_BLOCK, n - start), p.k))
-        np.add(np.einsum("nj,ij->ni", z, p.chol_lower).T, p.mu[:, None],
-               out=cols[:, start:start + z.shape[0]])
+        block = cols[:, start:start + z.shape[0]]
+        np.einsum("nj,ij->in", z, p.chol_lower, out=block)
+        block += p.mu[:, None]
     return ScenarioSet._from_cols(cols, seed)
 
 
@@ -440,7 +446,8 @@ def _evaluate_cell(scenarios, weights, ra, gross_rf, ecdf_points, buf) -> tuple:
     """The :class:`CellResult` of fixed weights and its wealth and utility
     ECDF tables, equal to what :func:`summarize` and :func:`ecdf` give,
     worked out in ``buf``, a float array of length N that the call
-    overwrites.
+    overwrites; in :func:`compare` it is one of the evaluation buffers
+    that every two workers share, so nothing in it outlives the call.
 
     The wealths, written once and sorted once, give the wealth ECDF; the
     leading ``W <= 0`` draws are the infeasible ones, counted by one binary
@@ -478,58 +485,103 @@ def _evaluate_cell(scenarios, weights, ra, gross_rf, ecdf_points, buf) -> tuple:
     return cell, wealth_table, utility_table
 
 
-def _compare_gamma(p, scenarios, ra, gd_cfg, taylor_cfg, ecdf_points) -> tuple[dict, dict]:
-    """The cells and ECDF tables of one gamma, keyed as in :class:`ComparisonReport`.
+def _solve_gamma(p, scenarios, ra, gd_cfg, taylor_cfg) -> list[tuple]:
+    """Each method's ``(weights, error)`` at one gamma, in :data:`METHODS`
+    order: the solved weights and ``None``, or ``None`` and the text of the
+    :class:`CrraOptError` that the solve raised.  Any other exception
+    propagates."""
+    solved = []
+    for method in METHODS:
+        try:
+            solved.append((solve_method(method, p, scenarios, ra, gd_cfg, taylor_cfg).weights,
+                           None))
+        except CrraOptError as exc:
+            solved.append((None, str(exc)))
+    return solved
 
-    Each method is solved and its weights evaluated; a :class:`CrraOptError`
-    at either step becomes its cell's error, with the weights kept if the
-    solve got that far.  Any other exception propagates.  One length-N
-    buffer serves the evaluation of every method (:func:`_evaluate_cell`).
+
+def _compare_gamma(scenarios, ra, gross_rf, solved, ecdf_points, buf) -> tuple[dict, dict]:
+    """The cells and ECDF tables of one gamma, keyed as in :class:`ComparisonReport`,
+    from its methods' :func:`_solve_gamma` outcomes ``solved``.
+
+    Each solved method's weights are evaluated in ``buf``, a float array of
+    length N that the call overwrites (:func:`_evaluate_cell`).  A failed
+    solve, or a :class:`CrraOptError` while evaluating, becomes its cell's
+    error, with the weights kept if the solve got that far.  Any other
+    exception propagates.
     """
     g = ra.gamma
     cells, ecdfs = {}, {}
-    buf = np.empty(scenarios.n)
-    for method in METHODS:
-        weights = None
-        try:
-            weights = solve_method(method, p, scenarios, ra, gd_cfg, taylor_cfg).weights
-            cell, wealth_table, utility_table = _evaluate_cell(
-                scenarios, weights, ra, p.gross_rf, ecdf_points, buf
-            )
-        except CrraOptError as exc:
-            cells[(g, method)] = CellResult(
-                weights=weights, stats=None, infeasible_count=0, error=str(exc)
-            )
-        else:
-            cells[(g, method)] = cell
-            ecdfs[(g, method, "wealth")] = wealth_table
-            ecdfs[(g, method, "utility")] = utility_table
+    for method, (weights, error) in zip(METHODS, solved):
+        if error is None:
+            try:
+                cell, wealth_table, utility_table = _evaluate_cell(
+                    scenarios, weights, ra, gross_rf, ecdf_points, buf
+                )
+            except CrraOptError as exc:
+                error = str(exc)
+            else:
+                ecdfs[(g, method, "wealth")] = wealth_table
+                ecdfs[(g, method, "utility")] = utility_table
+        if error is not None:
+            cell = CellResult(weights=weights, stats=None, infeasible_count=0, error=error)
+        cells[(g, method)] = cell
     return cells, ecdfs
 
 
 def _compare_gammas(p, scenarios, ras, gd_cfg, taylor_cfg, ecdf_points) -> list[tuple]:
-    """:func:`_compare_gamma` for every risk aversion, on up to one thread per CPU.
+    """The cells and ECDF tables of every risk aversion, on up to one thread per CPU.
 
-    The calling thread is one of the workers.  Each worker takes the next
-    gamma until none is left, and results are stored by gamma index, so
-    they do not depend on the number of workers or on which worker took
-    what.  ``pool.map`` with an idle caller is no faster and needs one more
-    thread, whose own malloc arena raised peak RSS by 0.4-1.7 MB on the
-    benchmark workloads.
+    The calling thread is one of the W workers.  Each worker takes the next
+    gamma until none is left, solves its methods (:func:`_solve_gamma`),
+    which needs no length-N array, and appends them to one queue of solved
+    gammas.  Evaluation is 7-40 % of a gamma's time on the benchmark
+    workloads, so the W workers share ``ceil(W / 2)`` length-N evaluation
+    buffers: after each solve a worker tries for a free buffer without
+    blocking and, if it gets one, evaluates every queued gamma
+    (:func:`_compare_gamma`) before it hands the buffer back.  Only once no
+    gamma is left to solve does a worker block for a buffer, so every
+    queued gamma is evaluated before the last worker returns.  Results are stored by gamma index, so they do not depend on
+    the number of workers or on which worker took what.  ``pool.map`` with
+    an idle caller is no faster and needs one more thread, whose own malloc
+    arena raised peak RSS by 0.4-1.7 MB on the benchmark workloads.
     """
     results: list = [None] * len(ras)
     todo = iter(range(len(ras)))
     todo_lock = threading.Lock()
+    solved = deque()  # (gamma index, _solve_gamma outcomes) awaiting a buffer
+    workers = worker_count(len(ras))
+    buffers = queue.SimpleQueue()
+    for _ in range((workers + 1) // 2):
+        buffers.put(np.empty(scenarios.n))
+
+    def evaluate_solved(block: bool) -> None:
+        try:
+            buf = buffers.get(block=block)
+        except queue.Empty:  # every buffer is busy; its holder drains the queue
+            return
+        try:
+            while True:
+                try:
+                    i, outcomes = solved.popleft()
+                except IndexError:
+                    return
+                results[i] = _compare_gamma(scenarios, ras[i], p.gross_rf, outcomes,
+                                            ecdf_points, buf)
+        finally:
+            buffers.put(buf)
 
     def work() -> None:
         while True:
             with todo_lock:
                 i = next(todo, None)
             if i is None:
+                evaluate_solved(block=True)
                 return
-            results[i] = _compare_gamma(p, scenarios, ras[i], gd_cfg, taylor_cfg, ecdf_points)
+            solved.append((i, _solve_gamma(p, scenarios, ras[i], gd_cfg, taylor_cfg)))
+            evaluate_solved(block=False)
 
-    helpers = worker_count(len(ras)) - 1
+    helpers = workers - 1
     # A pool starts its threads on submit, so one worker starts none.
     with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
         futures = [pool.submit(work) for _ in range(helpers)]
@@ -561,10 +613,11 @@ def compare(
     and ``gammas`` non-empty, distinct by :func:`fmt_gamma` label, at least
     the admissibility bound and each a valid :class:`RiskAversion`.
 
-    Each gamma is solved, evaluated, summarized and given its ECDFs as one
-    task; the tasks run concurrently, on up to one thread per CPU this
-    process may run on (the calling thread is one of them), and only read
-    the shared scenario set.  Their results are merged in gamma order, so
+    Each gamma is solved, then evaluated, summarized and given its ECDFs;
+    the gammas run concurrently, on up to one thread per CPU this process
+    may run on (the calling thread is one of them), which only read the
+    shared scenario set and share one evaluation buffer per two threads
+    (:func:`_compare_gammas`).  Their results are merged in gamma order, so
     the report is bit-identical whatever the number of threads.
     """
     n = require_int("n", n, 2)

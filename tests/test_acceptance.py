@@ -21,6 +21,7 @@ import pytest
 
 from conftest import BENCHMARK_BOUND, BENCHMARK_MU, BENCHMARK_RF, BENCHMARK_SIGMA, scale_roots
 from crra_opt import (
+    GdConfig,
     RiskAversion,
     ScenarioSet,
     gamma_lower_bound,
@@ -42,6 +43,12 @@ N_SAMPLES = 1_000_000
 GAMMAS = (5.0, 10.0, 15.0, 20.0)
 
 PUBLISHED_BOUND = 1.076384
+
+# gd takes 10 steps per gamma on both study draws below; a budget a few
+# times that makes a broken gd fail the gate in seconds instead of grinding
+# through the default 100,000 steps.  Any gd that passes within it gives
+# the same cells as without it.
+GD_MAX_ITER = 50
 
 # Reference utility statistics for the benchmark market, N = 1e6 draws:
 # gamma -> method -> (mean, sd, median, mad).  "taylor" is the published
@@ -87,7 +94,8 @@ def bench():
 def study(bench):
     """The full N=1e6 comparison run shared by criteria 2, 3 and 7."""
     start = time.perf_counter()
-    report = compare(bench, GAMMAS, n=N_SAMPLES, seed=SEED)
+    report = compare(bench, GAMMAS, n=N_SAMPLES, seed=SEED,
+                     gd_cfg=GdConfig(max_iter=GD_MAX_ITER))
     elapsed = time.perf_counter() - start
     return report, elapsed
 
@@ -289,7 +297,7 @@ def test_criterion_8_byte_identical_compare(bench, tmp_path):
     params_path = tmp_path / "params.json"
     write_params_json(bench, params_path)
     args = ["compare", "--params", str(params_path), "--gammas", "5,10",
-            "--samples", "20000", "--seed", "77"]
+            "--samples", "20000", "--seed", "77", "--max-iter", str(GD_MAX_ITER)]
     assert cli_main(args + ["--outdir", str(tmp_path / "run_a")]) == 0
     assert cli_main(args + ["--outdir", str(tmp_path / "run_b")]) == 0
     files_a = sorted((tmp_path / "run_a").iterdir())

@@ -205,6 +205,16 @@ class TestSolve:
         assert main(["solve", "--params", str(params), *flags, "--seed", "1"]) == 5
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_one_signed_sample_has_no_maximizer(self, tmp_path, capsys):
+        # 500 draws of N(0.05, 0.01): every excess return is positive.
+        params = tmp_path / "p.json"
+        params.write_text('{"mu": [0.05], "sigma": [[0.0001]], "r_f": 0.0}', encoding="utf-8")
+        assert main(["solve", "--params", str(params), "--method", "gd", "--gamma", "150",
+                     "--samples", "500", "--seed", "3", "--max-iter", "50"]) == 5
+        assert capsys.readouterr() == ("", "error: no maximizer: every excess return is >= 0, "
+                                           "not all zero, so the sampled utility keeps rising "
+                                           "as the weight rises\n")
+
     def test_asset_names_as_one_string_is_validation_error(self, tmp_path, capsys):
         params = tmp_path / "p.json"
         params.write_text('{"mu": [0.1, 0.2], "sigma": [[1.0, 0.0], [0.0, 1.0]], "r_f": 0.0,'
@@ -241,6 +251,18 @@ class TestCompare:
         assert set(payload["results"]["5"]) == {"analytical", "taylor", "gd"}
         cell = payload["results"]["5"]["gd"]
         assert {"weights", "stats", "infeasible_count"} <= set(cell)
+
+    def test_gd_cell_without_a_maximizer_fails_alone(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        params.write_text('{"mu": [0.05], "sigma": [[0.0001]], "r_f": 0.0}', encoding="utf-8")
+        outdir = tmp_path / "o"
+        assert main(["compare", "--params", str(params), "--gammas", "150", "--samples", "500",
+                     "--seed", "3", "--max-iter", "50", "--outdir", str(outdir)]) == 0
+        assert capsys.readouterr().err.startswith(
+            "cell gamma=150 method=gd failed: no maximizer: every excess return is >= 0")
+        assert sorted(p.name for p in outdir.glob("ecdf_*.csv")) == [
+            f"ecdf_{kind}_gamma150_{m}.csv" for kind in ("utility", "wealth")
+            for m in ("analytical", "taylor")]
 
     def test_every_failed_cell_is_listed(self, tmp_path, benchmark_json, monkeypatch, capsys):
         def infeasible(*args, **kwargs):

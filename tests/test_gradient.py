@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from crra_opt import (
     GdConfig,
+    NoMaximizer,
     NonPositiveWealthScenario,
     NotConverged,
     RiskAversion,
@@ -211,6 +212,25 @@ class TestGdSolve:
         assert pair.weights[1] == pytest.approx(2.0 * pair.weights[0], rel=1e-12)
         assert pair.weights[0] + 2.0 * pair.weights[1] == pytest.approx(single.weights[0],
                                                                        rel=1e-12)
+
+    @pytest.mark.parametrize("returns, way", [
+        (np.random.default_rng(41).normal(0.05, 0.01, 500), "rises"),
+        (np.random.default_rng(41).normal(-0.05, 0.01, 500), "falls"),
+        ([0.0] * 3 + [0.05] * 5, "rises"),
+        ([-0.02] + [0.0] * 4, "falls"),
+    ], ids=["positive", "negative", "zero-or-positive", "zero-or-negative"])
+    def test_one_signed_single_asset_sample_has_no_maximizer(self, returns, way):
+        # V0 rises without end along the weight: refused before the first
+        # step, not ground to the step cap and ended NotConverged.
+        scenarios = ScenarioSet(returns=np.asarray(returns)[:, None], seed=0)
+        with pytest.raises(NoMaximizer, match=f"keeps rising as the weight {way}$"):
+            gd_solve(scenarios, RiskAversion(5.0), 1.0, GdConfig(max_iter=50))
+
+    def test_all_zero_single_asset_sample_is_not_refused(self):
+        # Every weight is a maximizer of a constant V0; gd stays at zero.
+        scenarios = ScenarioSet(returns=np.zeros((7, 1)), seed=0)
+        report = gd_solve(scenarios, RiskAversion(5.0), 1.0, GdConfig(eta=0.1, max_iter=1))
+        assert (report.converged, report.iterations, report.weights[0]) == (True, 0, 0.0)
 
     def test_infeasible_start_rejected(self, symmetric_pair):
         # The zero start's wealth is R_f in every scenario.

@@ -39,3 +39,31 @@ def test_hypothesis_prints_a_reproducer_and_changes_nothing_else():
     # max_examples and deadlines stay hypothesis's defaults.
     assert settings().print_blob is True
     assert repr(settings()) == repr(settings(settings.get_profile("default"), print_blob=True))
+
+
+def test_a_test_past_the_faulthandler_timeout_prints_every_thread(pytester):
+    # The suite sets faulthandler_timeout; here a short one shows what a
+    # stuck test then prints: the stack of each thread, the waiting helper's too.
+    tomllib = pytest.importorskip("tomllib")
+    options = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["tool"]["pytest"]
+    assert options["ini_options"]["faulthandler_timeout"] >= 60
+    pytester.makeini("[pytest]\nfaulthandler_timeout = 0.5\n")
+    pytester.makepyfile(
+        """
+        import threading
+
+        def wait_in_helper(release):
+            release.wait(5)
+
+        def test_stuck():
+            release = threading.Event()
+            helper = threading.Thread(target=wait_in_helper, args=(release,))
+            helper.start()
+            helper.join(1.5)
+            release.set()
+            helper.join()
+        """
+    )
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    result.assert_outcomes(passed=1)
+    result.stderr.fnmatch_lines(["*Timeout*", "*in wait_in_helper*", "*in test_stuck*"])

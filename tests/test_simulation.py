@@ -887,40 +887,40 @@ class TestConcurrentSolve:
         with pytest.raises(RuntimeError, match="helper failed at gamma="):
             compare(benchmark_params, (5.0, 10.0), n=5_000, seed=22)
 
-    def test_evaluation_error_in_helper_keeps_its_cell_weights(
-        self, benchmark_params, monkeypatch
-    ):
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_evaluation_error_keeps_its_cell_weights(self, benchmark_params, monkeypatch,
+                                                     workers):
         # The cell's utilities come from simulation._utilities, which sees
-        # neither the method nor the gamma: each worker notes the method it
-        # solved last, and asks whether it is the helper once, at gd.
-        in_helper = self._two_workers(monkeypatch)
-        real_solve, real_utilities = simulation.solve_method, simulation._utilities
-        local = threading.local()
-
-        def solve(method, *args):
-            local.method = method
-            return real_solve(method, *args)
+        # the gamma (as lam = 1 - gamma) but not the method.  One worker
+        # evaluates a gamma's cells in METHODS order, so gd is the gamma's
+        # n-th call, n its place in METHODS, whichever worker makes it.
+        monkeypatch.setattr(simulation, "worker_count", lambda tasks: workers)
+        failing, gd_call = 10.0, list(METHODS).index("gd") + 1
+        real_utilities, calls = simulation._utilities, {}
 
         def utilities(x, lam):
-            if local.method == "gd":
-                if not hasattr(local, "helper"):
-                    local.helper = in_helper()
-                if local.helper:
-                    raise AllScenariosInfeasible(f"helper failed at gamma={1.0 - lam:g}")
+            calls[lam] = calls.get(lam, 0) + 1
+            if lam == 1.0 - failing and calls[lam] == gd_call:
+                raise AllScenariosInfeasible(f"gd failed at gamma={1.0 - lam:g}")
             return real_utilities(x, lam)
 
-        monkeypatch.setattr(simulation, "solve_method", solve)
         monkeypatch.setattr(simulation, "_utilities", utilities)
         report = compare(benchmark_params, (5.0, 10.0), n=5_000, seed=22)
         failed = [key for key, cell in report.cells.items() if cell.failed]
-        assert len(failed) == 1
-        (g, method), = failed
-        assert method == "gd"
-        cell = report.cells[(g, method)]
-        assert cell.error == f"helper failed at gamma={g:g}"
+        assert failed == [(failing, "gd")]
+        cell = report.cells[(failing, "gd")]
+        assert cell.error == f"gd failed at gamma={failing:g}"
         assert cell.stats is None
-        solved = gd_solve(simulate(benchmark_params, 5_000, 22), RiskAversion(g),
+        solved = gd_solve(simulate(benchmark_params, 5_000, 22), RiskAversion(failing),
                           benchmark_params.gross_rf)
         np.testing.assert_array_equal(cell.weights, solved.weights)
-        assert (g, "gd", "wealth") not in report.ecdfs
+        assert (failing, "gd", "wealth") not in report.ecdfs
         assert len(report.ecdfs) == 2 * 5
+
+    def test_two_workers_share_one_evaluation_buffer(self, benchmark_params, monkeypatch):
+        # Two workers hold the draws and one length-N buffer (plus a length-N
+        # mask and each solve's fold blocks); a buffer per worker adds 8N bytes.
+        n = 1_000_000
+        monkeypatch.setattr(simulation, "worker_count", lambda tasks: 2)
+        peak = _peak_bytes(lambda: compare(benchmark_params, (5.0, 10.0), n=n, seed=23))
+        assert peak < (benchmark_params.k + 1.5) * n * 8
