@@ -22,15 +22,15 @@ thread pool competes with the solver threads of :func:`compare`.
 
 The workers of :func:`compare` solve without a length-N array and share
 one length-N evaluation buffer per two workers (:func:`_compare_gammas`):
-whichever worker holds a free buffer evaluates the solved gammas.  A cell
-(:func:`_evaluate_cell`) writes its wealths there once, sorts them once,
-counts its ``W <= 0`` draws at the front and turns the rest into
-utilities in place, so it holds no second length-N float array.  The one
-utility kernel, :func:`_utilities`, leaves feasibility to its callers;
-only :func:`evaluate_strategy`'s draw-ordered output holds NaN.  Every
-statistic, in :func:`summarize` as in a cell, is read from the sorted
-sample (:func:`_summary_of_sorted`), so it does not depend on the order of
-the values.
+after each solve a worker waits for a free buffer and evaluates its gamma
+there.  A cell (:func:`_evaluate_cell`) writes its wealths in the buffer
+once, sorts them once, counts its ``W <= 0`` draws at the front and turns
+the rest into utilities in place, so it holds no second length-N float
+array.  The one utility kernel, :func:`_utilities`, leaves feasibility to
+its callers; only :func:`evaluate_strategy`'s draw-ordered output holds
+NaN.  Every statistic, in :func:`summarize` as in a cell, is read from the
+sorted sample (:func:`_summary_of_sorted`), so it does not depend on the
+order of the values.
 
 The solvers sit in one table, :data:`METHODS`, in output order.
 :func:`solve_method` looks a method up there; it is the one call that
@@ -44,7 +44,6 @@ from __future__ import annotations
 import os
 import queue
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -533,53 +532,38 @@ def _compare_gammas(p, scenarios, ras, gd_cfg, taylor_cfg, ecdf_points) -> list[
     """The cells and ECDF tables of every risk aversion, on up to one thread per CPU.
 
     The calling thread is one of the W workers.  Each worker takes the next
-    gamma until none is left, solves its methods (:func:`_solve_gamma`),
-    which needs no length-N array, and appends them to one queue of solved
-    gammas.  Evaluation is 7-40 % of a gamma's time on the benchmark
-    workloads, so the W workers share ``ceil(W / 2)`` length-N evaluation
-    buffers: after each solve a worker tries for a free buffer without
-    blocking and, if it gets one, evaluates every queued gamma
-    (:func:`_compare_gamma`) before it hands the buffer back.  Only once no
-    gamma is left to solve does a worker block for a buffer, so every
-    queued gamma is evaluated before the last worker returns.  Results are stored by gamma index, so they do not depend on
-    the number of workers or on which worker took what.  ``pool.map`` with
-    an idle caller is no faster and needs one more thread, whose own malloc
-    arena raised peak RSS by 0.4-1.7 MB on the benchmark workloads.
+    gamma until none is left and solves its methods (:func:`_solve_gamma`),
+    which needs no length-N array.  Evaluation is 7-43 % of a gamma's time
+    on the benchmark workloads, so the W workers share ``ceil(W / 2)``
+    length-N evaluation buffers: after each solve a worker waits for a free
+    buffer, evaluates that gamma in it (:func:`_compare_gamma`) and hands
+    it back, even when the evaluation raises.  Results are stored by gamma
+    index, so they do not depend on the number of workers or on which
+    worker took what.  ``pool.map`` with an idle caller is no faster and
+    needs one more thread, whose own malloc arena raised the median peak
+    RSS by 0.2-0.6 MB on the benchmark workloads.
     """
     results: list = [None] * len(ras)
     todo = iter(range(len(ras)))
     todo_lock = threading.Lock()
-    solved = deque()  # (gamma index, _solve_gamma outcomes) awaiting a buffer
     workers = worker_count(len(ras))
     buffers = queue.SimpleQueue()
     for _ in range((workers + 1) // 2):
         buffers.put(np.empty(scenarios.n))
-
-    def evaluate_solved(block: bool) -> None:
-        try:
-            buf = buffers.get(block=block)
-        except queue.Empty:  # every buffer is busy; its holder drains the queue
-            return
-        try:
-            while True:
-                try:
-                    i, outcomes = solved.popleft()
-                except IndexError:
-                    return
-                results[i] = _compare_gamma(scenarios, ras[i], p.gross_rf, outcomes,
-                                            ecdf_points, buf)
-        finally:
-            buffers.put(buf)
 
     def work() -> None:
         while True:
             with todo_lock:
                 i = next(todo, None)
             if i is None:
-                evaluate_solved(block=True)
                 return
-            solved.append((i, _solve_gamma(p, scenarios, ras[i], gd_cfg, taylor_cfg)))
-            evaluate_solved(block=False)
+            solved = _solve_gamma(p, scenarios, ras[i], gd_cfg, taylor_cfg)
+            buf = buffers.get()
+            try:
+                results[i] = _compare_gamma(scenarios, ras[i], p.gross_rf, solved,
+                                            ecdf_points, buf)
+            finally:
+                buffers.put(buf)
 
     helpers = workers - 1
     # A pool starts its threads on submit, so one worker starts none.
@@ -616,9 +600,11 @@ def compare(
     Each gamma is solved, then evaluated, summarized and given its ECDFs;
     the gammas run concurrently, on up to one thread per CPU this process
     may run on (the calling thread is one of them), which only read the
-    shared scenario set and share one evaluation buffer per two threads
-    (:func:`_compare_gammas`).  Their results are merged in gamma order, so
-    the report is bit-identical whatever the number of threads.
+    shared scenario set.  After each solve a thread waits for one of the
+    evaluation buffers, one per two threads, and evaluates its gamma there
+    (:func:`_compare_gammas`).  An error that propagates does so once the
+    other threads have run out of gammas.  Results are merged in gamma
+    order, so the report is bit-identical whatever the number of threads.
     """
     n = require_int("n", n, 2)
     ecdf_points = require_int("ecdf_points", ecdf_points, 2)

@@ -42,6 +42,12 @@ PRICES_CSV = """date,one,two
 """
 
 
+# The gd budget of the runs below that reach gd: five times the 9 or 10
+# steps each takes, so a broken gd fails its test in seconds instead of
+# grinding through the default 100,000 steps.
+GD_BUDGET = ["--max-iter", "50"]
+
+
 class UnlistedSolverFailure(CrraOptError):
     """A package error that the command line names nowhere."""
 
@@ -117,7 +123,7 @@ class TestSolve:
     def test_gd_with_auto_eta_converges(self, tmp_path, benchmark_json):
         out = tmp_path / "gd.json"
         code = main(["solve", "--params", str(benchmark_json), "--gamma", "10",
-                     "--method", "gd", "--samples", "50000", "--seed", "42",
+                     "--method", "gd", "--samples", "50000", "--seed", "42", *GD_BUDGET,
                      "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
@@ -134,7 +140,7 @@ class TestSolve:
     def test_all_reports_with_pairwise_distances(self, tmp_path, benchmark_json):
         out = tmp_path / "all.json"
         code = main(["solve", "--params", str(benchmark_json), "--gamma", "10",
-                     "--method", "all", "--samples", "50000", "--seed", "42",
+                     "--method", "all", "--samples", "50000", "--seed", "42", *GD_BUDGET,
                      "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
@@ -149,7 +155,7 @@ class TestSolve:
 
     def test_each_method_writes_its_entry_of_all(self, tmp_path, benchmark_json):
         common = ["--params", str(benchmark_json), "--gamma", "10", "--samples", "5000",
-                  "--seed", "9"]
+                  "--seed", "9", *GD_BUDGET]
         assert main(["solve", *common, "--method", "all", "--out", str(tmp_path / "all.json")]) == 0
         every = json.loads((tmp_path / "all.json").read_text(encoding="utf-8"))
         assert list(every) == [*simulation.METHODS, "weight_distance_inf"]
@@ -196,7 +202,7 @@ class TestSolve:
     @pytest.mark.parametrize("flags, message", [
         (["--method", "taylor", "--gamma", "0.5", "--samples", "50"],
          "fixed-point update produced non-finite weights: [nan]"),
-        (["--method", "gd", "--gamma", "6", "--samples", "200", "--eta", "1e20"],
+        (["--method", "gd", "--gamma", "6", "--samples", "200", "--eta", "1e20", *GD_BUDGET],
          "no feasible step after 60 halvings at iteration 0"),
     ], ids=["taylor-overflow", "gd-no-feasible-step"])
     def test_solver_failure_prints_only_its_error(self, tmp_path, capsys, flags, message):
@@ -232,7 +238,7 @@ class TestCompare:
     def test_writes_expected_files(self, tmp_path, benchmark_json, capsys):
         outdir = tmp_path / "study"
         code = main(["compare", "--params", str(benchmark_json), "--gammas", "5,10",
-                     "--samples", "5000", "--seed", "9", "--outdir", str(outdir)])
+                     "--samples", "5000", "--seed", "9", *GD_BUDGET, "--outdir", str(outdir)])
         assert code == 0
         assert (outdir / "comparison.csv").is_file()
         assert (outdir / "comparison.json").is_file()
@@ -271,7 +277,7 @@ class TestCompare:
         monkeypatch.setattr(simulation, "_utilities", infeasible)
         outdir = tmp_path / "o"
         code = main(["compare", "--params", str(benchmark_json), "--gammas", "5,10",
-                     "--samples", "500", "--seed", "9", "--outdir", str(outdir)])
+                     "--samples", "500", "--seed", "9", *GD_BUDGET, "--outdir", str(outdir)])
         assert code == 5
         out, err = capsys.readouterr()
         assert out.splitlines()[-3:] == [f"wrote {outdir / 'comparison.csv'}",
@@ -286,7 +292,7 @@ class TestCompare:
 
     def test_byte_identical_reruns(self, tmp_path, benchmark_json):
         args = ["compare", "--params", str(benchmark_json), "--gammas", "5,10",
-                "--samples", "5000", "--seed", "9"]
+                "--samples", "5000", "--seed", "9", *GD_BUDGET]
         assert main(args + ["--outdir", str(tmp_path / "a")]) == 0
         assert main(args + ["--outdir", str(tmp_path / "b")]) == 0
         files_a = sorted((tmp_path / "a").iterdir())
@@ -315,7 +321,7 @@ class TestCompare:
             cwd.mkdir()
             proc = subprocess.run(
                 [sys.executable, "-m", "crra_opt.cli", "compare", "--params", str(params),
-                 "--gammas", "5,20", "--samples", "100000", "--seed", "11",
+                 "--gammas", "5,20", "--samples", "100000", "--seed", "11", *GD_BUDGET,
                  "--outdir", "study"],
                 env=env, cwd=cwd, capture_output=True, timeout=120,
             )
@@ -339,7 +345,7 @@ class TestCompare:
 
     def test_tol_applies_with_auto_eta(self, tmp_path, benchmark_json):
         args = ["compare", "--params", str(benchmark_json), "--gammas", "10",
-                "--samples", "5000", "--seed", "9"]
+                "--samples", "5000", "--seed", "9", *GD_BUDGET]
         assert main(args + ["--outdir", str(tmp_path / "default")]) == 0
         assert main(args + ["--tol", "1e-3", "--outdir", str(tmp_path / "loose")]) == 0
 
@@ -365,7 +371,7 @@ class TestCompare:
         monkeypatch.setattr(simulation, "taylor_solve", taylor_solve)
         outdir = tmp_path / "study"
         assert main(["compare", "--params", str(benchmark_json), "--gammas", "10",
-                     "--samples", "500", "--seed", "9", "--outdir", str(outdir)]) == 0
+                     "--samples", "500", "--seed", "9", *GD_BUDGET, "--outdir", str(outdir)]) == 0
         payload = json.loads((outdir / "comparison.json").read_text(encoding="utf-8"))
         assert payload["results"]["10"]["taylor"] == {"error": message}
         assert "weights" in payload["results"]["10"]["gd"]
@@ -406,7 +412,8 @@ class TestCompare:
         assert len(list(outdir.glob("ecdf_*.csv"))) == 2 * len(simulation.METHODS)
 
     def test_gd_cell_matches_solve(self, tmp_path, benchmark_json):
-        common = ["--params", str(benchmark_json), "--samples", "5000", "--seed", "9"]
+        common = ["--params", str(benchmark_json), "--samples", "5000", "--seed", "9",
+                  *GD_BUDGET]
         assert main(["compare", *common, "--gammas", "10",
                      "--outdir", str(tmp_path / "study")]) == 0
         assert main(["solve", *common, "--gamma", "10", "--method", "gd",
@@ -429,7 +436,8 @@ class TestCompare:
             return real(*args)
 
         monkeypatch.setattr(simulation, "taylor_solve", counted)
-        common = ["--params", str(benchmark_json), "--samples", "5000", "--seed", "9"]
+        common = ["--params", str(benchmark_json), "--samples", "5000", "--seed", "9",
+                  *GD_BUDGET]
         assert main(["solve", *common, *taylor_flags, "--gamma", "10", "--method", "all",
                      "--out", str(tmp_path / "all.json")]) == 0
         assert taylor_calls == [10.0]
@@ -697,8 +705,9 @@ def test_scenarios_whose_m2_overflows_are_refused(tmp_path, capsys, method):
 @pytest.mark.parametrize("command, flags", [
     ("solve", ["--gamma", "20.99999999999999"]),
     ("frontier", ["--gamma-from", "20.99999999999999", "--gamma-to", "30", "--out", "f.csv"]),
+    # gd takes 2,652 steps at gamma 21 on these 100 draws.
     ("compare", ["--gammas", "20.99999999999999,30", "--samples", "100", "--seed", "1",
-                 "--outdir", "out"]),
+                 "--max-iter", "10000", "--outdir", "out"]),
 ])
 def test_gamma_admitted_just_below_the_bound_is_solved(tmp_path, monkeypatch, command, flags):
     # J = 5: the bound 1 + 4J is 20.999999999999993 and admits this gamma,
@@ -731,7 +740,8 @@ def test_runtime_needs_no_scipy(tmp_path, benchmark_json):
 import sys
 import crra_opt
 from crra_opt.cli import main
-common = ["--params", {str(benchmark_json)!r}, "--samples", "500", "--seed", "9"]
+common = ["--params", {str(benchmark_json)!r}, "--samples", "500", "--seed", "9",
+          *{GD_BUDGET!r}]
 assert main(["compare", *common, "--gammas", "5,10", "--outdir", {str(tmp_path / "o")!r}]) == 0
 assert main(["solve", *common, "--gamma", "10", "--method", "all",
              "--out", {str(tmp_path / "all.json")!r}]) == 0

@@ -6,6 +6,7 @@ import dataclasses
 import os
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -45,6 +46,10 @@ from crra_opt.simulation import MAD_SCALE, METHODS
 
 BLOCK = simulation._DRAW_BLOCK
 FOLD = simulation._FOLD_BLOCK
+# The gd budget of the solves below that do not test gd's defaults: a few
+# times the 8-13 steps each takes, so a broken gd fails its test in seconds
+# instead of grinding through the default 100,000 steps.
+GD_BUDGET = GdConfig(max_iter=50)
 
 
 def _bits(a) -> np.ndarray:
@@ -176,14 +181,15 @@ class TestScenarioSet:
         assert max(block.shape[1] for block in blocks) <= FOLD
         assert np.array_equal(np.concatenate(blocks, axis=1), cols)
 
-    @pytest.mark.parametrize("solve", [gd_solve, taylor_solve], ids=["gd", "taylor"])
-    def test_solvers_hold_no_length_n_array(self, benchmark_params, solve):
+    @pytest.mark.parametrize("solve, cfg", [(gd_solve, GD_BUDGET), (taylor_solve, None)],
+                             ids=["gd", "taylor"])
+    def test_solvers_hold_no_length_n_array(self, benchmark_params, solve, cfg):
         # A solve holds a few block-length arrays at a time; one length-N
         # array would take 1.6 MB here.
         scenarios = simulate(benchmark_params, 200_000, 11)
         ra = RiskAversion(10.0)
-        solve(simulate(benchmark_params, 100, 11), ra, benchmark_params.gross_rf)
-        peak = _peak_bytes(lambda: solve(scenarios, ra, benchmark_params.gross_rf))
+        solve(simulate(benchmark_params, 100, 11), ra, benchmark_params.gross_rf, cfg)
+        peak = _peak_bytes(lambda: solve(scenarios, ra, benchmark_params.gross_rf, cfg))
         assert peak <= 4 * FOLD * 8
 
     def test_spectrum_of_m2_is_cached_read_only(self):
@@ -204,7 +210,7 @@ class TestScenarioSet:
         ra, gross_rf = RiskAversion(10.0), benchmark_params.gross_rf
         calls = {
             "suggest_eta": lambda: suggest_eta(scenarios, ra),
-            "gd_solve": lambda: gd_solve(scenarios, ra, gross_rf).weights,
+            "gd_solve": lambda: gd_solve(scenarios, ra, gross_rf, GD_BUDGET).weights,
             "taylor_step": lambda: taylor_step(scenarios, ra, gross_rf, np.full(3, 0.1)),
             "taylor_solve": lambda: taylor_solve(scenarios, ra, gross_rf).weights,
         }
@@ -516,7 +522,7 @@ class TestEvaluateCell:
 
 class TestCompare:
     def test_smoke_small_sample(self, benchmark_params):
-        report = compare(benchmark_params, [5.0], n=100, seed=3)
+        report = compare(benchmark_params, [5.0], n=100, seed=3, gd_cfg=GD_BUDGET)
         assert set(report.cells) == {(5.0, m) for m in METHODS}
         for cell in report.cells.values():
             assert not cell.failed
@@ -593,8 +599,8 @@ class TestCompare:
         assert rngs == []
 
     def test_deterministic(self, benchmark_params):
-        a = compare(benchmark_params, [6.0], n=20_000, seed=12)
-        b = compare(benchmark_params, [6.0], n=20_000, seed=12)
+        a = compare(benchmark_params, [6.0], n=20_000, seed=12, gd_cfg=GD_BUDGET)
+        b = compare(benchmark_params, [6.0], n=20_000, seed=12, gd_cfg=GD_BUDGET)
         for key in a.cells:
             np.testing.assert_array_equal(a.cells[key].weights, b.cells[key].weights)
             assert a.cells[key].stats == b.cells[key].stats
@@ -610,7 +616,7 @@ class TestCompare:
         assert not report.cells[(8.0, "taylor")].failed
 
     def test_utilities_negative_for_gamma_above_one(self, benchmark_params):
-        report = compare(benchmark_params, [5.0, 12.0], n=2000, seed=5)
+        report = compare(benchmark_params, [5.0, 12.0], n=2000, seed=5, gd_cfg=GD_BUDGET)
         for cell in report.cells.values():
             assert cell.stats.mean < 0.0
             assert cell.stats.median < 0.0
@@ -619,7 +625,7 @@ class TestCompare:
         # At the admissibility bound every solver's weights stay aligned
         # with sigma^-1 mu even though the scales differ widely.
         bound = gamma_lower_bound(benchmark_params)
-        report = compare(benchmark_params, [bound], n=200_000, seed=6)
+        report = compare(benchmark_params, [bound], n=200_000, seed=6, gd_cfg=GD_BUDGET)
         direction = benchmark_params.sigma_inv_mu
         direction = direction / np.linalg.norm(direction)
         for method in METHODS:
@@ -717,7 +723,7 @@ class TestCompare:
         assert not report.ecdfs
 
     def test_risk_ordering_on_benchmark_market(self, benchmark_params):
-        report = compare(benchmark_params, [5.0, 15.0], n=150_000, seed=13)
+        report = compare(benchmark_params, [5.0, 15.0], n=150_000, seed=13, gd_cfg=GD_BUDGET)
         for g in (5.0, 15.0):
             sd_analytical = report.cells[(g, "analytical")].stats.sd
             sd_gd = report.cells[(g, "gd")].stats.sd
@@ -774,13 +780,13 @@ class TestSolveMethod:
         # gd uses nothing of the Taylor solver: with every Taylor solve
         # failing, the gd cells and ECDFs are bitwise those of a normal run.
         gammas = (5.0, 10.0)
-        normal = compare(benchmark_params, gammas, n=5_000, seed=23)
+        normal = compare(benchmark_params, gammas, n=5_000, seed=23, gd_cfg=GD_BUDGET)
 
         def taylor_solve(*args, **kwargs):
             raise NonFiniteIterate("Taylor solve failed")
 
         monkeypatch.setattr(simulation, "taylor_solve", taylor_solve)
-        broken = compare(benchmark_params, gammas, n=5_000, seed=23)
+        broken = compare(benchmark_params, gammas, n=5_000, seed=23, gd_cfg=GD_BUDGET)
         for g in gammas:
             assert broken.cells[(g, "taylor")].error == "Taylor solve failed"
             cell, expected = broken.cells[(g, "gd")], normal.cells[(g, "gd")]
@@ -826,7 +832,8 @@ class TestConcurrentSolve:
             for workers in (1, 2, 5):
                 monkeypatch.setattr(simulation, "worker_count", lambda tasks, w=workers: w)
                 solved_cells.clear()
-                reports.append(compare(benchmark_params, self.GAMMAS, n=n, seed=21))
+                reports.append(compare(benchmark_params, self.GAMMAS, n=n, seed=21,
+                                       gd_cfg=GD_BUDGET))
                 assert sorted(solved_cells) == sorted((g, m) for g in self.GAMMAS for m in METHODS)
         finally:
             sys.setswitchinterval(interval)
@@ -873,7 +880,7 @@ class TestConcurrentSolve:
         self, benchmark_params, monkeypatch
     ):
         self._gd_failing_in_helper(monkeypatch, StepIntoInfeasible)
-        report = compare(benchmark_params, (5.0, 10.0), n=5_000, seed=22)
+        report = compare(benchmark_params, (5.0, 10.0), n=5_000, seed=22, gd_cfg=GD_BUDGET)
         failed = [key for key, cell in report.cells.items() if cell.failed]
         assert len(failed) == 1
         (g, method), = failed
@@ -885,7 +892,7 @@ class TestConcurrentSolve:
     def test_other_error_in_helper_propagates(self, benchmark_params, monkeypatch):
         self._gd_failing_in_helper(monkeypatch, RuntimeError)
         with pytest.raises(RuntimeError, match="helper failed at gamma="):
-            compare(benchmark_params, (5.0, 10.0), n=5_000, seed=22)
+            compare(benchmark_params, (5.0, 10.0), n=5_000, seed=22, gd_cfg=GD_BUDGET)
 
     @pytest.mark.parametrize("workers", [2, 5])
     def test_evaluation_error_keeps_its_cell_weights(self, benchmark_params, monkeypatch,
@@ -905,22 +912,82 @@ class TestConcurrentSolve:
             return real_utilities(x, lam)
 
         monkeypatch.setattr(simulation, "_utilities", utilities)
-        report = compare(benchmark_params, (5.0, 10.0), n=5_000, seed=22)
+        report = compare(benchmark_params, (5.0, 10.0), n=5_000, seed=22, gd_cfg=GD_BUDGET)
         failed = [key for key, cell in report.cells.items() if cell.failed]
         assert failed == [(failing, "gd")]
         cell = report.cells[(failing, "gd")]
         assert cell.error == f"gd failed at gamma={failing:g}"
         assert cell.stats is None
         solved = gd_solve(simulate(benchmark_params, 5_000, 22), RiskAversion(failing),
-                          benchmark_params.gross_rf)
+                          benchmark_params.gross_rf, GD_BUDGET)
         np.testing.assert_array_equal(cell.weights, solved.weights)
         assert (failing, "gd", "wealth") not in report.ecdfs
         assert len(report.ecdfs) == 2 * 5
+
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_other_error_while_evaluating_hands_its_buffer_back(self, benchmark_params,
+                                                                monkeypatch, workers):
+        # _compare_gamma catches only package errors.  Any other error must
+        # still free its buffer: with two workers the other one needs that
+        # buffer for its next gamma and would otherwise wait for it forever.
+        monkeypatch.setattr(simulation, "worker_count", lambda tasks: workers)
+        real_utilities, raised = simulation._utilities, []
+
+        def utilities(x, lam):
+            if lam == 1.0 - 5.0:
+                raise RuntimeError("evaluation failed at gamma=5")
+            return real_utilities(x, lam)
+
+        def run():
+            try:
+                compare(benchmark_params, self.GAMMAS, n=5_000, seed=22, gd_cfg=GD_BUDGET)
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        monkeypatch.setattr(simulation, "_utilities", utilities)
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive(), "compare waits for a buffer that was never handed back"
+        assert raised == ["evaluation failed at gamma=5"]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+    def test_workers_share_one_buffer_per_two(self, benchmark_params, monkeypatch, workers):
+        # Every cell is evaluated exactly once, in one of ceil(W / 2)
+        # buffers, and no buffer serves two cells at once.
+        monkeypatch.setattr(simulation, "worker_count", lambda tasks: workers)
+        gammas = (5.0, 8.0, 10.0, 12.0, 15.0, 20.0)
+        real_evaluate_cell, lock = simulation._evaluate_cell, threading.Lock()
+        busy, used, shared, most_busy, evaluated = set(), set(), [], 0, []
+
+        def evaluate_cell(scenarios, weights, ra, gross_rf, ecdf_points, buf):
+            nonlocal most_busy
+            with lock:
+                shared.append(id(buf) in busy)
+                busy.add(id(buf))
+                used.add(id(buf))
+                most_busy = max(most_busy, len(busy))
+                evaluated.append((ra.gamma, tuple(weights)))
+            try:
+                time.sleep(0.001)  # long enough for the other workers to want a buffer
+                return real_evaluate_cell(scenarios, weights, ra, gross_rf, ecdf_points, buf)
+            finally:
+                with lock:
+                    busy.discard(id(buf))
+
+        monkeypatch.setattr(simulation, "_evaluate_cell", evaluate_cell)
+        report = compare(benchmark_params, gammas, n=2_000, seed=24, gd_cfg=GD_BUDGET)
+        pool = -(-workers // 2)
+        assert not any(shared)
+        assert len(used) == pool and most_busy <= pool
+        assert sorted(evaluated) == sorted((g, tuple(report.cells[(g, m)].weights))
+                                           for g in gammas for m in METHODS)
 
     def test_two_workers_share_one_evaluation_buffer(self, benchmark_params, monkeypatch):
         # Two workers hold the draws and one length-N buffer (plus a length-N
         # mask and each solve's fold blocks); a buffer per worker adds 8N bytes.
         n = 1_000_000
         monkeypatch.setattr(simulation, "worker_count", lambda tasks: 2)
-        peak = _peak_bytes(lambda: compare(benchmark_params, (5.0, 10.0), n=n, seed=23))
+        peak = _peak_bytes(lambda: compare(benchmark_params, (5.0, 10.0), n=n, seed=23,
+                                           gd_cfg=GD_BUDGET))
         assert peak < (benchmark_params.k + 1.5) * n * 8
