@@ -20,6 +20,7 @@ byte-identical outputs.  Seeds are required for every stochastic command.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import re
 import sys
@@ -40,6 +41,7 @@ from .market import (
     write_params_json,
 )
 from .reports import (
+    EcdfWriters,
     comparison_report_dict,
     dumps_json,
     human_comparison_table,
@@ -169,8 +171,9 @@ def cmd_solve(args) -> int:
             raise ValidationError(f"--method {args.method} requires --samples and --seed")
         scenarios = simulate(params, args.samples, args.seed)
     # Under "all", as in compare, a method that fails is recorded and the
-    # others still report; only a gamma below the bound stops the command.
-    payload, weights = {}, {}
+    # others still report, and each failure is named on stderr after the
+    # output; only a gamma below the bound stops the command.
+    payload, weights, failed = {}, {}, []
     for m in methods:
         try:
             report = solve_method(m, params, scenarios, ra, gd_cfg, taylor_cfg)
@@ -178,7 +181,7 @@ def cmd_solve(args) -> int:
             if not every or isinstance(exc, GammaBelowBound):
                 raise
             payload[m] = {"error": str(exc), "method": m}
-            print(f"method {m} failed: {exc}", file=sys.stderr)
+            failed.append(f"method {m} failed: {exc}")
         else:
             payload[m] = solver_report_dict(m, report)
             weights[m] = report.weights
@@ -192,6 +195,8 @@ def cmd_solve(args) -> int:
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
+    for line in failed:
+        print(line, file=sys.stderr)
     if not weights:
         print("every method failed", file=sys.stderr)
         return EXIT_SOLVER_FAILED
@@ -205,19 +210,24 @@ def cmd_compare(args) -> int:
     except ValueError:
         raise ValidationError(f"--gammas must be comma-separated numbers, got {args.gammas!r}")
     gd_cfg, taylor_cfg = _solver_configs(args)
-    report = compare(
-        params, gammas, n=args.samples, seed=args.seed,
-        gd_cfg=gd_cfg, taylor_cfg=taylor_cfg, ecdf_points=args.ecdf_points,
-    )
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_comparison_csv(report, outdir / "comparison.csv")
-    write_text(outdir / "comparison.json", dumps_json(comparison_report_dict(report)))
-    write_ecdf_files(report, outdir)
+    # The writers are forked before compare starts its threads and write
+    # each gamma's ECDF files while the others are still being solved.
+    tables = 2 * len(METHODS) * len(gammas)
+    writers = EcdfWriters.start(outdir, tables, tables * args.ecdf_points)
+    with writers or contextlib.nullcontext():
+        report = compare(
+            params, gammas, n=args.samples, seed=args.seed, gd_cfg=gd_cfg,
+            taylor_cfg=taylor_cfg, ecdf_points=args.ecdf_points, ecdf_sink=writers,
+        )
+        outdir.mkdir(parents=True, exist_ok=True)
+        write_comparison_csv(report, outdir / "comparison.csv")
+        write_text(outdir / "comparison.json", dumps_json(comparison_report_dict(report)))
+        files = writers.close() if writers else len(write_ecdf_files(report, outdir))
     print(human_comparison_table(report))
     print(f"wrote {outdir / 'comparison.csv'}")
     print(f"wrote {outdir / 'comparison.json'}")
-    print(f"wrote {len(report.ecdfs)} ECDF files to {outdir}")
+    print(f"wrote {files} ECDF files to {outdir}")
     failed = {key: cell.error for key, cell in report.cells.items() if cell.failed}
     for (g, method), error in failed.items():
         print(f"cell gamma={fmt_gamma(g)} method={method} failed: {error}", file=sys.stderr)

@@ -23,10 +23,11 @@ thread pool competes with the solver threads of :func:`compare`.
 The workers of :func:`compare` solve without a length-N array and share
 one length-N evaluation buffer per two workers (:func:`_compare_gammas`):
 after each solve a worker waits for a free buffer and evaluates its gamma
-there.  A cell (:func:`_evaluate_cell`) writes its wealths in the buffer
-once, sorts them once, counts its ``W <= 0`` draws at the front and turns
-the rest into utilities in place, so it holds no second length-N float
-array.  The one utility kernel, :func:`_utilities`, leaves feasibility to
+there; a caller's ``ecdf_sink`` then gets that gamma's ECDF tables, which
+the report does not keep.  A cell (:func:`_evaluate_cell`) writes its
+wealths in the buffer once, sorts them once, counts its ``W <= 0`` draws at
+the front and turns the rest into utilities in place, so it holds no
+second length-N float array.  The one utility kernel, :func:`_utilities`, leaves feasibility to
 its callers; only :func:`evaluate_strategy`'s draw-ordered output holds
 NaN.  Every statistic, in :func:`summarize` as in a cell, is read from the
 sorted sample (:func:`_summary_of_sorted`), so it does not depend on the
@@ -234,7 +235,8 @@ class ComparisonReport:
 
     ``cells`` maps ``(gamma, method)`` to :class:`CellResult`; ``ecdfs`` maps
     ``(gamma, method, kind)`` with kind in {"wealth", "utility"} to an
-    ``(points, 2)`` array of ``(x, F(x))`` rows.
+    ``(points, 2)`` array of ``(x, F(x))`` rows.  ``ecdfs`` is empty when
+    :func:`compare` hands the tables to an ``ecdf_sink`` instead.
     """
 
     gammas: tuple[float, ...]
@@ -528,7 +530,7 @@ def _compare_gamma(scenarios, ra, gross_rf, solved, ecdf_points, buf) -> tuple[d
     return cells, ecdfs
 
 
-def _compare_gammas(p, scenarios, ras, gd_cfg, taylor_cfg, ecdf_points) -> list[tuple]:
+def _compare_gammas(p, scenarios, ras, gd_cfg, taylor_cfg, ecdf_points, sink) -> list[tuple]:
     """The cells and ECDF tables of every risk aversion, on up to one thread per CPU.
 
     The calling thread is one of the W workers.  Each worker takes the next
@@ -537,15 +539,17 @@ def _compare_gammas(p, scenarios, ras, gd_cfg, taylor_cfg, ecdf_points) -> list[
     on the benchmark workloads, so the W workers share ``ceil(W / 2)``
     length-N evaluation buffers: after each solve a worker waits for a free
     buffer, evaluates that gamma in it (:func:`_compare_gamma`) and hands
-    it back, even when the evaluation raises.  Results are stored by gamma
-    index, so they do not depend on the number of workers or on which
-    worker took what.  ``pool.map`` with an idle caller is no faster and
-    needs one more thread, whose own malloc arena raised the median peak
-    RSS by 0.2-0.6 MB on the benchmark workloads.
+    it back, even when the evaluation raises.  With a ``sink``, the worker
+    then calls it, under a lock, with that gamma's ECDF tables and keeps
+    none of them.  Results are stored by gamma index, so they do not depend
+    on the number of workers or on which worker took what.  ``pool.map``
+    with an idle caller is no faster and needs one more thread, whose own
+    malloc arena raised the median peak RSS by 0.2-0.6 MB on the benchmark
+    workloads.
     """
     results: list = [None] * len(ras)
     todo = iter(range(len(ras)))
-    todo_lock = threading.Lock()
+    todo_lock, sink_lock = threading.Lock(), threading.Lock()
     workers = worker_count(len(ras))
     buffers = queue.SimpleQueue()
     for _ in range((workers + 1) // 2):
@@ -560,10 +564,15 @@ def _compare_gammas(p, scenarios, ras, gd_cfg, taylor_cfg, ecdf_points) -> list[
             solved = _solve_gamma(p, scenarios, ras[i], gd_cfg, taylor_cfg)
             buf = buffers.get()
             try:
-                results[i] = _compare_gamma(scenarios, ras[i], p.gross_rf, solved,
-                                            ecdf_points, buf)
+                cells, ecdfs = _compare_gamma(scenarios, ras[i], p.gross_rf, solved,
+                                              ecdf_points, buf)
             finally:
                 buffers.put(buf)
+            if sink is not None:
+                with sink_lock:
+                    sink(ecdfs)
+                ecdfs = {}
+            results[i] = cells, ecdfs
 
     helpers = workers - 1
     # A pool starts its threads on submit, so one worker starts none.
@@ -583,6 +592,7 @@ def compare(
     gd_cfg: GdConfig | None = None,
     taylor_cfg: TaylorConfig | None = None,
     ecdf_points: int = 256,
+    ecdf_sink=None,
 ) -> ComparisonReport:
     """Run every :data:`METHODS` solver on one shared scenario set and summarize.
 
@@ -596,6 +606,15 @@ def compare(
     2 draws) and ``ecdf_points`` must be integers >= 2, ``seed`` one >= 0,
     and ``gammas`` non-empty, distinct by :func:`fmt_gamma` label, at least
     the admissibility bound and each a valid :class:`RiskAversion`.
+
+    ``ecdf_sink``, if given, is called with each gamma's ECDF tables, a dict
+    keyed as :attr:`ComparisonReport.ecdfs`, as soon as that gamma is
+    evaluated: one call at a time, from whichever thread evaluated it, in
+    the order the gammas finish.  The report then keeps no table, so its
+    ``ecdfs`` is empty; the CLI's sink sends the tables to forked writer
+    processes (:class:`~crra_opt.reports.EcdfWriters`).  When the run
+    aborts on an error, the sink has already had the tables of the gammas
+    evaluated before it.
 
     Each gamma is solved, then evaluated, summarized and given its ECDFs;
     the gammas run concurrently, on up to one thread per CPU this process
@@ -620,7 +639,8 @@ def compare(
     ras = [RiskAversion(g) for g in gammas]
     scenarios = simulate(p, n, seed)
     report = ComparisonReport(gammas=gammas, n=n, seed=int(seed))
-    for cells, ecdfs in _compare_gammas(p, scenarios, ras, gd_cfg, taylor_cfg, ecdf_points):
+    for cells, ecdfs in _compare_gammas(p, scenarios, ras, gd_cfg, taylor_cfg, ecdf_points,
+                                        ecdf_sink):
         report.cells.update(cells)
         report.ecdfs.update(ecdfs)
     return report

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -31,6 +33,36 @@ BENCHMARK_RF = 0.0006
 
 # 1 + 4 mu' sigma^-1 mu for the benchmark market, pinned from this build.
 BENCHMARK_BOUND = 1.0772240691920854
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a child process, running or unreaped:
+    every forked ECDF writer must be reaped before its caller returns."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process " + ("running" if pid == 0 else "unreaped"))
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test with :class:`TimeoutError`, rather than hang the suite,
+    if it runs past 60 s (a lost end of a pipe blocks its reader forever)."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def scale_roots(j: float, gamma: float, gross_rf: float) -> tuple[float, float]:

@@ -6,7 +6,10 @@ N = 20,000 (the one-asset sweep keeps its 12 gammas and 4096 ECDF points)
 and once more on the paper's market at N = 65,541, where the solvers' sums
 run over three blocks of scenarios; ``solve --method all`` on two markets,
 ``frontier``, ``estimate`` on a price CSV with one ASCII and one non-ASCII
-asset name, and ``--help`` of the program and of each subcommand.  A run
+asset name, and ``--help`` of the program and of each subcommand.  Each
+``compare`` and ``solve`` run passes ``--max-iter`` a few times the gd
+steps it takes (9-10, or 20-25 on the 16-asset market), so a broken gd
+fails the golden test in seconds; no output holds the budget.  A run
 with a market or a price CSV writes the file its ``--out``/``--outdir``
 names; a run without one (``--help``) is recorded as its stdout, wrapped
 at ``COLUMNS`` = 80.  ``manifest.json`` records the sha256 of every file

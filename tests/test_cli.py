@@ -28,7 +28,7 @@ from crra_opt import (
     tangency,
     write_params_json,
 )
-from crra_opt import cli
+from crra_opt import cli, reports
 from crra_opt.cli import main
 from crra_opt.reports import dumps_json
 
@@ -46,6 +46,33 @@ PRICES_CSV = """date,one,two
 # steps each takes, so a broken gd fails its test in seconds instead of
 # grinding through the default 100,000 steps.
 GD_BUDGET = ["--max-iter", "50"]
+
+
+def _env_with_src() -> dict:
+    """The environment with this ``crra_opt`` first on ``PYTHONPATH``."""
+    src = str(Path(crra_opt.__file__).resolve().parents[1])
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _no_fork():
+    raise AssertionError("forked an ECDF writer")
+
+
+def _stream_ecdf_tables(monkeypatch, workers: int) -> list:
+    """Make compare stream its ECDF tables to ``workers`` forked writers,
+    whatever the study's size; returns the list of forks, one item each."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(reports, "MIN_SHARE_ROWS", 1)
+    monkeypatch.setattr(reports, "worker_count", lambda tasks: workers)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
 
 class UnlistedSolverFailure(CrraOptError):
@@ -108,6 +135,22 @@ class TestSolve:
         assert payload["expected_excess_return"] ** 2 == pytest.approx(
             payload["J"] * payload["variance"], rel=1e-10
         )
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_all_names_its_failures_after_the_output(self, tmp_path, benchmark_json, to_file):
+        # Unbuffered, with stderr merged into stdout, the lines come in the
+        # order they are written.
+        out = ["--out", str(tmp_path / "all.json")] if to_file else []
+        proc = subprocess.run(
+            [sys.executable, "-u", "-m", "crra_opt.cli", "solve", "--params",
+             str(benchmark_json), "--gamma", "10", "--method", "all", "--samples", "2000",
+             "--seed", "9", "--taylor-max-iter", "1", *GD_BUDGET, *out],
+            env=_env_with_src(), stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            timeout=120)
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert lines[-1].startswith("method taylor failed: fixed-point step")
+        assert lines[-2] == (f"wrote {tmp_path / 'all.json'}" if to_file else "}")
 
     def test_gamma_below_bound_exit_4_with_bound_printed(self, benchmark_json, capsys):
         code = main(["solve", "--params", str(benchmark_json), "--gamma", "1.05",
@@ -301,6 +344,82 @@ class TestCompare:
         for pa, pb in zip(files_a, files_b):
             assert pa.read_bytes() == pb.read_bytes()
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_streamed_ecdf_files_match_the_write_after_the_study(
+            self, tmp_path, benchmark_json, monkeypatch, capsys, deadline, workers):
+        args = ["compare", "--params", str(benchmark_json), "--gammas", "5,10,15",
+                "--samples", "5000", "--seed", "9", *GD_BUDGET]
+        # 18 tables of 256 rows stay below MIN_SHARE_ROWS: no fork.
+        with monkeypatch.context() as m:
+            m.setattr(os, "fork", _no_fork)
+            assert main(args + ["--outdir", str(tmp_path / "after")]) == 0
+        after = capsys.readouterr()
+        forks = _stream_ecdf_tables(monkeypatch, workers)
+        assert main(args + ["--outdir", str(tmp_path / "streamed")]) == 0
+        assert len(forks) == workers
+        streamed = capsys.readouterr()
+        assert streamed.out == after.out.replace(str(tmp_path / "after"),
+                                                 str(tmp_path / "streamed"))
+        assert streamed.err == after.err
+        files = sorted(p.name for p in (tmp_path / "after").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "streamed").iterdir())
+        assert len(files) == 2 + 18
+        for name in files:
+            assert (tmp_path / "streamed" / name).read_bytes() == (
+                tmp_path / "after" / name).read_bytes()
+
+    @pytest.mark.parametrize("error", [RuntimeError, AllScenariosInfeasible])
+    def test_error_mid_study_leaves_no_writer(self, tmp_path, benchmark_json, monkeypatch,
+                                              deadline, error):
+        def broken(x, lam, real=simulation._utilities):
+            if lam == 1.0 - 10.0:
+                raise error("failed at gamma 10")
+            real(x, lam)
+
+        monkeypatch.setattr(simulation, "_utilities", broken)
+        forks = _stream_ecdf_tables(monkeypatch, 3)
+        outdir = tmp_path / "o"
+        argv = ["compare", "--params", str(benchmark_json), "--gammas", "5,10,15",
+                "--samples", "2000", "--seed", "9", *GD_BUDGET, "--outdir", str(outdir)]
+        if error is RuntimeError:  # not a package error: the study stops
+            with pytest.raises(RuntimeError, match="failed at gamma 10"):
+                main(argv)
+        else:  # a package error fails gamma 10's cells alone
+            assert main(argv) == 0
+            assert sorted(p.name for p in outdir.glob("ecdf_*.csv")) == sorted(
+                f"ecdf_{kind}_gamma{g}_{m}.csv" for g in (5, 15) for m in simulation.METHODS
+                for kind in ("wealth", "utility"))
+        assert len(forks) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_validation_error_with_writers_forked_leaves_no_writer_and_no_outdir(
+            self, tmp_path, benchmark_json, monkeypatch, capsys, deadline):
+        forks = _stream_ecdf_tables(monkeypatch, 2)
+        assert main(["compare", "--params", str(benchmark_json), "--gammas", "5,1.05",
+                     "--samples", "100", "--seed", "1", "--outdir", str(tmp_path / "o")]) == 4
+        assert len(forks) == 2
+        assert capsys.readouterr().err.startswith("error: gamma")
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_ecdf_path_that_is_a_directory_exits_2_after_the_comparison_files(
+            self, tmp_path, benchmark_json, monkeypatch, capsys, deadline, workers):
+        if workers:
+            _stream_ecdf_tables(monkeypatch, workers)
+        else:
+            monkeypatch.setattr(os, "fork", _no_fork)
+        outdir = tmp_path / "o"
+        bad = outdir / "ecdf_utility_gamma10_taylor.csv"
+        bad.mkdir(parents=True)
+        assert main(["compare", "--params", str(benchmark_json), "--gammas", "5,10",
+                     "--samples", "2000", "--seed", "9", *GD_BUDGET,
+                     "--outdir", str(outdir)]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: {str(bad)!r}\n")
+        assert (outdir / "comparison.csv").is_file() and (outdir / "comparison.json").is_file()
+
     @pytest.mark.parametrize("k", [1, 3])
     def test_byte_identical_under_blas_thread_counts(self, tmp_path, k):
         # OpenBLAS reads its thread count once, at load, so each count needs
@@ -310,11 +429,9 @@ class TestCompare:
         write_params_json(make_params(BENCHMARK_MU[:k],
                                       [row[:k] for row in BENCHMARK_SIGMA[:k]],
                                       BENCHMARK_RF), params)
-        src = str(Path(crra_opt.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env = dict(_env_with_src(), OPENBLAS_NUM_THREADS=threads)
             # The summary names the output directory, so both runs use the
             # same relative one.
             cwd = tmp_path / f"threads{threads}"
@@ -747,10 +864,7 @@ assert main(["solve", *common, "--gamma", "10", "--method", "all",
              "--out", {str(tmp_path / "all.json")!r}]) == 0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
-    src = str(Path(crra_opt.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"

@@ -6,12 +6,14 @@ import csv
 import itertools
 import json
 import os
+import signal
 import threading
 
 import numpy as np
 import pytest
 
-from crra_opt import CellResult, ComparisonReport, RiskAversion, SummaryStats, simulate
+from crra_opt import (CellResult, ComparisonReport, GdConfig, RiskAversion, SummaryStats,
+                      simulate)
 from crra_opt import reports
 from crra_opt.reports import (
     dumps_json,
@@ -103,7 +105,8 @@ def test_solver_report_keys_keep_solve_order(benchmark_params):
         "gd": ["weights", "iterations", "stopping_residual", "objective", "converged", "method"],
     }
     for method in METHODS:
-        report = solve_method(method, benchmark_params, scenarios, RiskAversion(10.0))
+        report = solve_method(method, benchmark_params, scenarios, RiskAversion(10.0),
+                              GdConfig(max_iter=50))  # gd takes 10 steps
         payload = solver_report_dict(method, report)
         assert list(payload) == expected[method]
         assert payload["method"] == method
@@ -171,9 +174,8 @@ def _expected_text(table) -> bytes:
     return ("x,F\n" + "".join(f"{float(x)!r},{float(f)!r}\n" for x, f in table)).encode()
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_ecdf_files_keep_their_bytes_under_any_worker_count(tmp_path, monkeypatch, workers):
-    report = _awkward_report()
+def _counting_forks(monkeypatch, workers: int) -> list:
+    """Patch the writer count to ``workers`` and record each ``os.fork``."""
     forks = []
     real_fork = os.fork
 
@@ -183,26 +185,86 @@ def test_ecdf_files_keep_their_bytes_under_any_worker_count(tmp_path, monkeypatc
 
     monkeypatch.setattr(reports, "worker_count", lambda tasks: workers)
     monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_ecdf_files_keep_their_bytes_under_any_worker_count(tmp_path, monkeypatch, deadline,
+                                                            workers):
+    report = _awkward_report()
+    forks = _counting_forks(monkeypatch, workers)
     written = write_ecdf_files(report, tmp_path)
-    assert len(forks) == workers - 1
+    assert len(forks) == (workers if workers > 1 else 0)  # one writer stays in process
     assert written == [tmp_path / ecdf_filename(kind, g, m) for g, m, kind in report.ecdfs]
     for path, table in zip(written, report.ecdfs.values()):
         assert path.read_bytes() == _expected_text(table)
     assert sorted(tmp_path.iterdir()) == sorted(written)
 
 
-def test_failed_child_share_raises_in_the_caller_and_leaves_no_child(tmp_path, monkeypatch):
+def test_streamed_tables_keep_their_bytes_and_need_no_report(tmp_path, monkeypatch, deadline):
+    # Fed one gamma at a time, as compare feeds its sink, into a directory
+    # that does not exist yet: the writers make it.
+    report = _awkward_report()
+    forks = _counting_forks(monkeypatch, 2)
+    outdir = tmp_path / "new" / "dir"
+    writers = reports.EcdfWriters.start(outdir, tables=7, rows=7 * reports.MIN_SHARE_ROWS)
+    with writers:
+        for g in report.gammas:
+            writers({key: table for key, table in report.ecdfs.items() if key[0] == g})
+    assert len(forks) == 2
+    assert writers.close() == 7  # reaped already: only the count is left
+    for (g, method, kind), table in report.ecdfs.items():
+        assert (outdir / ecdf_filename(kind, g, method)).read_bytes() == _expected_text(table)
+
+
+def test_each_writer_ends_once_its_own_pipe_closes(tmp_path, monkeypatch, deadline):
+    # A writer holding another's table pipe would keep that one waiting for
+    # its input's end; here the first writer ends while the others still wait.
+    _counting_forks(monkeypatch, 3)
+    writers = reports.EcdfWriters.start(tmp_path, tables=3, rows=3 * reports.MIN_SHARE_ROWS)
+    with writers:
+        first = writers._children[0]
+        os.close(first[1])
+        first[1] = None
+        assert os.waitpid(first[0], 0)[1] == 0
+        os.close(first[2])
+        writers._children.remove(first)
+        assert all(os.waitpid(pid, os.WNOHANG) == (0, 0) for pid, _, _ in writers._children)
+
+
+def test_failed_child_share_raises_in_the_caller_and_leaves_no_child(tmp_path, monkeypatch,
+                                                                    deadline):
     report = _awkward_report()
     monkeypatch.setattr(reports, "worker_count", lambda tasks: 3)
-    g, method, kind = list(report.ecdfs)[1]  # dealt to share 1 of 3
-    (tmp_path / ecdf_filename(kind, g, method)).mkdir()
-    with pytest.raises(IsADirectoryError):
+    g, method, kind = list(report.ecdfs)[1]  # dealt to writer 1 of 3
+    bad = tmp_path / ecdf_filename(kind, g, method)
+    bad.mkdir()
+    with pytest.raises(IsADirectoryError) as excinfo:
         write_ecdf_files(report, tmp_path)
+    assert str(excinfo.value) == f"[Errno 21] Is a directory: {str(bad)!r}"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # The other writers wrote every file they got; the failed one stopped.
+    for i, ((g, method, kind), table) in enumerate(report.ecdfs.items()):
+        if i % 3 != 1:
+            path = tmp_path / ecdf_filename(kind, g, method)
+            assert path.read_bytes() == _expected_text(table)
+
+
+def test_a_killed_writer_is_reported_not_a_broken_pipe(tmp_path, monkeypatch, deadline):
+    _counting_forks(monkeypatch, 2)
+    table = np.zeros((reports.MIN_SHARE_ROWS, 2))
+    writers = reports.EcdfWriters.start(tmp_path, tables=2, rows=2 * reports.MIN_SHARE_ROWS)
+    with pytest.raises(ChildProcessError, match="exited with status -9"):
+        with writers:
+            os.kill(writers._children[1][0], signal.SIGKILL)
+            for g in (5.0, 7.5, 10.0):
+                writers({(g, "gd", "wealth"): table, (g, "gd", "utility"): table})
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_no_fork_while_another_thread_is_alive(tmp_path, monkeypatch):
+def test_no_fork_while_another_thread_is_alive(tmp_path, monkeypatch, deadline):
     report = _awkward_report()
 
     def fork():
@@ -223,7 +285,7 @@ def test_no_fork_while_another_thread_is_alive(tmp_path, monkeypatch):
         assert path.read_bytes() == _expected_text(table)
 
 
-def test_caller_writes_the_share_of_a_failed_fork(tmp_path, monkeypatch):
+def test_caller_writes_every_file_when_every_fork_fails(tmp_path, monkeypatch, deadline):
     report = _awkward_report()
 
     def fork():

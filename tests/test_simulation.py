@@ -848,6 +848,36 @@ class TestConcurrentSolve:
             for key, table in first.ecdfs.items():
                 np.testing.assert_array_equal(other.ecdfs[key], table)
 
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_sink_gets_each_gammas_tables_once_and_the_report_keeps_none(
+        self, benchmark_params, monkeypatch, workers
+    ):
+        monkeypatch.setattr(simulation, "worker_count", lambda tasks: workers)
+        kept = compare(benchmark_params, self.GAMMAS, n=2_000, seed=25, gd_cfg=GD_BUDGET)
+        calls, active, most_active = [], [], []
+
+        def sink(ecdfs):
+            active.append(ecdfs)
+            most_active.append(len(active))
+            time.sleep(0.001)  # long enough for another worker to call too
+            calls.append(ecdfs)
+            active.remove(ecdfs)
+
+        streamed = compare(benchmark_params, self.GAMMAS, n=2_000, seed=25, gd_cfg=GD_BUDGET,
+                           ecdf_sink=sink)
+        assert streamed.ecdfs == {}
+        assert max(most_active) == 1  # one call at a time
+        # One call per gamma, with that gamma's tables only.
+        assert sorted(tuple({g for g, _, _ in ecdfs}) for ecdfs in calls) == [
+            (g,) for g in self.GAMMAS]
+        received = {key: table for ecdfs in calls for key, table in ecdfs.items()}
+        assert sorted(received) == sorted(kept.ecdfs)
+        for key, table in kept.ecdfs.items():
+            np.testing.assert_array_equal(received[key], table)
+        for key, cell in kept.cells.items():
+            np.testing.assert_array_equal(streamed.cells[key].weights, cell.weights)
+            assert streamed.cells[key].stats == cell.stats
+
     @staticmethod
     def _two_workers(monkeypatch):
         """Run compare on two workers.  The returned ``in_helper()`` holds
