@@ -20,7 +20,6 @@ byte-identical outputs.  Seeds are required for every stochastic command.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import re
 import sys
@@ -47,7 +46,6 @@ from .reports import (
     human_comparison_table,
     solver_report_dict,
     write_comparison_csv,
-    write_ecdf_files,
     write_text,
 )
 from .simulation import METHODS, compare, fmt_gamma, simulate, solve_method
@@ -211,11 +209,12 @@ def cmd_compare(args) -> int:
         raise ValidationError(f"--gammas must be comma-separated numbers, got {args.gammas!r}")
     gd_cfg, taylor_cfg = _solver_configs(args)
     outdir = Path(args.outdir)
-    # The writers are forked before compare starts its threads and write
-    # each gamma's ECDF files while the others are still being solved.
+    # The writers start before compare starts its threads.  Where they fork
+    # processes, those write each gamma's ECDF files while the others are
+    # still being solved; where they fork none, the files are written on
+    # leaving the block, after comparison.{csv,json}.
     tables = 2 * len(METHODS) * len(gammas)
-    writers = EcdfWriters.start(outdir, tables, tables * args.ecdf_points)
-    with writers or contextlib.nullcontext():
+    with EcdfWriters.start(outdir, tables, tables * args.ecdf_points) as writers:
         report = compare(
             params, gammas, n=args.samples, seed=args.seed, gd_cfg=gd_cfg,
             taylor_cfg=taylor_cfg, ecdf_points=args.ecdf_points, ecdf_sink=writers,
@@ -223,11 +222,10 @@ def cmd_compare(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         write_comparison_csv(report, outdir / "comparison.csv")
         write_text(outdir / "comparison.json", dumps_json(comparison_report_dict(report)))
-        files = writers.close() if writers else len(write_ecdf_files(report, outdir))
     print(human_comparison_table(report))
     print(f"wrote {outdir / 'comparison.csv'}")
     print(f"wrote {outdir / 'comparison.json'}")
-    print(f"wrote {files} ECDF files to {outdir}")
+    print(f"wrote {writers.files} ECDF files to {outdir}")
     failed = {key: cell.error for key, cell in report.cells.items() if cell.failed}
     for (g, method), error in failed.items():
         print(f"cell gamma={fmt_gamma(g)} method={method} failed: {error}", file=sys.stderr)

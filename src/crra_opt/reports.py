@@ -6,10 +6,10 @@ inputs produce byte-identical files.  Every JSON file is written by
 :func:`~crra_opt.market.dumps_json`, which also writes the params file;
 it and :func:`~crra_opt.market.write_text` are imported here for the
 report writers and their callers.  The ECDF files, most of a study's
-bytes, are written by up to one forked process per CPU
-(:class:`EcdfWriters`), which ``crra-opt compare`` feeds each gamma's
-tables while it is still solving the others, and :func:`write_ecdf_files`
-feeds a finished report's; their bytes do not depend on how many.
+bytes, are written by one :class:`EcdfWriters`, fed each gamma's tables
+by ``crra-opt compare`` while it still solves the others, and a finished
+report's by :func:`write_ecdf_files`; the bytes do not depend on how
+many processes it forks.
 """
 
 from __future__ import annotations
@@ -107,66 +107,59 @@ def write_ecdf_files(report: ComparisonReport, outdir) -> list[Path]:
     """One ``x,F`` CSV per (gamma, method, kind) of ``report.ecdfs``;
     returns the written paths in ``report.ecdfs`` order.
 
-    The tables go to the :class:`EcdfWriters` forked for them, the same
-    writers ``crra-opt compare`` feeds while it is still solving; where
-    none is forked, this process writes every file itself.  The bytes do
-    not depend on how many processes write them.
+    The tables go to an :class:`EcdfWriters`, the writers ``crra-opt
+    compare`` feeds while it is still solving, so the bytes do not depend
+    on how many processes write them.
     """
     outdir = Path(outdir)
     rows = sum(table.shape[0] for table in report.ecdfs.values())
-    writers = EcdfWriters.start(outdir, len(report.ecdfs), rows)
-    if writers is None:
-        _write_tables(outdir, ((ecdf_filename(kind, g, method), tuple(table.ravel().tolist()))
-                               for (g, method, kind), table in report.ecdfs.items()))
-    else:
-        with writers:
-            writers(report.ecdfs)
+    with EcdfWriters.start(outdir, len(report.ecdfs), rows) as writers:
+        writers(report.ecdfs)
     return [outdir / ecdf_filename(kind, g, method) for g, method, kind in report.ecdfs]
 
 
 class EcdfWriters:
-    """ECDF writer processes, each fed its tables through a pipe.
+    """The ECDF writers: forked processes fed through pipes, or this one.
 
-    :meth:`start` forks them.  Calling the object with a dict of tables
-    keyed ``(gamma, method, kind)``, as :func:`~crra_opt.simulation.compare`
-    calls its ``ecdf_sink``, deals the tables round robin to the writers
-    and sends each one as its file name and its raw float64 values, so this
-    process keeps no table.  Each writer makes ``outdir`` if it is missing
-    and formats and writes the files it gets; on an error it sends the
-    error back through a second pipe and exits, and the feeder, finding
-    that writer's pipe closed, sends it nothing more.  :meth:`close`
-    closes the pipes and reaps every writer.  It then raises the error of
-    the first writer that failed: the ``OSError`` a write in this process
-    would raise, or :class:`ChildProcessError` for a writer that ended
-    without one, killed say.  Used as a context manager, the writers are reaped on
-    every exit, and a writer's error is raised only where the block raised
-    none.
+    Calling the object with a dict of tables keyed ``(gamma, method,
+    kind)``, as :func:`~crra_opt.simulation.compare` calls its
+    ``ecdf_sink``, counts them in :attr:`files`.  Where :meth:`start`
+    forked writers, it deals the tables round robin to them, each as its
+    file name and raw float64 values, so this process keeps no table.  A
+    writer makes ``outdir`` if it is missing and formats and writes the
+    files it gets; on an error it sends the error back through a second
+    pipe and exits, and the feeder, finding that writer's pipe closed,
+    sends it nothing more.  Where none is forked, the object keeps the
+    tables.  Used as a context manager, it reaps every writer on every
+    exit; where the block raised nothing, it then raises the first
+    writer's error (the ``OSError`` a write in this process would raise,
+    or :class:`ChildProcessError` for a writer that ended without one,
+    killed say) or writes the kept tables.
     """
 
     def __init__(self, outdir):
         self.outdir = Path(outdir)
-        self.files = 0  # tables dealt so far
+        self.files = 0  # tables fed so far
         self._children: list[list] = []  # [pid, table pipe or None once closed, error pipe]
+        self._kept: dict = {}  # the tables fed where no writer is forked
 
     @classmethod
-    def start(cls, outdir, tables: int, rows: int) -> EcdfWriters | None:
+    def start(cls, outdir, tables: int, rows: int) -> EcdfWriters:
         """Writers for ``tables`` ECDF tables of ``rows`` rows in all: up to
-        one per CPU this process may run on
+        one process per CPU this process may run on
         (:func:`~crra_opt.simulation.worker_count`) and at most one per
-        :data:`MIN_SHARE_ROWS` rows.  None where that is one writer, where
-        the platform has no ``os.fork``, where another Python thread is
-        alive (a fork would copy its locks in whatever state they are) or
-        where every fork fails: then the caller writes the files itself."""
-        if not hasattr(os, "fork") or threading.active_count() > 1:
-            return None
-        count = worker_count(min(tables, rows // MIN_SHARE_ROWS))
-        if count < 2:
-            return None
+        :data:`MIN_SHARE_ROWS` rows.  No process is forked where that is
+        one writer, where the platform has no ``os.fork``, where another
+        Python thread is alive (a fork would copy its locks in whatever
+        state they are) or where every fork fails: then this process
+        writes the files itself."""
         writers = cls(outdir)
-        for _ in range(count):
-            if not writers._fork():
-                break
-        return writers if writers._children else None
+        if (hasattr(os, "fork") and threading.active_count() == 1
+                and (count := worker_count(min(tables, rows // MIN_SHARE_ROWS))) > 1):
+            for _ in range(count):
+                if not writers._fork():
+                    break
+        return writers
 
     def _fork(self) -> bool:
         tables_r, tables_w = os.pipe()
@@ -194,10 +187,14 @@ class EcdfWriters:
         return True
 
     def __call__(self, ecdfs: dict) -> None:
+        if not self._children:
+            self._kept.update(ecdfs)
+            self.files += len(ecdfs)
+            return
         for (g, method, kind), table in ecdfs.items():
             child = self._children[self.files % len(self._children)]
             self.files += 1
-            if child[1] is None:  # the writer has ended; close() reports why
+            if child[1] is None:  # the writer has ended; __exit__ reports why
                 continue
             values = np.ascontiguousarray(table, dtype=float)
             name = ecdf_filename(kind, g, method).encode()
@@ -208,16 +205,10 @@ class EcdfWriters:
                 os.close(child[1])
                 child[1] = None
 
-    def close(self) -> int:
-        """Close the pipes and reap every writer, then raise the first
-        writer's error; returns the number of tables dealt."""
-        error = self._reap()
-        if error is not None:
-            raise error
-        return self.files
+    def __enter__(self) -> EcdfWriters:
+        return self
 
-    def _reap(self) -> BaseException | None:
-        """Close the pipes, reap every writer and return the first one's error."""
+    def __exit__(self, exc_type, exc, tb) -> None:
         children, self._children = self._children, []
         error = None
         try:
@@ -234,15 +225,12 @@ class EcdfWriters:
                 elif error is None and status != 0:
                     error = ChildProcessError(
                         f"an ECDF writer process exited with status {status}")
-        return error
-
-    def __enter__(self) -> EcdfWriters:
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        error = self._reap()
-        if error is not None and exc_type is None:
+        if exc_type is not None:
+            return
+        if error is not None:
             raise error
+        _write_tables(self.outdir, ((ecdf_filename(kind, g, method), tuple(table.ravel().tolist()))
+                                    for (g, method, kind), table in self._kept.items()))
 
 
 def _write_all(fd: int, data) -> None:
@@ -291,7 +279,7 @@ def _write_tables(outdir: Path, tables) -> None:
 def human_comparison_table(report: ComparisonReport) -> str:
     """Per-gamma blocks with one row per statistic, 6 significant digits,
     then the counts of infeasible and of non-finite draws the statistics
-    leave out."""
+    leave out; a failed cell reads ``failed`` in every row."""
     col = 16
     lines: list[str] = []
     header = "stat".ljust(10) + "".join(m.rjust(col) for m in METHODS)
@@ -308,7 +296,8 @@ def human_comparison_table(report: ComparisonReport) -> str:
                     row += f"{getattr(cell.stats, stat):.6g}".rjust(col)
             lines.append(row)
         for count in ("infeasible", "nonfinite"):
-            values = [str(getattr(report.cells[(g, m)], f"{count}_count")) for m in METHODS]
+            cells = [report.cells[(g, m)] for m in METHODS]
+            values = ["failed" if c.failed else str(getattr(c, f"{count}_count")) for c in cells]
             lines.append(count.ljust(10) + "".join(v.rjust(col) for v in values))
         lines.append("")
     return "\n".join(lines)

@@ -309,6 +309,14 @@ def _some_feasible(infeasible: int, n: int) -> int:
     return infeasible
 
 
+def _enough_finite(finite: np.ndarray, n: int) -> np.ndarray:
+    """``finite``, the finite utilities of ``n`` draws, unless too few for the statistics."""
+    if finite.shape[0] < 2:
+        raise ValidationError(f"{finite.shape[0]} of {n} draws has a finite utility; "
+                              "the statistics need at least 2")
+    return finite
+
+
 def _sample(values, min_size: int, what: str) -> np.ndarray:
     """``values`` as a 1-D float array of at least ``min_size`` values."""
     x = np.asarray(values, dtype=float)
@@ -459,8 +467,9 @@ def _evaluate_cell(scenarios, weights, ra, gross_rf, ecdf_points, buf) -> tuple:
     draws sit at the ends, where two binary searches trim and count them.
     The finite utilities give the utility ECDF and then every statistic
     (:func:`_summary_of_sorted`), so the cell does not depend on the order
-    of the draws.  A statistic that overflows fails the cell with a
-    :class:`ValidationError` that names it, and no numpy warning.
+    of the draws.  Fewer than two finite utilities fail the cell with a
+    :class:`ValidationError` that counts them, and a statistic that
+    overflows with one that names it, and no numpy warning.
 
     The peak is the buffer and a length-N mask, with no second float array.
     """
@@ -474,7 +483,7 @@ def _evaluate_cell(scenarios, weights, ra, gross_rf, ecdf_points, buf) -> tuple:
     lo = int(np.searchsorted(utilities, -np.inf, side="right"))
     hi = int(np.searchsorted(utilities, np.inf, side="left"))
     nonfinite = lo + utilities.shape[0] - hi
-    utilities = _sample(utilities[lo:hi], 2, "summarize")
+    utilities = _enough_finite(utilities[lo:hi], buf.shape[0])
     utility_table = _ecdf_of_sorted(utilities, ecdf_points)
     with np.errstate(over="ignore", invalid="ignore"):
         stats = _summary_of_sorted(utilities)
@@ -611,8 +620,9 @@ def compare(
     keyed as :attr:`ComparisonReport.ecdfs`, as soon as that gamma is
     evaluated: one call at a time, from whichever thread evaluated it, in
     the order the gammas finish.  The report then keeps no table, so its
-    ``ecdfs`` is empty; the CLI's sink sends the tables to forked writer
-    processes (:class:`~crra_opt.reports.EcdfWriters`).  When the run
+    ``ecdfs`` is empty; the CLI's sink, an
+    :class:`~crra_opt.reports.EcdfWriters`, sends the tables to forked
+    writer processes or keeps them until the study is over.  When the run
     aborts on an error, the sink has already had the tables of the gammas
     evaluated before it.
 

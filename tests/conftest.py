@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from crra_opt import MarketParams, make_params
+from crra_opt import MarketParams, make_params, reports
 from crra_opt.closed_form import _scale_root
 
 pytest_plugins = ["pytester"]
@@ -63,6 +63,31 @@ def deadline():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def ecdf_forks(monkeypatch):
+    """``ecdf_forks(workers=None, min_share_rows=None)`` records each
+    ``os.fork`` in the list it returns, one item per fork, and makes
+    :mod:`crra_opt.reports` ask for ``workers`` ECDF writers and set
+    :data:`~crra_opt.reports.MIN_SHARE_ROWS` to ``min_share_rows`` where
+    each is given.  Every call returns the same list."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    def patch(workers: int | None = None, min_share_rows: int | None = None) -> list:
+        monkeypatch.setattr(os, "fork", fork)
+        if workers is not None:
+            monkeypatch.setattr(reports, "worker_count", lambda tasks: workers)
+        if min_share_rows is not None:
+            monkeypatch.setattr(reports, "MIN_SHARE_ROWS", min_share_rows)
+        return forks
+
+    return patch
 
 
 def scale_roots(j: float, gamma: float, gross_rf: float) -> tuple[float, float]:

@@ -28,7 +28,7 @@ from crra_opt import (
     tangency,
     write_params_json,
 )
-from crra_opt import cli, reports
+from crra_opt import cli
 from crra_opt.cli import main
 from crra_opt.reports import dumps_json
 
@@ -53,26 +53,6 @@ def _env_with_src() -> dict:
     src = str(Path(crra_opt.__file__).resolve().parents[1])
     return dict(os.environ,
                 PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
-def _no_fork():
-    raise AssertionError("forked an ECDF writer")
-
-
-def _stream_ecdf_tables(monkeypatch, workers: int) -> list:
-    """Make compare stream its ECDF tables to ``workers`` forked writers,
-    whatever the study's size; returns the list of forks, one item each."""
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(reports, "MIN_SHARE_ROWS", 1)
-    monkeypatch.setattr(reports, "worker_count", lambda tasks: workers)
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
 
 
 class UnlistedSolverFailure(CrraOptError):
@@ -346,15 +326,15 @@ class TestCompare:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_streamed_ecdf_files_match_the_write_after_the_study(
-            self, tmp_path, benchmark_json, monkeypatch, capsys, deadline, workers):
+            self, tmp_path, benchmark_json, ecdf_forks, capsys, deadline, workers):
         args = ["compare", "--params", str(benchmark_json), "--gammas", "5,10,15",
                 "--samples", "5000", "--seed", "9", *GD_BUDGET]
         # 18 tables of 256 rows stay below MIN_SHARE_ROWS: no fork.
-        with monkeypatch.context() as m:
-            m.setattr(os, "fork", _no_fork)
-            assert main(args + ["--outdir", str(tmp_path / "after")]) == 0
+        forks = ecdf_forks()
+        assert main(args + ["--outdir", str(tmp_path / "after")]) == 0
+        assert forks == []
         after = capsys.readouterr()
-        forks = _stream_ecdf_tables(monkeypatch, workers)
+        ecdf_forks(workers, min_share_rows=1)
         assert main(args + ["--outdir", str(tmp_path / "streamed")]) == 0
         assert len(forks) == workers
         streamed = capsys.readouterr()
@@ -370,14 +350,14 @@ class TestCompare:
 
     @pytest.mark.parametrize("error", [RuntimeError, AllScenariosInfeasible])
     def test_error_mid_study_leaves_no_writer(self, tmp_path, benchmark_json, monkeypatch,
-                                              deadline, error):
+                                              ecdf_forks, deadline, error):
         def broken(x, lam, real=simulation._utilities):
             if lam == 1.0 - 10.0:
                 raise error("failed at gamma 10")
             real(x, lam)
 
         monkeypatch.setattr(simulation, "_utilities", broken)
-        forks = _stream_ecdf_tables(monkeypatch, 3)
+        forks = ecdf_forks(3, min_share_rows=1)
         outdir = tmp_path / "o"
         argv = ["compare", "--params", str(benchmark_json), "--gammas", "5,10,15",
                 "--samples", "2000", "--seed", "9", *GD_BUDGET, "--outdir", str(outdir)]
@@ -394,8 +374,8 @@ class TestCompare:
             os.waitpid(-1, os.WNOHANG)
 
     def test_validation_error_with_writers_forked_leaves_no_writer_and_no_outdir(
-            self, tmp_path, benchmark_json, monkeypatch, capsys, deadline):
-        forks = _stream_ecdf_tables(monkeypatch, 2)
+            self, tmp_path, benchmark_json, ecdf_forks, capsys, deadline):
+        forks = ecdf_forks(2, min_share_rows=1)
         assert main(["compare", "--params", str(benchmark_json), "--gammas", "5,1.05",
                      "--samples", "100", "--seed", "1", "--outdir", str(tmp_path / "o")]) == 4
         assert len(forks) == 2
@@ -406,11 +386,8 @@ class TestCompare:
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_ecdf_path_that_is_a_directory_exits_2_after_the_comparison_files(
-            self, tmp_path, benchmark_json, monkeypatch, capsys, deadline, workers):
-        if workers:
-            _stream_ecdf_tables(monkeypatch, workers)
-        else:
-            monkeypatch.setattr(os, "fork", _no_fork)
+            self, tmp_path, benchmark_json, ecdf_forks, capsys, deadline, workers):
+        forks = ecdf_forks(workers, min_share_rows=1) if workers else ecdf_forks()
         outdir = tmp_path / "o"
         bad = outdir / "ecdf_utility_gamma10_taylor.csv"
         bad.mkdir(parents=True)
@@ -419,6 +396,7 @@ class TestCompare:
                      "--outdir", str(outdir)]) == 2
         assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: {str(bad)!r}\n")
         assert (outdir / "comparison.csv").is_file() and (outdir / "comparison.json").is_file()
+        assert len(forks) == workers
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_byte_identical_under_blas_thread_counts(self, tmp_path, k):

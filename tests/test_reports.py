@@ -174,25 +174,11 @@ def _expected_text(table) -> bytes:
     return ("x,F\n" + "".join(f"{float(x)!r},{float(f)!r}\n" for x, f in table)).encode()
 
 
-def _counting_forks(monkeypatch, workers: int) -> list:
-    """Patch the writer count to ``workers`` and record each ``os.fork``."""
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(reports, "worker_count", lambda tasks: workers)
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_ecdf_files_keep_their_bytes_under_any_worker_count(tmp_path, monkeypatch, deadline,
+def test_ecdf_files_keep_their_bytes_under_any_worker_count(tmp_path, ecdf_forks, deadline,
                                                             workers):
     report = _awkward_report()
-    forks = _counting_forks(monkeypatch, workers)
+    forks = ecdf_forks(workers)
     written = write_ecdf_files(report, tmp_path)
     assert len(forks) == (workers if workers > 1 else 0)  # one writer stays in process
     assert written == [tmp_path / ecdf_filename(kind, g, m) for g, m, kind in report.ecdfs]
@@ -201,26 +187,26 @@ def test_ecdf_files_keep_their_bytes_under_any_worker_count(tmp_path, monkeypatc
     assert sorted(tmp_path.iterdir()) == sorted(written)
 
 
-def test_streamed_tables_keep_their_bytes_and_need_no_report(tmp_path, monkeypatch, deadline):
+def test_streamed_tables_keep_their_bytes_and_need_no_report(tmp_path, ecdf_forks, deadline):
     # Fed one gamma at a time, as compare feeds its sink, into a directory
     # that does not exist yet: the writers make it.
     report = _awkward_report()
-    forks = _counting_forks(monkeypatch, 2)
+    forks = ecdf_forks(2)
     outdir = tmp_path / "new" / "dir"
     writers = reports.EcdfWriters.start(outdir, tables=7, rows=7 * reports.MIN_SHARE_ROWS)
     with writers:
         for g in report.gammas:
             writers({key: table for key, table in report.ecdfs.items() if key[0] == g})
     assert len(forks) == 2
-    assert writers.close() == 7  # reaped already: only the count is left
+    assert writers.files == 7
     for (g, method, kind), table in report.ecdfs.items():
         assert (outdir / ecdf_filename(kind, g, method)).read_bytes() == _expected_text(table)
 
 
-def test_each_writer_ends_once_its_own_pipe_closes(tmp_path, monkeypatch, deadline):
+def test_each_writer_ends_once_its_own_pipe_closes(tmp_path, ecdf_forks, deadline):
     # A writer holding another's table pipe would keep that one waiting for
     # its input's end; here the first writer ends while the others still wait.
-    _counting_forks(monkeypatch, 3)
+    ecdf_forks(3)
     writers = reports.EcdfWriters.start(tmp_path, tables=3, rows=3 * reports.MIN_SHARE_ROWS)
     with writers:
         first = writers._children[0]
@@ -230,6 +216,45 @@ def test_each_writer_ends_once_its_own_pipe_closes(tmp_path, monkeypatch, deadli
         os.close(first[2])
         writers._children.remove(first)
         assert all(os.waitpid(pid, os.WNOHANG) == (0, 0) for pid, _, _ in writers._children)
+
+
+def test_a_single_writer_forks_no_process(tmp_path, ecdf_forks, deadline):
+    forks = ecdf_forks(1)
+    with reports.EcdfWriters.start(tmp_path, tables=7, rows=7 * reports.MIN_SHARE_ROWS) as writers:
+        assert isinstance(writers, reports.EcdfWriters)
+        assert writers._children == []
+    assert forks == []
+
+
+def test_unforked_writers_write_every_table_when_the_block_ends(tmp_path, ecdf_forks, deadline):
+    # Fed one gamma at a time, as compare feeds its sink: nothing is written,
+    # not even the directory, until the block ends.
+    report = _awkward_report()
+    forks = ecdf_forks(1)
+    outdir = tmp_path / "new" / "dir"
+    with reports.EcdfWriters.start(outdir, tables=7, rows=7 * reports.MIN_SHARE_ROWS) as writers:
+        for g in report.gammas:
+            writers({key: table for key, table in report.ecdfs.items() if key[0] == g})
+        assert not outdir.exists()
+    assert forks == []
+    assert writers.files == 7
+    expected = [outdir / ecdf_filename(kind, g, m) for g, m, kind in report.ecdfs]
+    assert sorted(outdir.iterdir()) == sorted(expected)
+    for path, table in zip(expected, report.ecdfs.values()):
+        assert path.read_bytes() == _expected_text(table)
+
+
+def test_unforked_writers_write_nothing_when_the_block_raises(tmp_path, ecdf_forks, deadline):
+    report = _awkward_report()
+    forks = ecdf_forks(1)
+    outdir = tmp_path / "o"
+    with pytest.raises(RuntimeError, match="^the study failed$"):
+        with reports.EcdfWriters.start(outdir, tables=7, rows=7 * reports.MIN_SHARE_ROWS) as w:
+            w(report.ecdfs)
+            raise RuntimeError("the study failed")
+    assert forks == []
+    assert not outdir.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_child_share_raises_in_the_caller_and_leaves_no_child(tmp_path, monkeypatch,
@@ -251,8 +276,8 @@ def test_failed_child_share_raises_in_the_caller_and_leaves_no_child(tmp_path, m
             assert path.read_bytes() == _expected_text(table)
 
 
-def test_a_killed_writer_is_reported_not_a_broken_pipe(tmp_path, monkeypatch, deadline):
-    _counting_forks(monkeypatch, 2)
+def test_a_killed_writer_is_reported_not_a_broken_pipe(tmp_path, ecdf_forks, deadline):
+    ecdf_forks(2)
     table = np.zeros((reports.MIN_SHARE_ROWS, 2))
     writers = reports.EcdfWriters.start(tmp_path, tables=2, rows=2 * reports.MIN_SHARE_ROWS)
     with pytest.raises(ChildProcessError, match="exited with status -9"):

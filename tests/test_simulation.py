@@ -694,8 +694,19 @@ class TestCompare:
         # statistics, which fail their cell instead of the whole run.
         report = self._compare_on(monkeypatch, [[-1.000599], [0.01]])
         for method in METHODS:
-            assert "size >= 2" in report.cells[(200.0, method)].error
+            assert report.cells[(200.0, method)].error == (
+                "1 of 2 draws has a finite utility; the statistics need at least 2")
         assert not report.ecdfs
+
+    def test_a_failed_cell_reads_failed_in_every_row_of_the_table(self, monkeypatch):
+        # Every draw is infeasible, so each cell fails before its counts are
+        # measured; the table must not print them as 0.
+        report = self._compare_on(monkeypatch, [[-2.0], [-3.0], [-1.5]], (5.0,))
+        for method in METHODS:
+            assert report.cells[(5.0, method)].error == "every scenario yields non-positive wealth"
+        lines = human_comparison_table(report).splitlines()
+        assert lines[2:8] == [label.ljust(10) + "failed".rjust(16) * 3 for label in
+                              ("mean", "sd", "median", "mad", "infeasible", "nonfinite")]
 
     def test_a_wealth_of_exactly_zero_is_infeasible(self, monkeypatch):
         # 1.0006 - 1.0006 is 0.0 exactly: the cell's count of its sorted
