@@ -48,7 +48,7 @@ from .reports import (
     write_comparison_csv,
     write_text,
 )
-from .simulation import METHODS, compare, fmt_gamma, simulate, solve_method
+from .simulation import METHODS, compare, fmt_gamma, simulate, solve_methods
 from .taylor import TaylorConfig
 
 EXIT_OK = 0
@@ -168,34 +168,29 @@ def cmd_solve(args) -> int:
         if args.samples is None or args.seed is None:
             raise ValidationError(f"--method {args.method} requires --samples and --seed")
         scenarios = simulate(params, args.samples, args.seed)
-    # Under "all", as in compare, a method that fails is recorded and the
-    # others still report, and each failure is named on stderr after the
-    # output; only a gamma below the bound stops the command.
-    payload, weights, failed = {}, {}, []
-    for m in methods:
-        try:
-            report = solve_method(m, params, scenarios, ra, gd_cfg, taylor_cfg)
-        except CrraOptError as exc:
-            if not every or isinstance(exc, GammaBelowBound):
-                raise
-            payload[m] = {"error": str(exc), "method": m}
-            failed.append(f"method {m} failed: {exc}")
-        else:
-            payload[m] = solver_report_dict(m, report)
-            weights[m] = report.weights
-    payload["weight_distance_inf"] = {
-        f"{a}_{b}": float(np.max(np.abs(weights[a] - weights[b])))
-        for a, b in itertools.combinations(weights, 2)
-    }
+    # Under "all", as in compare, a failed method's error takes its place
+    # and is named on stderr after the output.
+    solved = solve_methods(methods, params, scenarios, ra, gd_cfg, taylor_cfg)
+    failed = {m: exc for m, exc in solved.items() if isinstance(exc, CrraOptError)}
+    if failed and not every:
+        raise failed[args.method]
+    payload = {m: {"error": str(r), "method": m} if m in failed else solver_report_dict(m, r)
+               for m, r in solved.items()}
+    if every:
+        weights = {m: r.weights for m, r in solved.items() if m not in failed}
+        payload["weight_distance_inf"] = {
+            f"{a}_{b}": float(np.max(np.abs(weights[a] - weights[b])))
+            for a, b in itertools.combinations(weights, 2)
+        }
     text = dumps_json(payload if every else payload[args.method])
     if args.out is not None:
         write_text(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
-    for line in failed:
-        print(line, file=sys.stderr)
-    if not weights:
+    for m, exc in failed.items():
+        print(f"method {m} failed: {exc}", file=sys.stderr)
+    if len(failed) == len(methods):
         print("every method failed", file=sys.stderr)
         return EXIT_SOLVER_FAILED
     return EXIT_OK

@@ -348,8 +348,8 @@ def write_params_json(p: MarketParams, path) -> None:
 
 
 def read_params_json(path) -> MarketParams:
-    """Read parameters written by :func:`write_params_json`; a file that
-    is not UTF-8 JSON (a leading BOM is skipped) raises :class:`InvalidParamsFile`."""
+    """Read parameters written by :func:`write_params_json`; a file that is not UTF-8
+    JSON (BOM skipped) or has a boolean in a number raises :class:`InvalidParamsFile`."""
     path = Path(path)
     with path.open("r", encoding="utf-8-sig") as fh:
         try:
@@ -361,6 +361,9 @@ def read_params_json(path) -> MarketParams:
     missing = [key for key in ("mu", "sigma", "r_f") if key not in payload]
     if missing:
         raise InvalidParamsFile(f"{path}: missing keys {missing}")
+    for key in ("mu", "sigma", "r_f"):
+        if any(type(x) is bool for x in np.ravel(np.asarray(payload[key], dtype=object))):
+            raise InvalidParamsFile(f"{path}: {key} holds a JSON boolean, not a number")
     try:
         return make_params(
             payload["mu"], payload["sigma"], payload["r_f"],

@@ -34,8 +34,8 @@ sorted sample (:func:`_summary_of_sorted`), so it does not depend on the
 order of the values.
 
 The solvers sit in one table, :data:`METHODS`, in output order.
-:func:`solve_method` looks a method up there; it is the one call that
-:func:`compare` and the CLI's ``solve`` make.  The iterative methods'
+:func:`solve_methods`, which :func:`compare` and the CLI's ``solve`` both
+call, runs them and decides what a failure does.  The iterative methods'
 reports share ``iterations``, ``stopping_residual`` and ``converged``,
 which holds exactly when ``stopping_residual <= tol``.
 """
@@ -55,6 +55,7 @@ from .errors import (
     AllScenariosInfeasible,
     CrraOptError,
     DimensionMismatch,
+    GammaBelowBound,
     NonFiniteInput,
     NonPositiveWealthScenario,
     ValidationError,
@@ -443,12 +444,23 @@ def worker_count(tasks: int) -> int:
     return max(1, min(tasks, cpus))
 
 
-def solve_method(method: str, p: MarketParams, scenarios: ScenarioSet | None, ra: RiskAversion,
-                 gd_cfg: GdConfig | None = None, taylor_cfg: TaylorConfig | None = None):
-    """Run the :data:`METHODS` entry ``method`` at one gamma and return its report."""
-    if method not in METHODS:
-        raise ValidationError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
-    return METHODS[method](p, scenarios, ra, gd_cfg, taylor_cfg)
+def solve_methods(methods, p: MarketParams, scenarios: ScenarioSet | None, ra: RiskAversion,
+                  gd_cfg: GdConfig | None = None, taylor_cfg: TaylorConfig | None = None) -> dict:
+    """Each of ``methods``, in the order given, mapped to its :data:`METHODS`
+    entry's report at one gamma or to the :class:`CrraOptError` it raised.
+    Names are checked before any solve; a :class:`GammaBelowBound` propagates."""
+    for method in methods:
+        if method not in METHODS:
+            raise ValidationError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+    solved = {}
+    for method in methods:
+        try:
+            solved[method] = METHODS[method](p, scenarios, ra, gd_cfg, taylor_cfg)
+        except GammaBelowBound:
+            raise
+        except CrraOptError as exc:
+            solved[method] = exc
+    return solved
 
 
 def _evaluate_cell(scenarios, weights, ra, gross_rf, ecdf_points, buf) -> tuple:
@@ -495,35 +507,23 @@ def _evaluate_cell(scenarios, weights, ra, gross_rf, ecdf_points, buf) -> tuple:
     return cell, wealth_table, utility_table
 
 
-def _solve_gamma(p, scenarios, ra, gd_cfg, taylor_cfg) -> list[tuple]:
-    """Each method's ``(weights, error)`` at one gamma, in :data:`METHODS`
-    order: the solved weights and ``None``, or ``None`` and the text of the
-    :class:`CrraOptError` that the solve raised.  Any other exception
-    propagates."""
-    solved = []
-    for method in METHODS:
-        try:
-            solved.append((solve_method(method, p, scenarios, ra, gd_cfg, taylor_cfg).weights,
-                           None))
-        except CrraOptError as exc:
-            solved.append((None, str(exc)))
-    return solved
-
-
 def _compare_gamma(scenarios, ra, gross_rf, solved, ecdf_points, buf) -> tuple[dict, dict]:
     """The cells and ECDF tables of one gamma, keyed as in :class:`ComparisonReport`,
-    from its methods' :func:`_solve_gamma` outcomes ``solved``.
+    from its :func:`solve_methods` outcomes ``solved``.
 
-    Each solved method's weights are evaluated in ``buf``, a float array of
-    length N that the call overwrites (:func:`_evaluate_cell`).  A failed
-    solve, or a :class:`CrraOptError` while evaluating, becomes its cell's
-    error, with the weights kept if the solve got that far.  Any other
-    exception propagates.
+    Each solved method's ``report.weights`` are evaluated in ``buf``, a
+    float array of length N that the call overwrites (:func:`_evaluate_cell`).
+    A failed solve, or a :class:`CrraOptError` while evaluating, becomes its
+    cell's error text, with the weights kept if the solve got that far.  Any
+    other exception propagates.
     """
     g = ra.gamma
     cells, ecdfs = {}, {}
-    for method, (weights, error) in zip(METHODS, solved):
-        if error is None:
+    for method, outcome in solved.items():
+        if isinstance(outcome, CrraOptError):
+            weights, error = None, str(outcome)
+        else:
+            weights, error = outcome.weights, None
             try:
                 cell, wealth_table, utility_table = _evaluate_cell(
                     scenarios, weights, ra, gross_rf, ecdf_points, buf
@@ -543,7 +543,7 @@ def _compare_gammas(p, scenarios, ras, gd_cfg, taylor_cfg, ecdf_points, sink) ->
     """The cells and ECDF tables of every risk aversion, on up to one thread per CPU.
 
     The calling thread is one of the W workers.  Each worker takes the next
-    gamma until none is left and solves its methods (:func:`_solve_gamma`),
+    gamma until none is left and solves its methods (:func:`solve_methods`),
     which needs no length-N array.  Evaluation is 7-43 % of a gamma's time
     on the benchmark workloads, so the W workers share ``ceil(W / 2)``
     length-N evaluation buffers: after each solve a worker waits for a free
@@ -570,7 +570,7 @@ def _compare_gammas(p, scenarios, ras, gd_cfg, taylor_cfg, ecdf_points, sink) ->
                 i = next(todo, None)
             if i is None:
                 return
-            solved = _solve_gamma(p, scenarios, ras[i], gd_cfg, taylor_cfg)
+            solved = solve_methods(METHODS, p, scenarios, ras[i], gd_cfg, taylor_cfg)
             buf = buffers.get()
             try:
                 cells, ecdfs = _compare_gamma(scenarios, ras[i], p.gross_rf, solved,
@@ -605,7 +605,7 @@ def compare(
 ) -> ComparisonReport:
     """Run every :data:`METHODS` solver on one shared scenario set and summarize.
 
-    Each (gamma, method) cell is :func:`solve_method`'s answer, on its own:
+    Each (gamma, method) cell is its method's :func:`solve_methods` outcome:
     ``taylor_cfg`` reaches only the Taylor cells and ``gd_cfg`` only the gd
     cells.  Every cell's weights are evaluated on the same scenarios; the
     utility statistics exclude (but count) non-positive-wealth draws and

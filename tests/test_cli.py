@@ -28,7 +28,6 @@ from crra_opt import (
     tangency,
     write_params_json,
 )
-from crra_opt import cli
 from crra_opt.cli import main
 from crra_opt.reports import dumps_json
 
@@ -138,6 +137,21 @@ class TestSolve:
         assert code == 4
         assert "1.07722" in capsys.readouterr().err
 
+    def test_all_below_bound_exit_4_before_any_scenario_solve(self, tmp_path, benchmark_json,
+                                                              monkeypatch, capsys):
+        # The closed form checks the bound first; the other methods never run.
+        def never(*args):
+            raise AssertionError("a scenario solver ran below the bound")
+
+        monkeypatch.setitem(simulation.METHODS, "taylor", never)
+        monkeypatch.setitem(simulation.METHODS, "gd", never)
+        out = tmp_path / "all.json"
+        code = main(["solve", "--params", str(benchmark_json), "--gamma", "1.05",
+                     "--method", "all", "--samples", "500", "--seed", "42", "--out", str(out)])
+        assert code == 4
+        assert "1.07722" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gd_requires_samples_and_seed(self, benchmark_json):
         code = main(["solve", "--params", str(benchmark_json), "--gamma", "10",
                      "--method", "gd"])
@@ -189,10 +203,11 @@ class TestSolve:
 
     def test_all_exits_5_only_when_every_method_fails(self, tmp_path, benchmark_json,
                                                       monkeypatch, capsys):
-        def fail(method, *args):
-            raise NotConverged(f"{method} gave up", None)
+        for method in list(simulation.METHODS):
+            def fail(*args, method=method):
+                raise NotConverged(f"{method} gave up", None)
 
-        monkeypatch.setattr(cli, "solve_method", fail)
+            monkeypatch.setitem(simulation.METHODS, method, fail)
         out = tmp_path / "all.json"
         code = main(["solve", "--params", str(benchmark_json), "--gamma", "10",
                      "--method", "all", "--samples", "500", "--seed", "42",
@@ -483,7 +498,8 @@ class TestCompare:
         scenarios = crra_opt.ScenarioSet(returns=returns, seed=0)
         monkeypatch.setattr(simulation, "simulate", lambda p, n, seed: scenarios)
         solved = SimpleNamespace(weights=np.ones(1))
-        monkeypatch.setattr(simulation, "solve_method", lambda *args: solved)
+        for method in list(simulation.METHODS):
+            monkeypatch.setitem(simulation.METHODS, method, lambda *args: solved)
         params = tmp_path / "params.json"
         write_params_json(make_params([0.001], [[0.0005]], 0.0006), params)
         outdir = tmp_path / "study"

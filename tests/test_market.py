@@ -355,7 +355,10 @@ class TestParamsJson:
     @pytest.mark.parametrize("text, match", [
         ("[0.1, [[1.0]], 0.0]", "top-level JSON object expected"),
         ('{"mu": "abc", "sigma": [[1.0]], "r_f": 0.0}', "malformed parameter payload"),
-    ], ids=["top-level-array", "non-numeric-mu"])
+        ('{"mu": [0.001], "sigma": [[0.0005]], "r_f": false}', "r_f holds a JSON boolean"),
+        ('{"mu": [0.001, 0.002], "sigma": [[0.0005, 0.0], [0.0, true]], "r_f": 0.0}',
+         "sigma holds a JSON boolean"),
+    ], ids=["top-level-array", "non-numeric-mu", "boolean-rate", "boolean-in-sigma"])
     def test_malformed_payload(self, tmp_path, text, match):
         path = tmp_path / "params.json"
         path.write_text(text, encoding="utf-8")

@@ -23,7 +23,7 @@ from crra_opt.reports import (
     write_comparison_csv,
     write_ecdf_files,
 )
-from crra_opt.simulation import METHODS, solve_method
+from crra_opt.simulation import METHODS, solve_methods
 
 
 class TestFloatFormatting:
@@ -104,9 +104,10 @@ def test_solver_report_keys_keep_solve_order(benchmark_params):
         "taylor": ["weights", "iterations", "stopping_residual", "converged", "method"],
         "gd": ["weights", "iterations", "stopping_residual", "objective", "converged", "method"],
     }
-    for method in METHODS:
-        report = solve_method(method, benchmark_params, scenarios, RiskAversion(10.0),
-                              GdConfig(max_iter=50))  # gd takes 10 steps
+    solved = solve_methods(METHODS, benchmark_params, scenarios, RiskAversion(10.0),
+                           GdConfig(max_iter=50))  # gd takes 10 steps
+    assert list(solved) == list(expected)
+    for method, report in solved.items():
         payload = solver_report_dict(method, report)
         assert list(payload) == expected[method]
         assert payload["method"] == method

@@ -642,7 +642,8 @@ class TestCompare:
         scenarios = ScenarioSet(returns=returns, seed=0)
         monkeypatch.setattr(simulation, "simulate", lambda p, n, seed: scenarios)
         solved = SimpleNamespace(weights=np.ones(1))
-        monkeypatch.setattr(simulation, "solve_method", lambda *args: solved)
+        for method in list(METHODS):
+            monkeypatch.setitem(METHODS, method, lambda *args: solved)
         return compare(make_params([0.001], [[0.0005]], 0.0006), gammas,
                        n=len(returns), seed=0)
 
@@ -749,15 +750,16 @@ class TestSolveMethod:
         report = compare(benchmark_params, [10.0], n=5_000, seed=23)
         scenarios = simulate(benchmark_params, 5_000, 23)
         ra = RiskAversion(10.0)
-        for method in METHODS:
-            solved = simulation.solve_method(method, benchmark_params, scenarios, ra)
-            np.testing.assert_array_equal(solved.weights, report.cells[(10.0, method)].weights)
+        solved = simulation.solve_methods(METHODS, benchmark_params, scenarios, ra)
+        assert list(solved) == list(METHODS)
+        for method, outcome in solved.items():
+            np.testing.assert_array_equal(outcome.weights, report.cells[(10.0, method)].weights)
 
     def test_gd_without_config_matches_dispatch(self, benchmark_params):
         scenarios = simulate(benchmark_params, 5_000, 23)
         ra = RiskAversion(10.0)
         direct = gd_solve(scenarios, ra, benchmark_params.gross_rf)
-        dispatched = simulation.solve_method("gd", benchmark_params, scenarios, ra)
+        dispatched = simulation.solve_methods(("gd",), benchmark_params, scenarios, ra)["gd"]
         np.testing.assert_array_equal(direct.weights, dispatched.weights)
         assert direct.iterations == dispatched.iterations
 
@@ -775,17 +777,39 @@ class TestSolveMethod:
         converged = []
         for cfg in self.ITERATIVE[method]:
             # Passed as both configs: each entry reads only its own.
-            try:
-                report = simulation.solve_method(method, benchmark_params, scenarios, ra, cfg, cfg)
-            except NotConverged as exc:
-                report = exc.report
+            report = simulation.solve_methods((method,), benchmark_params, scenarios, ra,
+                                              cfg, cfg)[method]
+            if isinstance(report, NotConverged):
+                report = report.report
             assert report.converged == (report.stopping_residual <= cfg.tol)
             converged.append(report.converged)
         assert converged == [True, False]
 
-    def test_unknown_method(self, benchmark_params):
-        with pytest.raises(ValueError, match="unknown method"):
-            simulation.solve_method("newton", benchmark_params, None, RiskAversion(10.0))
+    def test_unknown_method(self, benchmark_params, monkeypatch):
+        # Every name is checked before the first solve runs.
+        def never(*args):
+            raise AssertionError("gd ran before the names were checked")
+
+        monkeypatch.setitem(METHODS, "gd", never)
+        with pytest.raises(ValidationError, match="unknown method 'newton'"):
+            simulation.solve_methods(("gd", "newton"), benchmark_params, None,
+                                     RiskAversion(10.0))
+
+    def test_failed_solve_maps_to_its_error_in_the_given_order(self, benchmark_params,
+                                                               monkeypatch):
+        error = NonFiniteIterate("Taylor solve failed")
+
+        def fail(*args):
+            raise error
+
+        monkeypatch.setitem(METHODS, "taylor", fail)
+        solved = simulation.solve_methods(("taylor", "analytical"), benchmark_params, None,
+                                          RiskAversion(10.0))
+        assert list(solved) == ["taylor", "analytical"]
+        assert solved["taylor"] is error
+        assert solved["analytical"].weights.shape == (3,)
+        with pytest.raises(GammaBelowBound):
+            simulation.solve_methods(("analytical",), benchmark_params, None, RiskAversion(1.05))
 
     def test_taylor_cannot_move_gd(self, benchmark_params, monkeypatch):
         # gd uses nothing of the Taylor solver: with every Taylor solve
@@ -829,13 +853,12 @@ class TestConcurrentSolve:
         # More workers than CPUs and frequent thread switches: every cell
         # must still be solved exactly once and land in its own slot.
         solved_cells = []
-        real_solve_method = simulation.solve_method
+        for method, solve in list(METHODS.items()):
+            def counted(p, scenarios, ra, gd_cfg, taylor_cfg, method=method, solve=solve):
+                solved_cells.append((ra.gamma, method))
+                return solve(p, scenarios, ra, gd_cfg, taylor_cfg)
 
-        def solve_method(method, p, scenarios, ra, gd_cfg, taylor_cfg):
-            solved_cells.append((ra.gamma, method))
-            return real_solve_method(method, p, scenarios, ra, gd_cfg, taylor_cfg)
-
-        monkeypatch.setattr(simulation, "solve_method", solve_method)
+            monkeypatch.setitem(METHODS, method, counted)
         reports = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
