@@ -163,6 +163,8 @@ def cmd_solve(args) -> int:
     gd_cfg, taylor_cfg = _solver_configs(args)
     every = args.method == "all"
     methods = tuple(METHODS) if every else (args.method,)
+    if "analytical" in methods:  # the bound binds the closed form alone; check it before the draw
+        require_admissible_gamma(params, ra.gamma)
     scenarios = None
     if methods != ("analytical",):
         if args.samples is None or args.seed is None:
@@ -232,9 +234,9 @@ def cmd_compare(args) -> int:
 
 def cmd_frontier(args) -> int:
     params = read_params_json(args.params)
-    require_admissible_gamma(args.gamma_from, gamma_lower_bound(params))
-    if args.gamma_to < args.gamma_from:
-        raise ValidationError("--gamma-to must be >= --gamma-from")
+    require_admissible_gamma(params, args.gamma_from)
+    if not args.gamma_from <= args.gamma_to < np.inf:  # so --gamma-from is finite too
+        raise ValidationError("--gamma-from and --gamma-to must be finite, from <= to")
     require_int("--steps", args.steps, 1)
     grid = np.linspace(args.gamma_from, args.gamma_to, args.steps)
     lines = ["gamma,mean_excess,variance,tangency"]

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMu, NonPositiveGrossMean, SingularDenominator
-from .market import (MarketParams, RiskAversion, as_weights, gamma_lower_bound,
-                     require_admissible_gamma)
+from .market import MarketParams, RiskAversion, as_weights, require_admissible_gamma
 
 D_CLAMP = 1e-14     # discriminant values below D_CLAMP, negative ones too, are treated as 0
 J_MIN = 1e-14       # below this, mu is considered degenerate
@@ -98,7 +97,7 @@ def solve_analytical(p: MarketParams, ra: RiskAversion) -> ClosedFormSolution:
     if p.J <= J_MIN:
         raise DegenerateMu(f"mu' sigma^-1 mu = {p.J:.3e} is numerically zero")
     gamma = ra.gamma
-    require_admissible_gamma(gamma, gamma_lower_bound(p))
+    require_admissible_gamma(p, gamma)
     c, d = _scale_root(p.J, gamma, p.gross_rf)
     weights = c * p.sigma_inv_mu
     mean = float(weights @ p.mu)
@@ -155,15 +154,15 @@ def tangency(p: MarketParams) -> TangencyResult:
 
     ``gamma_tgc = (J / s + R_f)^2 * s / R_f + 1`` with ``s = 1' sigma^-1 mu``
     is the risk aversion at which the closed-form solution invests nothing in
-    the risk-free asset; whenever ``s > 0`` it satisfies
-    ``gamma_tgc >= 1 + 4J``.  ``s`` is refused as zero, by
-    :class:`SingularDenominator`, when ``|s| <= k * eps * sum |sigma^-1 mu|``,
-    the rounding its sum can carry, so the test does not depend on the
-    units of the returns.
+    the risk-free asset; whenever ``s > 0`` it satisfies ``gamma_tgc >= 1 + 4J``,
+    and no admissible gamma holds it when ``s < 0``, since ``sum(w*) = c s``
+    with ``c > 0``.  :class:`SingularDenominator` refuses ``s`` as not positive
+    when ``s <= k * eps * sum |sigma^-1 mu|``, the rounding its sum can carry,
+    so the test does not depend on the units of the returns.
     """
     s = float(p.sigma_inv_mu.sum())
-    if abs(s) <= p.k * np.finfo(float).eps * float(np.abs(p.sigma_inv_mu).sum()):
-        raise SingularDenominator(f"1' sigma^-1 mu = {s:.3e} is numerically zero")
+    if s <= p.k * np.finfo(float).eps * float(np.abs(p.sigma_inv_mu).sum()):
+        raise SingularDenominator(f"1' sigma^-1 mu = {s:.3e} is not numerically positive")
     a = p.J / s + p.gross_rf
     try:
         a2s = a**2 * s

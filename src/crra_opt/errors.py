@@ -76,7 +76,7 @@ class NonPositiveGrossMean(ValidationError):
 
 
 class SingularDenominator(ValidationError):
-    """1' Sigma^-1 mu is numerically zero; no fully-risky portfolio exists."""
+    """1' Sigma^-1 mu is not numerically positive; no fully-risky portfolio is admissible."""
 
 
 class NonPositiveWealthScenario(ValidationError):

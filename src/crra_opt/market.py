@@ -258,12 +258,12 @@ def gamma_lower_bound(p: MarketParams) -> float:
     return 1.0 + 4.0 * p.J
 
 
-def require_admissible_gamma(gamma: float, bound: float) -> None:
-    """Raise :class:`GammaBelowBound` if ``gamma < bound - BOUND_TOL``.
-
-    The one admissibility test shared by the closed form, the comparison
-    study and the frontier sweep; ``gamma == bound`` is always accepted.
-    """
+def require_admissible_gamma(p: MarketParams, gamma: float) -> None:
+    """Raise :class:`GammaBelowBound` if ``gamma < 1 + 4J - BOUND_TOL``: the one
+    admissibility test, which the runs that include the closed form make before
+    they draw (``solve_analytical``, ``compare``, ``frontier``, ``solve`` with
+    ``analytical`` or ``all``).  gd and Taylor take any :class:`RiskAversion`."""
+    bound = gamma_lower_bound(p)
     if gamma < bound - BOUND_TOL:
         raise GammaBelowBound(gamma, bound)
 

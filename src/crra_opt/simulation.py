@@ -55,15 +55,13 @@ from .errors import (
     AllScenariosInfeasible,
     CrraOptError,
     DimensionMismatch,
-    GammaBelowBound,
     NonFiniteInput,
     NonPositiveWealthScenario,
     ValidationError,
     require_int,
 )
 from .gradient import GdConfig, gd_solve
-from .market import (MarketParams, RiskAversion, as_weights, gamma_lower_bound,
-                     require_admissible_gamma)
+from .market import MarketParams, RiskAversion, as_weights, require_admissible_gamma
 from .taylor import TaylorConfig, taylor_solve
 
 # Each method's solver, (p, scenarios, ra, gd_cfg, taylor_cfg) -> report, in
@@ -99,9 +97,11 @@ class ScenarioSet:
     block of a :meth:`fold` reads one contiguous run per asset.  ``returns`` is
     the ``(N, k)`` view ``cols.T`` of the same buffer.  The read-only sample
     moments ``m1 = (1/N) sum_i R_i`` and ``M2 = m2 = (1/N) sum_i R_i R_i'``
-    are computed once, on construction, and shared by every solver, as is
-    M2's eigendecomposition, the package's one factorization of M2: the
-    ascending ``m2_eigvals``, the eigenvectors ``m2_eigvecs`` (columns) and
+    are computed once, on construction, and shared by every solver.  A NaN
+    or infinite return makes M2's diagonal, a sum of squares, not finite, so
+    one test refuses it and an M2 that overflows alike (:class:`NonFiniteInput`).
+    M2's eigendecomposition, the package's one factorization of M2, is shared
+    too: the ascending ``m2_eigvals``, the eigenvectors ``m2_eigvecs`` (columns) and
     ``m2_resolved``, true where ``lambda_i > k * eps * lambda_max``, above
     the rounding left in M2.  gd steps Euclidean along a direction that is
     not resolved, and Taylor refuses the set.  Sets compare by identity.
@@ -135,13 +135,11 @@ class ScenarioSet:
         if cols.ndim != 2 or 0 in cols.shape:
             raise DimensionMismatch("returns must be 2-D (N, k) with N >= 1 and k >= 1, "
                                     f"got shape {cols.shape[::-1]}")
-        if not np.isfinite(cols).all():
-            raise NonFiniteInput("scenario returns must be finite")
         k, n = cols.shape
         m1 = np.einsum("ij->i", cols) / n
         m2 = np.einsum("ij,lj->il", cols, cols) / n
-        if not np.isfinite(m2).all():  # then neither does m1 overflow
-            raise NonFiniteInput("the sample second moment M2 of the returns overflows")
+        if not np.isfinite(m2).all():  # then m1 is finite too
+            raise NonFiniteInput("scenario returns must be finite, with a finite second moment M2")
         eigvals, eigvecs = np.linalg.eigh(m2)
         resolved = eigvals > k * np.finfo(float).eps * eigvals[-1]
         for name, value in (("cols", cols), ("m1", m1), ("m2", m2), ("m2_eigvals", eigvals),
@@ -447,8 +445,8 @@ def worker_count(tasks: int) -> int:
 def solve_methods(methods, p: MarketParams, scenarios: ScenarioSet | None, ra: RiskAversion,
                   gd_cfg: GdConfig | None = None, taylor_cfg: TaylorConfig | None = None) -> dict:
     """Each of ``methods``, in the order given, mapped to its :data:`METHODS`
-    entry's report at one gamma or to the :class:`CrraOptError` it raised.
-    Names are checked before any solve; a :class:`GammaBelowBound` propagates."""
+    entry's report at one gamma or to the :class:`CrraOptError` it raised,
+    whatever its class.  Names are checked before any solve."""
     for method in methods:
         if method not in METHODS:
             raise ValidationError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
@@ -456,8 +454,6 @@ def solve_methods(methods, p: MarketParams, scenarios: ScenarioSet | None, ra: R
     for method in methods:
         try:
             solved[method] = METHODS[method](p, scenarios, ra, gd_cfg, taylor_cfg)
-        except GammaBelowBound:
-            raise
         except CrraOptError as exc:
             solved[method] = exc
     return solved
@@ -613,8 +609,9 @@ def compare(
     evaluating a cell is recorded on that cell and does not abort the run;
     any other error propagates.  Before the draw, ``n`` (the statistics need
     2 draws) and ``ecdf_points`` must be integers >= 2, ``seed`` one >= 0,
-    and ``gammas`` non-empty, distinct by :func:`fmt_gamma` label, at least
-    the admissibility bound and each a valid :class:`RiskAversion`.
+    and ``gammas`` non-empty, distinct by :func:`fmt_gamma` label, each a
+    valid :class:`RiskAversion` and, since every run holds the closed form,
+    admissible (:func:`~crra_opt.market.require_admissible_gamma`).
 
     ``ecdf_sink``, if given, is called with each gamma's ECDF tables, a dict
     keyed as :attr:`ComparisonReport.ecdfs`, as soon as that gamma is
@@ -643,9 +640,8 @@ def compare(
     labels = [fmt_gamma(g) for g in gammas]
     if len(set(labels)) < len(labels):
         raise ValidationError(f"gammas repeat a value at 6 digits: {', '.join(labels)}")
-    bound = gamma_lower_bound(p)
     for g in gammas:
-        require_admissible_gamma(g, bound)
+        require_admissible_gamma(p, g)
     ras = [RiskAversion(g) for g in gammas]
     scenarios = simulate(p, n, seed)
     report = ComparisonReport(gammas=gammas, n=n, seed=int(seed))

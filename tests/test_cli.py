@@ -139,10 +139,13 @@ class TestSolve:
 
     def test_all_below_bound_exit_4_before_any_scenario_solve(self, tmp_path, benchmark_json,
                                                               monkeypatch, capsys):
-        # The closed form checks the bound first; the other methods never run.
+        # The bound binds the closed form, so a run that holds it refuses
+        # before it draws a scenario; the other methods never run.
         def never(*args):
-            raise AssertionError("a scenario solver ran below the bound")
+            raise AssertionError("scenarios were drawn or solved below the bound")
 
+        monkeypatch.setattr("crra_opt.cli.simulate", never)
+        monkeypatch.setattr(simulation, "simulate", never)
         monkeypatch.setitem(simulation.METHODS, "taylor", never)
         monkeypatch.setitem(simulation.METHODS, "gd", never)
         out = tmp_path / "all.json"
@@ -151,6 +154,14 @@ class TestSolve:
         assert code == 4
         assert "1.07722" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["gd", "taylor"])
+    def test_gd_and_taylor_take_a_gamma_below_the_bound(self, benchmark_json, capsys, method):
+        # Only the closed form needs gamma >= 1 + 4J, 1.07722 here.
+        code = main(["solve", "--params", str(benchmark_json), "--gamma", "1.05",
+                     "--method", method, "--samples", "2000", "--seed", "1", *GD_BUDGET])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["converged"]
 
     def test_gd_requires_samples_and_seed(self, benchmark_json):
         code = main(["solve", "--params", str(benchmark_json), "--gamma", "10",
@@ -772,6 +783,33 @@ class TestFrontier:
         assert last[1:] == [repr(1e160), repr(5e299), "true"]
         assert float(last[0]) == pytest.approx(2e180, rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma_from, gamma_to, code", [
+        ("5", "inf", 3), ("inf", "inf", 3), ("nan", "20", 3), ("5", "nan", 3), ("-inf", "20", 4),
+    ])
+    def test_non_finite_range_is_one_error_line(self, tmp_path, benchmark_json, capsys,
+                                                gamma_from, gamma_to, code):
+        # The bound check comes first, so -inf exits 4; numpy warns of nothing.
+        out = tmp_path / "f.csv"
+        assert main(["frontier", "--params", str(benchmark_json), "--gamma-from", gamma_from,
+                     "--gamma-to", gamma_to, "--steps", "3", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out.exists()
+
+    def test_market_without_an_admissible_tangency_is_refused(self, tmp_path, capsys):
+        # 1' sigma^-1 mu = 5 - 7.5 < 0, so sum(w*) = c s < 0 at every
+        # admissible gamma: no tangency row is written, nor any other.
+        params = tmp_path / "params.json"
+        params.write_text('{"mu": [0.002, -0.003], "sigma": [[4e-4, 0], [0, 4e-4]], "r_f": 0}',
+                          encoding="utf-8")
+        out = tmp_path / "frontier.csv"
+        assert main(["frontier", "--params", str(params), "--gamma-from", "2",
+                     "--gamma-to", "20", "--steps", "3", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: 1' sigma^-1 mu = -2.500e+00 is not numerically positive\n")
+        assert not out.exists()
+
     def test_range_below_bound_exit_4(self, tmp_path, benchmark_json):
         code = main(["frontier", "--params", str(benchmark_json),
                      "--gamma-from", "1.01", "--gamma-to", "5", "--steps", "3",
@@ -810,7 +848,7 @@ def test_scenarios_whose_m2_overflows_are_refused(tmp_path, capsys, method):
     assert main(["solve", "--params", str(params), "--method", method, "--gamma", "5",
                  "--samples", "100", "--seed", "1"]) == 3
     assert capsys.readouterr() == (
-        "", "error: the sample second moment M2 of the returns overflows\n")
+        "", "error: scenario returns must be finite, with a finite second moment M2\n")
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -194,7 +194,9 @@ class TestTangency:
         while checked < 40:
             p = make_random_params(rng)
             s = float(np.sum(p.sigma_inv_mu))
-            if s <= 0.0:
+            if s <= 0.0:  # sum(w*) = c s < 0 at every admissible gamma
+                with pytest.raises(SingularDenominator, match="not numerically positive"):
+                    tangency(p)
                 continue
             result = tangency(p)
             assert float(np.sum(result.weights)) == pytest.approx(1.0, abs=1e-12)

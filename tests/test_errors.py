@@ -43,7 +43,7 @@ def _pair() -> ScenarioSet:
     (lambda p: ScenarioSet(np.array([[0.1, np.nan]]), seed=0), NonFiniteInput,
      "returns must be finite"),
     (lambda p: ScenarioSet(np.full((2, 2), 1e160), seed=0), NonFiniteInput,
-     "second moment M2 of the returns overflows"),
+     "with a finite second moment M2"),
     (lambda p: evaluate_strategy(_pair(), np.zeros(3), RA, 1.0), DimensionMismatch,
      r"weights must have shape \(2,\)"),
     (lambda p: gd_solve(ScenarioSet(np.zeros((50, 2)), seed=0), RA, 1.0),

@@ -232,10 +232,13 @@ class TestAdmissibleGamma:
         run(benchmark_params, bound, tmp_path)
 
     def test_helper_tolerance(self):
-        require_admissible_gamma(3.0, 3.0)
-        require_admissible_gamma(3.0 - 5e-13, 3.0)
-        with pytest.raises(GammaBelowBound):
-            require_admissible_gamma(3.0 - 2e-12, 3.0)
+        p = make_params([2.0], [[4.0]], 0.0)  # J = 1, so the bound is exactly 5.0
+        assert gamma_lower_bound(p) == 5.0
+        require_admissible_gamma(p, 5.0)
+        require_admissible_gamma(p, 5.0 - 5e-13)
+        with pytest.raises(GammaBelowBound) as excinfo:
+            require_admissible_gamma(p, 5.0 - 2e-12)
+        assert excinfo.value.bound == 5.0
 
 
 class TestPriceCsv:

@@ -20,6 +20,7 @@ from crra_opt import (
     AllScenariosInfeasible,
     GammaBelowBound,
     GdConfig,
+    NonFiniteInput,
     NonFiniteIterate,
     NotConverged,
     RiskAversion,
@@ -134,6 +135,18 @@ class TestScenarioSet:
     def test_invalid_returns(self, returns):
         with pytest.raises(ValueError):
             ScenarioSet(returns=returns, seed=0)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_return_is_refused_by_the_m2_check(self, k, bad):
+        # Each diagonal entry of M2 is a sum of squares, so the one bad
+        # return makes its own entry non-finite, without a numpy warning.
+        returns = np.random.default_rng(4).normal(0.01, 0.05, size=(40, k))
+        returns[17, k - 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput, match="returns must be finite"):
+                ScenarioSet(returns=returns, seed=0)
 
     def test_caller_array_is_copied(self):
         returns = np.random.default_rng(8).normal(0.01, 0.05, size=(30, 2))
@@ -808,8 +821,20 @@ class TestSolveMethod:
         assert list(solved) == ["taylor", "analytical"]
         assert solved["taylor"] is error
         assert solved["analytical"].weights.shape == (3,)
-        with pytest.raises(GammaBelowBound):
-            simulation.solve_methods(("analytical",), benchmark_params, None, RiskAversion(1.05))
+        below = simulation.solve_methods(("analytical",), benchmark_params, None,
+                                         RiskAversion(1.05))
+        assert isinstance(below["analytical"], GammaBelowBound)
+
+    def test_below_the_bound_only_the_closed_form_fails(self, benchmark_params):
+        # The bound binds the closed form alone: gd and Taylor solve the
+        # sampled problem at any gamma, and the loop raises nothing.
+        scenarios = simulate(benchmark_params, 2_000, seed=1)
+        solved = simulation.solve_methods(METHODS, benchmark_params, scenarios,
+                                          RiskAversion(1.05), GD_BUDGET)
+        assert list(solved) == list(METHODS)
+        assert isinstance(solved["analytical"], GammaBelowBound)
+        assert solved["analytical"].bound == gamma_lower_bound(benchmark_params)
+        assert solved["taylor"].converged and solved["gd"].converged
 
     def test_taylor_cannot_move_gd(self, benchmark_params, monkeypatch):
         # gd uses nothing of the Taylor solver: with every Taylor solve
