@@ -29,7 +29,7 @@ import numpy as np
 
 from .closed_form import solve_analytical, tangency
 from .errors import CrraOptError, GammaBelowBound, ValidationError, require_int
-from .gradient import GdConfig
+from .gradient import STEP_MAX, STEP_MIN, GdConfig
 from .market import (
     RiskAversion,
     estimate_params,
@@ -121,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_solver_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--eta", type=float, default=GdConfig.eta,
-                     help="gd step along M2's stiffest direction "
-                          "(default: auto, matched to sampled curvature)")
+                     help="gd's first step along M2's stiffest direction; its later, "
+                          f"spectral steps stay within [{STEP_MIN:g}, {STEP_MAX:g}] x eta "
+                          "(default: auto, matched to the sampled curvature at the start)")
     cmd.add_argument("--tol", type=float, default=GdConfig.tol,
                      help="gd stops when the gradient's norm in its step metric, "
                           "sqrt(g' M2^-1 g), is at most this; the norm does not "

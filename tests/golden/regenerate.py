@@ -7,8 +7,8 @@ and once more on the paper's market at N = 65,541, where the solvers' sums
 run over three blocks of scenarios; ``solve --method all`` on two markets,
 ``frontier``, ``estimate`` on a price CSV with one ASCII and one non-ASCII
 asset name, and ``--help`` of the program and of each subcommand.  Each
-``compare`` and ``solve`` run passes ``--max-iter`` a few times the gd
-steps it takes (9-10, or 20-25 on the 16-asset market), so a broken gd
+``compare`` and ``solve`` run passes ``--max-iter`` over ten times the gd
+steps it takes (3-4, or 7-8 on the 16-asset market), so a broken gd
 fails the golden test in seconds; no output holds the budget.  A run
 with a market or a price CSV writes the file its ``--out``/``--outdir``
 names; a run without one (``--help``) is recorded as its stdout, wrapped

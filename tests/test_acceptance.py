@@ -44,7 +44,7 @@ GAMMAS = (5.0, 10.0, 15.0, 20.0)
 
 PUBLISHED_BOUND = 1.076384
 
-# gd takes 10 steps per gamma on both study draws below; a budget a few
+# gd takes 3-4 steps per gamma on both study draws below; a budget many
 # times that makes a broken gd fail the gate in seconds instead of grinding
 # through the default 100,000 steps.  Any gd that passes within it gives
 # the same cells as without it.

@@ -182,7 +182,7 @@ class TestSolve:
     def test_gd_iteration_cap_exit_5(self, benchmark_json):
         code = main(["solve", "--params", str(benchmark_json), "--gamma", "10",
                      "--method", "gd", "--samples", "2000", "--seed", "42",
-                     "--eta", "0.1", "--max-iter", "5"])
+                     "--max-iter", "1"])
         assert code == 5
 
     def test_all_reports_with_pairwise_distances(self, tmp_path, benchmark_json):

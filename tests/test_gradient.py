@@ -1,4 +1,4 @@
-"""Sampled-utility objective, gradient, and fixed-step ascent."""
+"""Sampled-utility objective, gradient, and spectral-step ascent."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BENCHMARK_MU, BENCHMARK_RF, BENCHMARK_SIGMA
 from crra_opt import (
     GdConfig,
     NoMaximizer,
@@ -30,6 +31,8 @@ from crra_opt import (
     v0_gradient,
     v0_hessian,
 )
+from crra_opt import gradient
+from crra_opt.gradient import STEP_MAX, STEP_MIN
 from crra_opt.simulation import _FOLD_BLOCK
 
 
@@ -135,6 +138,70 @@ class TestV0Hessian:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * n * 8
+
+
+def _benchmark_draw():
+    bench = make_params(BENCHMARK_MU, BENCHMARK_SIGMA, BENCHMARK_RF)
+    return simulate(bench, 20_000, 33), RiskAversion(10.0), bench.gross_rf
+
+
+def _wealth_boundary_market():
+    # A hundred +10% draws and one -30% draw: the optimum, w = 2.61,
+    # leaves the crash draw a wealth of 0.22, where the Hessian is far
+    # steeper than at the zero start.
+    return ScenarioSet(returns=[[0.1]] * 100 + [[-0.3]], seed=0), RiskAversion(2.0), 1.0
+
+
+def _large_gamma_market():
+    # Seed 176 of a 300-seed scan in the ranges of random_markets: k = 4
+    # and gamma = 63.4, where M2, the Hessian at w = 0 up to a factor, no
+    # longer matches the Hessian at the optimum.
+    rng = np.random.default_rng(176)
+    k = int(rng.integers(1, 17))
+    a = rng.uniform(-0.03, 0.03, (k, k))
+    sigma = a @ a.T + np.diag(rng.uniform(0.5e-4, 1.5e-4, k))
+    p = make_params(rng.uniform(-0.015, 0.015, k), sigma, float(rng.uniform(0.0, 0.005)))
+    ra = RiskAversion(float(rng.uniform(1.2, 4.0)) * max(gamma_lower_bound(p), 2.0))
+    assert (k, round(ra.gamma, 1)) == (4, 63.4)
+    return simulate(p, 2_000, 176), ra, p.gross_rf
+
+
+def _below_one_market():
+    # Fifty draws from -0.171 to 0.312 at gamma = 0.5: the optimum,
+    # w = 5.8305, leaves the worst draw a wealth of 0.0023, where the
+    # Hessian is -2.63 against gamma M2 = 0.0085.
+    return simulate(make_params([0.1], [[0.01]], 0.0), 50, 1), RiskAversion(0.5), 1.0
+
+
+# Markets where the Hessian at the optimum is far from gamma M2.
+MISFIT_MARKETS = [_wealth_boundary_market, _large_gamma_market, _below_one_market]
+MISFIT_IDS = ["boundary", "large_gamma", "below_one"]
+
+
+def _first_tries(monkeypatch, scenarios, ra, gross_rf, cfg):
+    """``(w, grad, step)`` for each gd iterate that takes a step: the
+    gradient there and the step gd tries first, before any halving, read
+    from gd's own ``v0_gradient`` calls.  A run that ends NotConverged
+    gives its steps too."""
+    calls = []
+
+    def recorded(scenarios, weights, ra, gross_rf):
+        calls.append([weights.copy(), None])  # None where the pass raises
+        calls[-1][1] = v0_gradient(scenarios, weights, ra, gross_rf)
+        return calls[-1][1]
+
+    monkeypatch.setattr(gradient, "v0_gradient", recorded)
+    try:
+        gd_solve(scenarios, ra, gross_rf, cfg)
+    except NotConverged:
+        pass
+    iterates, tries = [calls[0]], []
+    for weights, grad in calls[1:]:
+        if len(tries) < len(iterates):
+            tries.append(weights - iterates[-1][0])
+        if grad is not None:
+            iterates.append((weights, grad))
+    return [(w, grad, step) for (w, grad), step in zip(iterates, tries)]
 
 
 class TestGdSolve:
@@ -256,54 +323,70 @@ class TestGdSolve:
             gd_solve(scenarios, ra, 1.0, GdConfig(eta=eta))
 
     @pytest.mark.parametrize("c", [1e-2, 1.0, 1e2])
-    def test_rescaled_returns_give_rescaled_weights(self, benchmark_params, c):
+    @pytest.mark.parametrize("market", [_benchmark_draw, *MISFIT_MARKETS],
+                             ids=["benchmark", *MISFIT_IDS])
+    def test_rescaled_returns_give_rescaled_weights(self, market, c):
         # R -> cR maps the optimum to w / c; from the zero start the auto
-        # step and the stopping norm make every iterate w(i) / c as well.
-        scenarios = simulate(benchmark_params, 20_000, 33)
-        ra = RiskAversion(10.0)
-        gross_rf, cfg = benchmark_params.gross_rf, GdConfig(max_iter=40)
+        # step, the spectral step lengths and the stopping norm make every
+        # iterate w(i) / c as well, also on the misfit markets, where the
+        # lengths move far from eta and steps are halved.
+        scenarios, ra, gross_rf = market()
+        cfg = GdConfig(max_iter=40)
         unit = gd_solve(scenarios, ra, gross_rf, cfg)
         scaled = gd_solve(ScenarioSet(returns=c * scenarios.returns, seed=0), ra, gross_rf, cfg)
         assert (scaled.converged, scaled.iterations) == (unit.converged, unit.iterations)
         np.testing.assert_allclose(c * scaled.weights, unit.weights, rtol=1e-10, atol=0.0)
 
-    @pytest.mark.xfail(strict=True, raises=NotConverged, reason=(
-        "gd converges; it does not, see the CHANGES.md FOUND line 'fixed-step gd cannot "
-        "converge when the sampled optimum sits next to the wealth boundary'"))
     def test_converges_next_to_the_wealth_boundary(self):
-        # A hundred +10% draws and one -30% draw: the optimum, w = 2.61,
-        # leaves the crash draw a wealth of 0.22, where the Hessian is far
-        # steeper than at the zero start.
-        scenarios = ScenarioSet(returns=[[0.1]] * 100 + [[-0.3]], seed=0)
-        assert gd_solve(scenarios, RiskAversion(2.0), 1.0, GdConfig(max_iter=1_000)).converged
+        scenarios, ra, gross_rf = _wealth_boundary_market()
+        assert gd_solve(scenarios, ra, gross_rf, GdConfig(max_iter=1_000)).converged
 
-    @pytest.mark.xfail(strict=True, raises=NotConverged, reason=(
-        "gd converges in 1000 steps; it does not, see the CHANGES.md FOUND line 'the M2 "
-        "metric is the Hessian at w = 0, and at large gamma it no longer matches the "
-        "Hessian at the optimum'"))
     def test_converges_on_a_large_gamma_market(self):
-        # Seed 176 of a 300-seed scan in the ranges of random_markets: k = 4
-        # and gamma = 63.4, where gd needs 2,049 steps.  9 of the 300
-        # markets end NotConverged at 1000 steps.
-        rng = np.random.default_rng(176)
-        k = int(rng.integers(1, 17))
-        a = rng.uniform(-0.03, 0.03, (k, k))
-        sigma = a @ a.T + np.diag(rng.uniform(0.5e-4, 1.5e-4, k))
-        p = make_params(rng.uniform(-0.015, 0.015, k), sigma, float(rng.uniform(0.0, 0.005)))
-        ra = RiskAversion(float(rng.uniform(1.2, 4.0)) * max(gamma_lower_bound(p), 2.0))
-        assert (k, round(ra.gamma, 1)) == (4, 63.4)
-        scenarios = simulate(p, 2_000, 176)
-        assert gd_solve(scenarios, ra, p.gross_rf, GdConfig(max_iter=1_000)).converged
+        scenarios, ra, gross_rf = _large_gamma_market()
+        assert gd_solve(scenarios, ra, gross_rf, GdConfig(max_iter=1_000)).converged
 
-    @pytest.mark.xfail(strict=True, raises=NotConverged, reason=(
-        "gd converges in 1000 steps; it does not, see the CHANGES.md FOUND line 'solve --method "
-        "gd below gamma 1 grinds to the iteration cap': the M2 metric misfits the Hessian"))
     def test_converges_when_gamma_is_below_one(self):
-        # Fifty draws from -0.171 to 0.312 at gamma = 0.5: the optimum,
-        # w = 5.8305, leaves the worst draw a wealth of 0.0023, where the
-        # Hessian is -2.63 against gamma M2 = 0.0085.
-        scenarios = simulate(make_params([0.1], [[0.01]], 0.0), 50, 1)
-        assert gd_solve(scenarios, RiskAversion(0.5), 1.0, GdConfig(max_iter=1_000)).converged
+        scenarios, ra, gross_rf = _below_one_market()
+        assert gd_solve(scenarios, ra, gross_rf, GdConfig(max_iter=1_000)).converged
+
+    @pytest.mark.parametrize("market", MISFIT_MARKETS, ids=MISFIT_IDS)
+    def test_misfit_markets_take_few_steps(self, market):
+        # 11, 27 and 13 steps.
+        report = gd_solve(*market(), GdConfig(max_iter=1_000))
+        assert report.iterations <= 60
+
+    def test_benchmark_market_takes_few_steps(self, benchmark_params):
+        # The benchmark workload's draw: 4, 4, 4 and 3 steps.
+        scenarios = simulate(benchmark_params, 200_000, 20120116)
+        for gamma in (5.0, 10.0, 15.0, 20.0):
+            report = gd_solve(scenarios, RiskAversion(gamma), benchmark_params.gross_rf,
+                              GdConfig(max_iter=50))
+            assert report.iterations <= 5
+
+    @pytest.mark.parametrize("market, factor", [
+        *((market, None) for market in MISFIT_MARKETS),
+        (_benchmark_draw, 1e4), (_below_one_market, 1e-6),
+    ], ids=[*MISFIT_IDS, "eta_large", "eta_small"])
+    def test_step_lengths_after_the_first_lie_in_the_clamp_range(self, monkeypatch, market,
+                                                                 factor):
+        # The first step is eta; each later one is clamped to
+        # [STEP_MIN, STEP_MAX] * eta.  A pinned eta 1e4 times the auto step
+        # meets the lower end, one 1e-6 times it the upper end.
+        scenarios, ra, gross_rf = market()
+        eta = suggest_eta(scenarios, ra) * (factor or 1.0)
+        cfg = GdConfig(max_iter=1_000) if factor is None else GdConfig(eta=eta, max_iter=20)
+        lam_max = float(scenarios.m2_eigvals[-1])
+        ratios = []
+        for _, grad, step in _first_tries(monkeypatch, scenarios, ra, gross_rf, cfg):
+            direction = lam_max * np.linalg.solve(scenarios.m2, grad)
+            ratios.append(float(step @ direction / (direction @ direction)) / eta)
+        assert len(ratios) >= 3
+        assert ratios[0] == pytest.approx(1.0, rel=1e-12)
+        assert all(STEP_MIN * (1 - 1e-9) <= r <= STEP_MAX * (1 + 1e-9) for r in ratios[1:])
+        if factor == 1e4:
+            assert min(ratios[1:]) == pytest.approx(STEP_MIN, rel=1e-9)
+        if factor == 1e-6:
+            assert max(ratios[1:]) == pytest.approx(STEP_MAX, rel=1e-9)
 
     def test_closed_form_overweights_on_large_j_market(self, single_asset_params):
         # The log-normal proxy behind the closed form scales positions by
@@ -329,34 +412,28 @@ class TestGdSolve:
         assert report.converged
         assert report.iterations <= 40
 
-    def test_isotropic_second_moment_takes_euclidean_steps(self):
+    def test_isotropic_second_moment_takes_euclidean_steps(self, monkeypatch):
         # Whitened draws: M2 = 0.0025 I up to rounding, so the metric is
-        # Euclidean and gd must follow the plain eta * grad path.
+        # Euclidean.  The first step is eta * grad; each later one is the
+        # gradient times the Barzilai-Borwein length s's / (-s'y) of the
+        # last step s and the change y in the gradient across it.
         z = np.random.default_rng(41).normal(0.01, 0.05, size=(400, 4))
         chol = np.linalg.cholesky(z.T @ z / 400)
         scenarios = ScenarioSet(returns=0.05 * np.linalg.solve(chol, z.T).T, seed=0)
         ra = RiskAversion(5.0)
         eta = suggest_eta(scenarios, ra)
-        # gd's stopping norm, sqrt(g' M2^-1 g); the path takes 15 steps.
-        m2_inv = np.linalg.inv(scenarios.m2)
-        path = [np.zeros(4)]
-        while len(path) <= 60 and (math.sqrt(
-                (grad := v0_gradient(scenarios, path[-1], ra, 1.0)) @ m2_inv @ grad)
-                > GdConfig.tol):
-            step = eta * grad
-            while scenarios.wealth(path[-1] + step, 1.0).min() <= 0.0:
-                step = 0.5 * step
-            path.append(path[-1] + step)
-        assert 10 < len(path) <= 60
-        report = gd_solve(scenarios, ra, 1.0, GdConfig(max_iter=60))
-        assert report.iterations == len(path) - 1
-        for budget in range(1, len(path)):
-            try:
-                weights = gd_solve(scenarios, ra, 1.0, GdConfig(max_iter=budget)).weights
-            except NotConverged as exc:
-                weights = exc.report.weights
-            np.testing.assert_allclose(weights, path[budget], rtol=0.0,
-                                       atol=1e-14 * np.max(np.abs(path[budget])))
+        tries = _first_tries(monkeypatch, scenarios, ra, 1.0, GdConfig(max_iter=60))
+        assert len(tries) >= 3
+        w, grad, step = tries[0]
+        np.testing.assert_allclose(step, eta * grad, rtol=0.0,
+                                   atol=1e-14 * np.max(np.abs(step)))
+        # Each step is read as a difference of weights, so it carries their
+        # rounding: the bound scales with the weights, not the step.
+        for (w_prev, grad_prev, _), (w, grad, step) in zip(tries, tries[1:]):
+            s, y = w - w_prev, grad - grad_prev
+            t = min(max(float(s @ s) / -float(s @ y), STEP_MIN * eta), STEP_MAX * eta)
+            np.testing.assert_allclose(step, t * grad, rtol=0.0,
+                                       atol=1e-14 * np.max(np.abs(w)))
 
     def test_dominates_other_solvers_on_shared_sample(self, benchmark_params):
         scenarios = simulate(benchmark_params, 100_000, 8)
@@ -405,7 +482,7 @@ def test_gd_lands_next_to_the_newton_answer(p, gamma_scale, seed):
     # and its answer lies within about |g| / lambda_min(-H) of the optimum.
     scenarios = simulate(p, 2_000, seed)
     ra = RiskAversion(gamma_scale * max(gamma_lower_bound(p), 2.0))
-    cfg = GdConfig()
+    cfg = GdConfig(max_iter=2_000)
     report = gd_solve(scenarios, ra, p.gross_rf, cfg)
     assert report.converged
     newton = _newton_answer(scenarios, report.weights, ra, p.gross_rf)

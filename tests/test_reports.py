@@ -105,7 +105,7 @@ def test_solver_report_keys_keep_solve_order(benchmark_params):
         "gd": ["weights", "iterations", "stopping_residual", "objective", "converged", "method"],
     }
     solved = solve_methods(METHODS, benchmark_params, scenarios, RiskAversion(10.0),
-                           GdConfig(max_iter=50))  # gd takes 10 steps
+                           GdConfig(max_iter=50))  # gd takes 4 steps
     assert list(solved) == list(expected)
     for method, report in solved.items():
         payload = solver_report_dict(method, report)

@@ -779,7 +779,7 @@ class TestSolveMethod:
     # Each iterative table entry's default setting and one that stops it short.
     ITERATIVE = {
         "taylor": (TaylorConfig(), TaylorConfig(max_iter=2)),
-        "gd": (GdConfig(), GdConfig(eta=0.1, max_iter=5)),
+        "gd": (GdConfig(), GdConfig(max_iter=1)),
     }
 
     @pytest.mark.parametrize("method", ["taylor", "gd"])
